@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dual import dual_value, enumerate_kkt
+from .dual import HardCaseError, _pseudo_solve, dual_value, enumerate_kkt
 from .model import primal_objective
 from .fileio import (
     GEN_KINDS,
@@ -42,16 +42,21 @@ from .verify import brute_force_min, default_oracle_radius, kkt_check
 
 
 def _add_tolerance_flags(sp):
-    sp.add_argument("--tol-kkt", type=float, default=1e-8,
-                    help="KKT residual tolerance (default 1e-8)")
-    sp.add_argument("--tol-eig", type=float, default=1e-10,
-                    help="scale-free singularity band for inertia (default 1e-10)")
-    sp.add_argument("--tol-root", type=float, default=1e-10,
-                    help="bisection width tolerance on sigma (default 1e-10)")
-    sp.add_argument("--max-iter", type=int, default=200,
-                    help="bisection iteration cap (default 200)")
-    sp.add_argument("--samples", type=int, default=64,
-                    help="derivative samples per pole interval (default 64)")
+    d = Tolerances()
+    sp.add_argument("--tol-kkt", type=float, default=d.tol_kkt,
+                    help="KKT gate: a multiplier is kept when |x'Lx| <= tol*||x||^2 "
+                         "and its KKT residuals, scaled to max|Q| = ||c|| = 1, are "
+                         f"within tol (default {d.tol_kkt:g})")
+    sp.add_argument("--tol-eig", type=float, default=d.tol_eig,
+                    help=f"scale-free singularity band for inertia (default {d.tol_eig:g})")
+    sp.add_argument("--tol-root", type=float, default=d.tol_root,
+                    help="Newton polish stops once a sigma step is below "
+                         f"tol*(1+sigma) (default {d.tol_root:g})")
+    sp.add_argument("--max-iter", type=int, default=d.max_iter,
+                    help=f"Newton polish iteration cap per multiplier (default {d.max_iter})")
+    sp.add_argument("--samples", type=int, default=d.samples_per_interval,
+                    help="accepted and validated (at least 8) for compatibility; "
+                         f"no effect on results (default {d.samples_per_interval})")
 
 
 def _emit(text: str, output: str | None):
@@ -140,15 +145,21 @@ def cmd_check(args) -> int:
         return EXIT_DIMENSION_MISMATCH
 
     tols = report.get("tolerances", {})
-    tol_kkt = float(tols.get("tol_kkt", 1e-8))
-    tol_gap = float(tols.get("tol_gap", 1e-8))
+    defaults = Tolerances()
+    tol_kkt = float(tols.get("tol_kkt", defaults.tol_kkt))
+    tol_gap = float(tols.get("tol_gap", defaults.tol_gap))
 
     res = kkt_check(p, x, sigma)
     try:
-        dv = dual_value(p, sigma)
+        try:
+            dv = dual_value(p, sigma)
+        except SingularMatrixError:
+            # At a singular shift the dual's limit value -0.5 c'G^+ c exists
+            # when c is orthogonal to the null space of G (the hard case).
+            dv = -0.5 * float(p.c @ _pseudo_solve(p, sigma, tol_kkt)[0])
         gap = abs(dv - primal_objective(p, x))
         gap_ok = gap <= tol_gap * (1.0 + abs(dv))
-    except SingularMatrixError:
+    except HardCaseError:
         gap, gap_ok = float("inf"), False
 
     checks = [
@@ -231,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma-min", type=float, default=0.0)
     sp.add_argument("--sigma-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--tol-eig", type=float, default=1e-10)
+    sp.add_argument("--tol-eig", type=float, default=Tolerances().tol_eig)
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_sweep)
 

@@ -1,16 +1,21 @@
 """One-dimensional dual of the cone-constrained quadratic.
 
 The dual function ``d(sigma) = -0.5 * c' G(sigma)^{-1} c`` with
-``G(sigma) = Q + sigma*diag(-1,1,...,1)`` is concave wherever G is positive
-definite, and its derivative at sigma equals ``cone_quadratic(x(sigma))``
-for the recovered point ``x(sigma) = G(sigma)^{-1} c``.  Interior roots of
-the derivative are dual KKT points; they map one-to-one onto stationary
-points of the primal with ``primal value == dual value``.
+``G(sigma) = Q + sigma*L``, ``L = diag(-1,1,...,1)``, is concave wherever G is
+positive definite, and its derivative at sigma equals
+``cone_quadratic(x(sigma))`` for the recovered point
+``x(sigma) = G(sigma)^{-1} c``.  Interior roots of the derivative are dual
+KKT points; they map one-to-one onto stationary points of the primal with
+``primal value == dual value``.
 
-This module locates the positive-definite window of G, maximizes the dual
-there (including the singular-boundary hard case), and enumerates *all*
-dual KKT points over the nonsingular range by per-pole-interval sampling
-and safeguarded bisection/Newton root finding.
+Everything here comes from the pencil G(sigma).  Its singular shifts (the
+poles of the dual) cut [0, inf) into cells of constant inertia, so the
+positive-definite window is the one cell whose midpoint is positive
+definite.  Since ``det [[G L G, c], [c', 0]] = 2 det(G)^2 g(sigma)`` for the
+derivative g, every KKT multiplier is a real eigenvalue of a quadratic
+eigenproblem of size n+1, solved as one generalized eigenproblem of size
+2(n+1).  The dual maximum is then a selection from that multiplier set: the
+multiplier inside the window, or the singular-boundary hard case.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import (
     DEFAULT_TOL_EIG,
     Factorization,
     SingularMatrixError,
     factorize,
-    min_eigenvalue,
     pencil_singular_sigmas,
     solve_linear,
 )
@@ -62,11 +67,17 @@ DEFAULT_TOL_KKT = 1e-8
 DEFAULT_MAX_ITER = 200
 DEFAULT_SAMPLES = 64
 
-# Intervals are shrunk by this relative margin at singular endpoints before
-# sampling, to stay clear of catastrophic cancellation at the poles.
-POLE_MARGIN = 1e-9
 # Tolerance for the nappe test x[0] >= -tol (scale-free).
 NAPPE_TOL = 1e-8
+# Eigenvalues of the pencil with |imag| up to this (relative) count as real:
+# double roots of g split into nearly-real pairs, and Newton plus the KKT
+# gate decide what a kept value is worth.
+REALNESS_TOL = 1e-6
+# The eigensolver cannot separate roots of g from a pole closer than about
+# sqrt(eps) (relative); an eigenvalue this close to a pole is polished from
+# one start on each side of it instead.
+POLE_RESOLUTION = 1e-7
+EPS = float(np.finfo(float).eps)
 
 
 class HardCaseError(RuntimeError):
@@ -130,121 +141,62 @@ def dual_derivative(p: ProblemInstance, sigma: float, tol_eig: float = DEFAULT_T
     return cone_quadratic(recover_primal(p, sigma, tol_eig))
 
 
-def _g_raw(p: ProblemInstance, sigma: float) -> float:
-    """Derivative via a plain LU solve; caller keeps sigma off the poles."""
-    x = np.linalg.solve(shifted_hessian(p, sigma), p.c)
-    return cone_quadratic(x)
+def _kkt_gap(x: np.ndarray) -> float:
+    """x'Lx / ||x||^2: the scale-free size of the derivative at x = x(sigma)."""
+    return 2.0 * cone_quadratic(x) / float(x @ x)
 
 
-def _g_batch(p: ProblemInstance, sigmas: np.ndarray) -> np.ndarray:
-    """Vectorized derivative samples; NaN where the solve fails."""
-    m = sigmas.shape[0]
-    n = p.n
-    Gs = np.broadcast_to(p.Q, (m, n, n)).copy()
-    d = np.arange(n)
-    Gs[:, d, d] += sigmas[:, None] * lorentz_signs(n)
-    rhs = np.broadcast_to(p.c, (m, n))[..., None]
-    try:
-        xs = np.linalg.solve(Gs, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty(m)
-        for i, s in enumerate(sigmas):
-            try:
-                out[i] = _g_raw(p, float(s))
-            except np.linalg.LinAlgError:
-                out[i] = np.nan
-        return out
-    return 0.5 * (np.sum(xs[:, 1:] ** 2, axis=1) - xs[:, 0] ** 2)
-
-
-def _g_and_slope(p: ProblemInstance, sigma: float) -> tuple[float, float]:
-    """Derivative and its own derivative: g' = -(Lx)' G^{-1} (Lx)."""
+def _g_and_slope(p: ProblemInstance, sigma: float) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """x(sigma), the derivative g, its own derivative g' = -(Lx)' G^{-1} (Lx),
+    and y = G^{-1} (Lx) = -dx/dsigma."""
     G = shifted_hessian(p, sigma)
     x = np.linalg.solve(G, p.c)
     Lx = x * lorentz_signs(p.n)
     y = np.linalg.solve(G, Lx)
-    return cone_quadratic(x), -float(Lx @ y)
+    return x, cone_quadratic(x), -float(Lx @ y), y
 
 
 # ---------------------------------------------------------------------------
 # positive-definite window
 
 
-def _merged_poles(p: ProblemInstance) -> list[float]:
-    merged: list[float] = []
+def _cells(p: ProblemInstance) -> tuple[list[float], bool]:
+    """Left ends [0, p1, p2, ...] of the cells between merged poles, and
+    whether 0 is itself a pole."""
+    poles: list[float] = []
     for s in pencil_singular_sigmas(p):
-        if merged and s - merged[-1] <= 1e-9 * (1.0 + s):
-            continue
-        merged.append(s)
-    return merged
+        if not poles or s - poles[-1] > 1e-9 * (1.0 + s):
+            poles.append(s)
+    zero_singular = bool(poles) and poles[0] <= 1e-12
+    return [0.0] + (poles[1:] if zero_singular else poles), zero_singular
 
 
-def _bisect_pd_edge(p: ProblemInstance, inside: float, outside: float, tol: float) -> float:
-    """Boundary of {sigma : G(sigma) PD} between a PD point and a non-PD point."""
-    max_steps = 200
-    for _ in range(max_steps):
-        if abs(outside - inside) <= tol * (1.0 + abs(inside)):
-            break
-        mid = 0.5 * (inside + outside)
-        if min_eigenvalue(shifted_hessian(p, mid)) > 0.0:
-            inside = mid
-        else:
-            outside = mid
-    return 0.5 * (inside + outside)
-
-
-def pd_interval(p: ProblemInstance, tol: float = DEFAULT_TOL_ROOT) -> DualInterval | None:
+def pd_interval(p: ProblemInstance) -> DualInterval | None:
     """The unique maximal interval of sigma >= 0 where G(sigma) is PD.
 
     The PD set is the preimage of the (convex) PD cone under an affine map,
     hence a single interval bounded above by Q[0,0] (the (0,0) entry of G
-    must stay positive).  Candidate windows are the cells between consecutive
-    singular shifts; one interior PD sample identifies the window and both
-    endpoints are then located by bisection on the minimum eigenvalue.
+    must stay positive).  Inertia changes only at the singular shifts, so the
+    window is the pole cell whose midpoint is positive definite, and its ends
+    are the poles themselves.  The midpoint test uses the banded inertia of
+    ``factorize``: a bare Cholesky factorization can succeed on the singular
+    PSD matrix at the center of the sliver that a defective pole splits into.
     """
     cap = float(p.Q[0, 0])
     if cap <= 0.0:
         return None
-    all_poles = _merged_poles(p)
-    poles = [s for s in all_poles if s < cap * (1.0 - 1e-12)]
-    breaks = [0.0] + poles + [cap]
-
-    if min_eigenvalue(p.Q) > 0.0:
-        pd_at = 0.0
-        cell = 0
-    else:
-        pd_at = None
-        for i in range(len(breaks) - 1):
-            a, b = breaks[i], breaks[i + 1]
-            for frac in (0.5, 0.25, 0.75):
-                s = a + frac * (b - a)
-                if min_eigenvalue(shifted_hessian(p, s)) > 0.0:
-                    pd_at, cell = s, i
-                    break
-            if pd_at is not None:
-                break
-        if pd_at is None:
-            return None
-
-    if pd_at == 0.0:
-        lo = 0.0
-        lo_singular = False
-    else:
-        lo = _bisect_pd_edge(p, pd_at, breaks[cell], tol)
-        lo_singular = True
-    hi = _bisect_pd_edge(p, pd_at, breaks[cell + 1], tol)
-    # Snap to the eigenvalue-accurate pole when the bisection lands on one.
-    for s in all_poles:
-        if abs(hi - s) <= 10.0 * tol * (1.0 + s):
-            hi = s
-        if lo_singular and abs(lo - s) <= 10.0 * tol * (1.0 + s):
-            lo = s
-    return DualInterval(lo=lo, hi=hi, kind="positive_definite",
-                        lo_singular=lo_singular, hi_singular=True)
+    breaks, zero_singular = _cells(p)
+    for i, (lo, hi) in enumerate(zip(breaks[:-1], breaks[1:])):
+        if lo >= cap:
+            break
+        if factorize(shifted_hessian(p, 0.5 * (lo + hi))).positive_definite:
+            return DualInterval(lo=lo, hi=hi, kind="positive_definite",
+                                lo_singular=i > 0 or zero_singular, hi_singular=True)
+    return None
 
 
 # ---------------------------------------------------------------------------
-# critical-point construction and root refinement
+# critical-point construction
 
 
 def build_critical_point(
@@ -272,48 +224,6 @@ def build_critical_point(
     )
 
 
-def _refine_root(
-    p: ProblemInstance,
-    a: float,
-    b: float,
-    ga: float,
-    gb: float,
-    tol_root: float,
-    max_iter: int,
-) -> tuple[float, float]:
-    """Bracketed bisection followed by Newton polish on the dual derivative."""
-    for _ in range(max_iter):
-        if b - a <= tol_root * (1.0 + 0.5 * abs(a + b)):
-            break
-        mid = 0.5 * (a + b)
-        gm = _g_raw(p, mid)
-        if gm == 0.0:
-            a = b = mid
-            ga = gb = gm
-            break
-        if (gm > 0.0) == (ga > 0.0):
-            a, ga = mid, gm
-        else:
-            b, gb = mid, gm
-    sigma = 0.5 * (a + b)
-    best_s, best_g = sigma, _g_raw(p, sigma)
-    s = sigma
-    for _ in range(30):
-        g, gp = _g_and_slope(p, s)
-        if abs(g) < abs(best_g):
-            best_s, best_g = s, g
-        if g == 0.0 or gp == 0.0 or not math.isfinite(gp):
-            break
-        step = g / gp
-        s_new = s - step
-        if not (a - (b - a) <= s_new <= b + (b - a)) or not math.isfinite(s_new):
-            break
-        if abs(step) <= 1e-17 * (1.0 + abs(s)):
-            break
-        s = s_new
-    return best_s, best_g
-
-
 # ---------------------------------------------------------------------------
 # dual maximization over the PD window
 
@@ -330,79 +240,159 @@ def maximize_dual(
     Cases: the window may contain sigma=0 with nonincreasing dual
     (complementarity holds at 0), an interior derivative root, or a
     derivative that stays positive up to the singular upper boundary
-    (hard case).  Windows that start above 0 with a nonpositive derivative
-    carry no certified point and yield None.
+    (hard case).  Windows where the dual decreases throughout and that
+    start above 0 carry no certified point and yield None.
     """
-    point, _ = _maximize_with_notes(p, tol, tol_root, tol_eig, max_iter)
+    points = enumerate_kkt(p, tol, DEFAULT_SAMPLES, tol_root, tol_eig, max_iter)
+    point, _ = _maximize_with_notes(p, points, tol, tol_eig)
     return point
 
 
 def _maximize_with_notes(
     p: ProblemInstance,
+    points: list[CriticalPoint],
     tol: float = DEFAULT_TOL_KKT,
-    tol_root: float = DEFAULT_TOL_ROOT,
     tol_eig: float = DEFAULT_TOL_EIG,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[CriticalPoint | None, list[str]]:
-    notes: list[str] = []
-    window = pd_interval(p, tol_root)
+    """Select the dual maximum from the enumerated multipliers.
+
+    The dual is concave on the window, so at most one multiplier lies in it:
+    the one where G(sigma) is positive definite (uncertified if it recovers
+    a mirror-nappe point).  Only without one are the window's ends needed:
+    the derivative keeps its sign across the window, and positive means the
+    supremum sits at the singular upper end (hard case).
+    """
+    inside = [cp for cp in points if cp.inertia == (p.n, 0, 0)]
+    if inside:
+        return inside[0], []
+
+    window = pd_interval(p)
     if window is None:
         return None, ["no positive-definite dual window; certificate unavailable"]
-
-    lo_eval = window.lo if not window.lo_singular else window.lo + POLE_MARGIN * (1.0 + abs(window.lo))
-    hi_eval = window.hi - POLE_MARGIN * (1.0 + abs(window.hi))
-    if lo_eval >= hi_eval:
-        return None, ["positive-definite dual window is numerically degenerate"]
-
-    g_lo = _g_raw(p, lo_eval)
-    if not window.lo_singular and g_lo <= tol:
-        point = build_critical_point(p, 0.0, tol_eig)
-        if not point.nappe_ok:
-            notes.append(
-                "negative-nappe rejection: dual maximum at sigma=0 recovers a point "
-                "with x[0] < 0"
-            )
-        return point, notes
-    if g_lo <= 0.0:
-        if abs(g_lo) <= tol:
-            point = build_critical_point(p, lo_eval, tol_eig)
-            return point, notes
-        return None, [
-            "dual is decreasing at the lower edge of the positive-definite window; "
-            "no certified maximum inside it"
-        ]
-
-    g_hi = _g_raw(p, hi_eval)
-    if g_hi > 0.0:
-        # Supremum at the singular upper boundary: hard case.
+    if dual_derivative(p, 0.5 * (window.lo + window.hi), tol_eig) > 0.0:
         try:
             point = hard_case_solve(p, window.hi, tol=tol, tol_eig=tol_eig)
         except HardCaseError as exc:
             return None, [f"hard case without boundary solution: {exc}; no certificate, see oracle"]
-        notes.append("dual supremum attained only at the singular boundary (hard case)")
-        return point, notes
-
-    sigma, g = _refine_root(p, lo_eval, hi_eval, g_lo, g_hi, tol_root, max_iter)
-    if abs(g) > tol:
-        return None, [
-            f"dual derivative root did not refine below tolerance (|g|={abs(g):.3e})"
-        ]
-    point = build_critical_point(p, sigma, tol_eig)
-    if not point.nappe_ok:
-        notes.append(
-            f"negative-nappe rejection: dual maximum at sigma={sigma:.12g} recovers a "
-            "point with x[0] < 0; it solves only the two-nappe relaxation"
-        )
-        point = CriticalPoint(
-            sigma=point.sigma, x=point.x, dual_value=point.dual_value,
-            primal_value=point.primal_value, inertia=point.inertia,
-            certificate=CERT_KKT, nappe_ok=False,
-        )
-    return point, notes
+        return point, ["dual supremum attained only at the singular boundary (hard case)"]
+    return None, [
+        "dual is decreasing across the positive-definite window; "
+        "no certified maximum inside it"
+    ]
 
 
 # ---------------------------------------------------------------------------
-# full KKT enumeration over the nonsingular range
+# full KKT enumeration
+
+
+def _pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
+    """Real positive eigenvalues of B(sigma) = B0 + sigma*B1 + sigma^2*B2.
+
+    B0 = [[Q L Q, c], [c', 0]], B1 = 2Q (+) 0, B2 = L (+) 0, linearized as
+    A z = sigma B z with z = (v, sigma v).  Q is scaled to unit max-norm and
+    c to unit length, which balances the blocks and only rescales sigma.
+    """
+    n, m = p.n, p.n + 1
+    scale = float(np.max(np.abs(p.Q))) or 1.0
+    Q = p.Q / scale
+    c = p.c / float(np.linalg.norm(p.c))
+    signs = lorentz_signs(n)
+    A = np.zeros((2 * m, 2 * m))
+    A[:m, m:] = np.eye(m)
+    A[m:m + n, :n] = -(Q @ (signs[:, None] * Q))
+    A[m:m + n, n] = A[m + n, :n] = -c
+    A[m:m + n, m:m + n] = -2.0 * Q
+    B = np.eye(2 * m)
+    B[m:, m:] = np.diag(np.append(signs, 0.0))
+    w = scipy.linalg.eigvals(A, B)
+    w = w[np.isfinite(w)]
+    real = w[np.abs(w.imag) <= REALNESS_TOL * (1.0 + np.abs(w.real))].real
+    return scale * real[real > 0.0]
+
+
+def _polish(p: ProblemInstance, sigma: float, pole: float, tol_root: float,
+            max_iter: int) -> tuple[float, np.ndarray | None]:
+    """Newton on h = (sigma - pole)^2 * g, which stays smooth at ``pole``
+    (pass inf for plain Newton on g).
+
+    Returns the iterate whose |_kkt_gap| is the smallest, with its x (None
+    if no solve succeeded).  Iteration stops once a step falls below
+    tol_root*min(1+sigma, |sigma-pole|), or once the gap or the step stops
+    shrinking (a start drifting toward a pole or infinity, or round-off).
+    The returned x takes the last Newton step on g to first order,
+    x - (g/g') dx/dsigma: a double sigma cannot, and near a pole one ulp of
+    sigma can move x'Lx by more than tol.
+    """
+    best_s, best_x, best_r = sigma, None, math.inf
+    last, converged = math.inf, False
+    for _ in range(max_iter):
+        try:
+            x, g, gp, y = _g_and_slope(p, sigma)
+        except np.linalg.LinAlgError:
+            break
+        r = abs(_kkt_gap(x))
+        if not r < best_r:
+            break
+        best_s, best_x, best_r = sigma, x + (g / gp) * y, r
+        step = g / (gp + 2.0 * g / (sigma - pole))
+        if converged or not abs(step) < last:
+            break
+        sigma -= step
+        last = abs(step)
+        converged = last <= tol_root * min(1.0 + abs(sigma), abs(sigma - pole))
+    return best_s, best_x
+
+
+def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float) -> bool:
+    """KKT gate for a candidate (sigma, x): the relative test
+    |x'Lx| <= tol*||x||^2, and every KKT residual of the problem scaled to
+    max|Q| = ||c|| = 1 within tol, counting the round-off bound eps*||x||^2
+    of x'Lx.
+
+    Next to a defective pole (a light-like null vector) ||x|| outgrows x'Lx,
+    so the relative gap tends to 0 where g does not vanish; the scaled
+    residuals reject those points, and the round-off term rejects points
+    where x'Lx cancels to below its own error.  At sigma = 0 complementarity
+    holds identically and only x'Lx <= 0 (within the same bounds) is asked.
+    """
+    q = cone_quadratic(x)
+    r = abs(q) if sigma > 0.0 else q
+    xx = float(x @ x)
+    s_unit = float(np.max(np.abs(p.Q))) or 1.0
+    c_norm = float(np.linalg.norm(p.c))
+    x_unit = c_norm / s_unit  # the natural size of x
+    stationarity = float(np.max(np.abs(shifted_hessian(p, sigma) @ x - p.c))) / c_norm
+    scaled = (r + EPS * xx) * max(1.0, sigma / s_unit) / x_unit**2
+    return r <= 0.5 * tol * xx and max(scaled, stationarity) <= tol
+
+
+def _starts(sigma: float, poles: list[float]) -> list[tuple[float, float]]:
+    """Newton starts (sigma, pole to deflate) for one pencil eigenvalue."""
+    for s in poles:
+        gap = POLE_RESOLUTION * (1.0 + s)
+        if abs(sigma - s) <= gap:
+            return [(s - gap, s), (s + gap, s)]
+    return [(sigma, math.inf)]
+
+
+def _family_representatives(p: ProblemInstance, breaks: list[float], zero_singular: bool,
+                            tol: float) -> list[float] | None:
+    """One sigma per pole cell when g vanishes identically, else None.
+
+    For data such as Q = diag(1, -1), c = (1, 1) every nonsingular sigma is
+    critical and B(sigma) is singular, so its eigenvalues are arbitrary.  A
+    nonzero g is rational with finitely many roots; vanishing at two probes
+    beyond every pole, at irrational offsets, marks the family.  Cells are
+    represented by their midpoints, the last one by 2*top + 1, and the first
+    by sigma = 0 (admitted separately) unless 0 is a pole.
+    """
+    top = breaks[-1]
+    for offset in (0.5 * math.sqrt(2.0), math.pi):
+        x = np.linalg.solve(shifted_hessian(p, top + offset * (1.0 + top)), p.c)
+        if abs(_kkt_gap(x)) > tol:
+            return None
+    reps = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:] + [3.0 * top + 2.0])]
+    return reps if zero_singular else reps[1:]
 
 
 def enumerate_kkt(
@@ -413,88 +403,58 @@ def enumerate_kkt(
     tol_eig: float = DEFAULT_TOL_EIG,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[CriticalPoint]:
-    """All dual KKT points over [0, sigma_max], classified by inertia.
+    """All dual KKT points sigma >= 0, classified by inertia.
 
-    The range is partitioned at the singular shifts; each open cell is
-    sampled (the derivative need not be monotone outside the PD window) and
-    every sign change is refined to a root.  sigma = 0 is admitted whenever
-    the derivative there is nonpositive, which makes complementarity hold
-    identically.  sigma_max = largest pole + 10*(1 + largest pole) bounds the
-    search; the derivative keeps a fixed sign beyond all poles once the
-    recovered point decays, so the miss risk is confined to that tail.
+    The multipliers are the real positive eigenvalues of the quadratic
+    pencil B(sigma) = [[G L G, c], [c', 0]], whose determinant is
+    2 det(G)^2 g(sigma); one generalized eigensolve covers the whole
+    half-line, with no search range and no sampling.  Each eigenvalue is
+    Newton-polished on g (from both sides of a pole it cannot be told apart
+    from) and kept when the recovered point passes the relative gate
+    |x'Lx| <= tol*||x||^2, which rejects the spurious eigenvalues near poles
+    and near infinity, and has scaled KKT residuals within tol (see
+    ``_is_multiplier``); survivors within 1e-9 relative are merged.
+    sigma = 0 is admitted under the same gate with x'Lx <= 0 in place of
+    x'Lx = 0, since complementarity holds there identically.  Each point
+    reports the x the gate accepted.
+    ``samples_per_interval`` is validated but has no effect on the result.
     """
     if samples_per_interval < 8:
         raise ValueError("samples_per_interval must be at least 8")
 
+    breaks, zero_singular = _cells(p)
     if float(np.max(np.abs(p.c))) == 0.0:
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
-        poles = _merged_poles(p)
-        sigma0 = 0.0
-        if any(abs(s) <= 1e-12 for s in poles):
-            first = min((s for s in poles if s > 1e-12), default=1.0)
-            sigma0 = 0.5 * first
+        sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
         return [build_critical_point(p, sigma0, tol_eig, x=np.zeros(p.n))]
 
-    poles = _merged_poles(p)
-    top = poles[-1] if poles else 0.0
-    sigma_max = top + 10.0 * (1.0 + top)
-    zero_singular = bool(poles) and poles[0] <= 1e-12
-
-    # Breakpoints tagged by whether they need a pole-exclusion margin.
-    breaks: list[tuple[float, bool]] = [] if zero_singular else [(0.0, False)]
-    breaks += [(s, True) for s in poles]
-    breaks += [(sigma_max, False)]
-
-    roots: list[tuple[float, float]] = []
-    for (a, a_pole), (b, b_pole) in zip(breaks[:-1], breaks[1:]):
-        sa = a + POLE_MARGIN * (1.0 + abs(a)) if a_pole else a
-        sb = b - POLE_MARGIN * (1.0 + abs(b)) if b_pole else b
-        if sa >= sb:
-            continue
-        grid = np.linspace(sa, sb, samples_per_interval)
-        g = _g_batch(p, grid)
-        # Exact zeros first; a run of zeros (a critical *family*, possible for
-        # symmetric data) collapses to one representative.
-        in_run = False
-        for i in range(samples_per_interval):
-            if not np.isnan(g[i]) and g[i] == 0.0:
-                if not in_run:
-                    roots.append((float(grid[i]), 0.0))
-                in_run = True
-            else:
-                in_run = False
-        for i in range(samples_per_interval - 1):
-            gi, gj = g[i], g[i + 1]
-            if np.isnan(gi) or np.isnan(gj) or gi == 0.0 or gj == 0.0:
-                continue
-            if gi * gj < 0.0:
-                roots.append(
-                    _refine_root(p, float(grid[i]), float(grid[i + 1]),
-                                 float(gi), float(gj), tol_root, max_iter)
-                )
-
-    accepted: list[float] = []
-    for sigma, g in sorted(roots):
-        if sigma <= 0.0:
-            continue
-        if abs(g) > tol or sigma * abs(g) > tol:
-            continue
-        if accepted and sigma - accepted[-1] <= 1e-9 * (1.0 + sigma):
-            continue
-        accepted.append(sigma)
-
-    points = [build_critical_point(p, s, tol_eig) for s in accepted]
-
+    reps = _family_representatives(p, breaks, zero_singular, tol)
+    if reps is not None:
+        candidates = [(s, None) for s in reps]
+    else:
+        poles = breaks if zero_singular else breaks[1:]
+        starts = {st for s in _pencil_eigenvalues(p) for st in _starts(float(s), poles)}
+        polished = [_polish(p, start, pole, tol_root, max_iter) for start, pole in starts]
+        candidates = [(s, x) for s, x in polished
+                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     if not zero_singular:
-        try:
-            g0 = _g_raw(p, 0.0)
-        except np.linalg.LinAlgError:
-            g0 = np.inf
-        if g0 <= tol:
-            points.insert(0, build_critical_point(p, 0.0, tol_eig))
+        x = np.linalg.solve(p.Q, p.c)
+        if _is_multiplier(p, x, 0.0, tol):
+            candidates.append((0.0, x))
 
-    points.sort(key=lambda cp: cp.sigma)
+    # Each point reports the x that passed the gate, so its KKT residuals
+    # are the ones measured here.
+    points: list[CriticalPoint] = []
+    for sigma, x in sorted(candidates, key=lambda sx: sx[0]):
+        if points and sigma - points[-1].sigma <= 1e-9 * (1.0 + sigma):
+            continue
+        try:
+            cp = build_critical_point(p, sigma, tol_eig, x=x)
+        except SingularMatrixError:
+            continue  # a family representative at an unresolved pole
+        if cp.inertia[1] == 0:  # within tol_eig of a pole: no point to recover
+            points.append(cp)
     return points
 
 
@@ -502,18 +462,12 @@ def enumerate_kkt(
 # singular boundary (hard case)
 
 
-def hard_case_solve(
-    p: ProblemInstance,
-    sigma_sing: float,
-    tol: float = DEFAULT_TOL_KKT,
-    tol_eig: float = DEFAULT_TOL_EIG,
-) -> CriticalPoint:
-    """Boundary solution when the dual supremum sits at a singular shift.
+def _pseudo_solve(p: ProblemInstance, sigma_sing: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solution of G(sigma_sing) x = c and a null-space basis.
 
-    Requires c orthogonal (within tol*(1+||c||)) to the null space of
-    G(sigma_sing); the pseudo-solution is then completed with a null-space
-    step chosen so the result lies exactly on the cone boundary, mirroring
-    the trust-region hard case.
+    The dual's limit value at the singular shift is ``-0.5 * c' x``.  Raises
+    HardCaseError unless G is singular there and c is orthogonal (within
+    tol*(1+||c||)) to its null space.
     """
     G = shifted_hessian(p, sigma_sing)
     w, U = np.linalg.eigh(G)
@@ -533,7 +487,23 @@ def hard_case_solve(
             "c has a component in the null space of G(sigma); the dual supremum "
             "is not attained"
         )
-    x_p = U1 @ ((U1.T @ p.c) / w1)
+    return U1 @ ((U1.T @ p.c) / w1), U0
+
+
+def hard_case_solve(
+    p: ProblemInstance,
+    sigma_sing: float,
+    tol: float = DEFAULT_TOL_KKT,
+    tol_eig: float = DEFAULT_TOL_EIG,
+) -> CriticalPoint:
+    """Boundary solution when the dual supremum sits at a singular shift.
+
+    Requires c orthogonal (within tol*(1+||c||)) to the null space of
+    G(sigma_sing); the pseudo-solution is then completed with a null-space
+    step chosen so the result lies exactly on the cone boundary, mirroring
+    the trust-region hard case.
+    """
+    x_p, U0 = _pseudo_solve(p, sigma_sing, tol)
 
     # Deterministic null direction: maximize the first component.
     first_row = U0[0, :]

@@ -3,8 +3,10 @@
 For Q = diag(q) the shifted Hessian is diagonal, the dual collapses to the
 secular function ``-0.5 * sum(c_i^2 / (q_i + sigma*s_i))`` with signature
 ``s = (-1, 1, ..., 1)``, and every quantity of the dense path has a
-componentwise formula.  This module keeps its arithmetic independent of the
-dense linear-algebra route so the two can cross-check each other.
+componentwise formula.  The KKT multipliers are the real roots of the
+derivative's numerator polynomial, of degree at most 2(n-1).  This module
+keeps its arithmetic independent of the dense linear-algebra route so the
+two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from .dual import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL_KKT,
     DEFAULT_TOL_ROOT,
+    EPS,
     NAPPE_TOL,
-    POLE_MARGIN,
+    POLE_RESOLUTION,
+    REALNESS_TOL,
     CriticalPoint,
 )
 from .linalg import DEFAULT_TOL_EIG
@@ -118,42 +122,87 @@ def _poles(d: DiagonalInstance) -> list[float]:
     return merged
 
 
-def _refine(d, a, b, ga, gb, tol_root, max_iter):
+def _numerator(d: DiagonalInstance) -> np.ndarray:
+    """Coefficients, highest first, of 2*g(sigma) * prod_i (q_i + s_i*sigma)^2.
+
+    Only components with c_i != 0 contribute a pole, so the degree is at
+    most 2(m-1) for m such components; c is scaled to unit length, which
+    leaves the roots unchanged.  Terms that cancel to round-off (a critical
+    family, g = 0 everywhere) give the zero polynomial.
+    """
+    signs = np.ones(d.n)
+    signs[0] = -1.0
+    c = d.c / float(np.linalg.norm(d.c))
+    active = np.flatnonzero(c)
+    roots = -signs[active] * d.q[active]  # (q_i + s_i*sigma)^2 = (sigma - root_i)^2
+    terms = [signs[i] * c[i] ** 2 * np.atleast_1d(np.poly(np.repeat(np.delete(roots, k), 2)))
+             for k, i in enumerate(active)]
+    num = np.sum(terms, axis=0)
+    size = max(float(np.max(np.abs(t))) for t in terms)
+    return np.zeros(1) if float(np.max(np.abs(num))) <= 1e-12 * size else num
+
+
+def _polish(d: DiagonalInstance, sigma: float, pole: float, tol_root: float,
+            max_iter: int) -> tuple[float, np.ndarray | None]:
+    """Newton on (sigma - pole)^2 times the secular derivative, with the
+    dense path's stopping rules: the iterate with the smallest
+    |x'Lx| / ||x||^2, and its x advanced to first order by the last Newton
+    step on g."""
+    best_s, best_x, best_r = sigma, None, math.inf
+    last, converged = math.inf, False
     for _ in range(max_iter):
-        if b - a <= tol_root * (1.0 + 0.5 * abs(a + b)):
+        try:
+            g = secular_derivative(d, sigma)
+        except SecularPoleError:
             break
-        mid = 0.5 * (a + b)
-        gm = secular_derivative(d, mid)
-        if gm == 0.0:
-            a = b = mid
+        den = _denominators(d, sigma)
+        x = d.c / den
+        r = abs(2.0 * g / float(x @ x))
+        if not r < best_r:
             break
-        if (gm > 0.0) == (ga > 0.0):
-            a, ga = mid, gm
-        else:
-            b, gb = mid, gm
-    sigma = 0.5 * (a + b)
-    best_s, best_g = sigma, secular_derivative(d, sigma)
-    s = sigma
-    for _ in range(30):
-        g = secular_derivative(d, s)
-        gp = _slope(d, s)
-        if abs(g) < abs(best_g):
-            best_s, best_g = s, g
-        if g == 0.0 or gp == 0.0 or not math.isfinite(gp):
+        gp = _slope(d, sigma)
+        y = x / den  # G^{-1} L x = -dx/dsigma
+        y[0] = -y[0]
+        best_s, best_x, best_r = sigma, x + (g / gp) * y, r
+        step = g / (gp + 2.0 * g / (sigma - pole))
+        if converged or not abs(step) < last:
             break
-        step = g / gp
-        s_new = s - step
-        if not (a - (b - a) <= s_new <= b + (b - a)) or not math.isfinite(s_new):
-            break
-        if abs(step) <= 1e-17 * (1.0 + abs(s)):
-            break
-        s = s_new
-    return best_s, best_g
+        sigma -= step
+        last = abs(step)
+        converged = last <= tol_root * min(1.0 + abs(sigma), abs(sigma - pole))
+    return best_s, best_x
 
 
-def _point(d: DiagonalInstance, sigma: float, tol_eig: float) -> CriticalPoint:
+def _is_multiplier(d: DiagonalInstance, x: np.ndarray, sigma: float, tol: float) -> bool:
+    """The dense path's KKT gate: |x'Lx| <= tol*||x||^2, and every KKT
+    residual of the instance scaled to max|q| = ||c|| = 1, with the round-off
+    bound eps*||x||^2 of x'Lx, within tol (x'Lx <= 0 only at sigma = 0)."""
+    q = 0.5 * (float(x[1:] @ x[1:]) - float(x[0]) ** 2)
+    r = abs(q) if sigma > 0.0 else q
+    xx = float(x @ x)
+    s_unit = float(np.max(np.abs(d.q))) or 1.0
+    c_norm = float(np.linalg.norm(d.c))
+    x_unit = c_norm / s_unit
+    stationarity = float(np.max(np.abs(_denominators(d, sigma) * x - d.c))) / c_norm
+    scaled = (r + EPS * xx) * max(1.0, sigma / s_unit) / x_unit**2
+    return r <= 0.5 * tol * xx and max(scaled, stationarity) <= tol
+
+
+def _starts(sigma: float, poles: list[float]) -> list[tuple[float, float]]:
+    """Newton starts (sigma, pole to deflate): one on each side of a pole
+    that the root lies too close to for the polynomial root finder."""
+    for s in poles:
+        gap = POLE_RESOLUTION * (1.0 + s)
+        if abs(sigma - s) <= gap:
+            return [(s - gap, s), (s + gap, s)]
+    return [(sigma, math.inf)]
+
+
+def _point(d: DiagonalInstance, sigma: float, tol_eig: float,
+           x: np.ndarray | None = None) -> CriticalPoint:
     den = _denominators(d, sigma)
-    x = d.c / den
+    if x is None:
+        x = d.c / den
     band = tol_eig * max(1.0, float(np.max(np.abs(den))))
     n_zero = int(np.sum(np.abs(den) <= band))
     n_pos = int(np.sum(den > band))
@@ -176,75 +225,52 @@ def secular_enumerate(
     tol_eig: float = DEFAULT_TOL_EIG,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[CriticalPoint]:
-    """All dual KKT points of the diagonal instance, by per-interval scan.
+    """All dual KKT points of the diagonal instance, in closed form.
 
-    Mirrors the dense enumeration contract (same partition, margins, sampling
-    density, acceptance gates) while evaluating everything in closed form.
-    The derivative is a difference of pole terms and may have up to two roots
-    per interior interval, so each cell is scanned rather than assumed
-    monotone.
+    The candidates are the real positive roots of the derivative's numerator
+    polynomial; each is Newton-polished on the secular derivative and kept
+    under the dense path's acceptance rules (relative gate
+    |x'Lx| <= tol*||x||^2 plus scaled KKT residuals within tol, 1e-9
+    relative merging, sigma = 0 admitted with x'Lx <= 0 in place of
+    x'Lx = 0).  ``samples_per_interval`` is validated for
+    compatibility and has no effect on the result.  When the derivative
+    vanishes identically (its numerator cancels) every sigma is critical,
+    and one per pole cell is reported.
     """
     if samples_per_interval < 8:
         raise ValueError("samples_per_interval must be at least 8")
 
+    poles = _poles(d)
+    zero_singular = bool(poles) and poles[0] <= 1e-12
     if float(np.max(np.abs(d.c))) == 0.0:
-        poles = _poles(d)
         sigma0 = 0.0
-        if any(abs(s) <= 1e-12 for s in poles):
+        if zero_singular:
             first = min((s for s in poles if s > 1e-12), default=1.0)
             sigma0 = 0.5 * first
-        pt = _point(d, sigma0, tol_eig)
-        return [pt]
+        return [_point(d, sigma0, tol_eig)]
 
-    poles = _poles(d)
-    top = poles[-1] if poles else 0.0
-    sigma_max = top + 10.0 * (1.0 + top)
-    zero_singular = bool(poles) and poles[0] <= 1e-12
-
-    breaks: list[tuple[float, bool]] = [] if zero_singular else [(0.0, False)]
-    breaks += [(s, True) for s in poles]
-    breaks += [(sigma_max, False)]
-
-    roots: list[tuple[float, float]] = []
-    for (a, a_pole), (b, b_pole) in zip(breaks[:-1], breaks[1:]):
-        sa = a + POLE_MARGIN * (1.0 + abs(a)) if a_pole else a
-        sb = b - POLE_MARGIN * (1.0 + abs(b)) if b_pole else b
-        if sa >= sb:
-            continue
-        grid = np.linspace(sa, sb, samples_per_interval)
-        g = np.array([secular_derivative(d, float(s)) for s in grid])
-        # Zero runs collapse to one representative, as in the dense path.
-        in_run = False
-        for i in range(samples_per_interval):
-            if g[i] == 0.0:
-                if not in_run:
-                    roots.append((float(grid[i]), 0.0))
-                in_run = True
-            else:
-                in_run = False
-        for i in range(samples_per_interval - 1):
-            gi, gj = g[i], g[i + 1]
-            if gi == 0.0 or gj == 0.0:
-                continue
-            if gi * gj < 0.0:
-                roots.append(_refine(d, float(grid[i]), float(grid[i + 1]),
-                                     float(gi), float(gj), tol_root, max_iter))
-
-    accepted: list[float] = []
-    for sigma, g in sorted(roots):
-        if sigma <= 0.0:
-            continue
-        if abs(g) > tol or sigma * abs(g) > tol:
-            continue
-        if accepted and sigma - accepted[-1] <= 1e-9 * (1.0 + sigma):
-            continue
-        accepted.append(sigma)
-
-    points = [_point(d, s, tol_eig) for s in accepted]
-
+    num = _numerator(d)
+    candidates: list[tuple[float, np.ndarray | None]] = []
+    if not np.any(num):
+        # Critical family: cell midpoints as on the dense path, the last
+        # cell's at 2*top + 1, the first cell's at sigma = 0 (admitted below).
+        breaks = [0.0] + (poles[1:] if zero_singular else poles)
+        sigmas = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:] + [3.0 * breaks[-1] + 2.0])]
+        candidates = [(s, None) for s in (sigmas if zero_singular else sigmas[1:])]
+    roots = np.roots(num)
+    real = roots[np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))].real
+    for start, pole in {st for root in real[real > 0.0] for st in _starts(float(root), poles)}:
+        sigma, x = _polish(d, start, pole, tol_root, max_iter)
+        if sigma > 0.0 and x is not None and _is_multiplier(d, x, sigma, tol):
+            candidates.append((sigma, x))
     if not zero_singular:
-        if secular_derivative(d, 0.0) <= tol:
-            points.insert(0, _point(d, 0.0, tol_eig))
+        x = d.c / _denominators(d, 0.0)
+        if _is_multiplier(d, x, 0.0, tol):
+            candidates.append((0.0, x))
 
-    points.sort(key=lambda cp: cp.sigma)
-    return points
+    accepted: list[tuple[float, np.ndarray | None]] = []
+    for sigma, x in sorted(candidates, key=lambda sx: sx[0]):
+        if accepted and sigma - accepted[-1][0] <= 1e-9 * (1.0 + sigma):
+            continue
+        accepted.append((sigma, x))
+    return [_point(d, s, tol_eig, x) for s, x in accepted]

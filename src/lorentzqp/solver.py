@@ -1,6 +1,6 @@
-"""End-to-end solve: dual maximization, KKT enumeration fallback, solution
-selection, verification residuals, optional oracle comparison, and the sweep
-table behind the CSV output.
+"""End-to-end solve: one KKT enumeration, solution selection from it,
+verification residuals, optional oracle comparison, and the sweep table
+behind the CSV output.
 """
 
 from __future__ import annotations
@@ -98,38 +98,27 @@ def solve_problem(
 ) -> SolveReport:
     """Solve the cone-constrained quadratic and assemble the report.
 
-    The dual is maximized over its positive-definite window first; when that
-    yields no certified point, all dual KKT points are enumerated and the
-    best cone-feasible one (lowest objective, then lowest multiplier) is
+    All dual KKT points are enumerated once.  The dual maximum over the
+    positive-definite window, selected from them, is the solution when it is
+    certified or is the hard-case boundary point; otherwise the best
+    cone-feasible point (lowest objective, then lowest multiplier) is
     selected without a certificate.  Points recovered on the negative nappe
     are kept in the report but never selected.
     """
-    warnings: list[str] = []
-    best, notes = _maximize_with_notes(
-        p, tol.tol_kkt, tol.tol_root, tol.tol_eig, tol.max_iter
+    points = enumerate_kkt(
+        p, tol.tol_kkt, tol.samples_per_interval,
+        tol.tol_root, tol.tol_eig, tol.max_iter,
     )
-    warnings.extend(notes)
-
-    if best is not None and best.certified:
+    best, warnings = _maximize_with_notes(p, points, tol.tol_kkt, tol.tol_eig)
+    if best is not None and best.certificate == CERT_HARD:
+        # The boundary point sits at a pole, outside the enumeration; its
+        # limit value weakly dominates every cone-feasible KKT point.
+        points = sorted(points + [best], key=lambda cp: cp.sigma)
+    if best is not None and best.certificate != CERT_KKT:
         solution = best
-        points = [best]
     else:
-        points = enumerate_kkt(
-            p, tol.tol_kkt, tol.samples_per_interval,
-            tol.tol_root, tol.tol_eig, tol.max_iter,
-        )
-        if best is not None and best.certificate == CERT_HARD:
-            # The limit value at the singular boundary weakly dominates every
-            # cone-feasible KKT point, so the hard-case point is the answer.
-            solution = best
-            points = sorted(points + [best], key=lambda cp: cp.sigma)
-        else:
-            if best is not None and all(
-                abs(cp.sigma - best.sigma) > 1e-9 * (1.0 + best.sigma) for cp in points
-            ):
-                points = sorted(points + [best], key=lambda cp: cp.sigma)
-            feasible = [cp for cp in points if cp.nappe_ok]
-            solution = min(feasible, key=lambda cp: (cp.primal_value, cp.sigma), default=None)
+        feasible = [cp for cp in points if cp.nappe_ok]
+        solution = min(feasible, key=lambda cp: (cp.primal_value, cp.sigma), default=None)
 
     if any(not cp.nappe_ok for cp in points):
         rejected = ", ".join(f"{cp.sigma:.6g}" for cp in points if not cp.nappe_ok)

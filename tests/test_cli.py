@@ -82,6 +82,25 @@ class TestCheckCommand:
         assert code == 1
         assert "stationarity" in out and "FAIL" in out
 
+    @pytest.mark.parametrize("source", ["hardcase_2d.json", "gen-hardcase-3-5"])
+    def test_hard_case_report(self, capsys, tmp_path, problem_dir, source):
+        # the dual is singular at the hard-case sigma; the gap uses its limit value
+        problem = problem_dir / source
+        if source.startswith("gen-"):
+            problem = tmp_path / "hardcase.json"
+            assert run_cli(capsys, "gen", "hardcase", "3", "--seed", "5", "-o", str(problem))[0] == 0
+        report = tmp_path / "report.json"
+        assert run_cli(capsys, "solve", str(problem), "-o", str(report))[0] == 3
+        code, out, _ = run_cli(capsys, "check", str(problem), str(report))
+        assert code == 0
+        assert "duality_gap = 0.000e+00 (ok" in out
+        obj = json.loads(report.read_text())
+        obj["solution"]["x"][0] += 1e-2
+        report.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "check", str(problem), str(report))
+        assert code == 1
+        assert "FAIL" in out
+
     def test_dimension_mismatch_exit_65(self, capsys, tmp_path, problem_dir):
         report = tmp_path / "claim.json"
         report.write_text(json.dumps({"solution": {"sigma": 0.0, "x": [1.0, 0.0, 0.0]}}))

@@ -17,8 +17,10 @@ from lorentzqp import (
     maximize_dual,
     pd_interval,
     recover_primal,
+    solve_problem,
 )
 from lorentzqp.fileio import as_dense, gen_instance
+from lorentzqp.model import lorentz_signs
 from conftest import random_orthogonal
 
 
@@ -93,6 +95,14 @@ class TestPdInterval:
         # G[1,1] = -2 + sigma > 0 needs sigma > 2 while G[0,0] = 2 - sigma > 0
         # needs sigma < 2
         assert pd_interval(dense_3d) is None
+
+    def test_defective_light_like_pole(self):
+        # G(0.2) is singular with the light-like null vector u = (1, 1), so
+        # u'G(sigma)u = 0 for every sigma and no window exists; round-off
+        # splits the double pole into a sliver whose midpoint is PSD-singular
+        p = ProblemInstance(Q=[[0.8, -0.6], [-0.6, 0.4]], c=[1.0, 0.3])
+        assert pd_interval(p) is None
+        assert solve_problem(p).exit_code == 4
 
     def test_negative_leading_entry(self):
         assert pd_interval(ProblemInstance(Q=[[-1.0, 0.0], [0.0, 1.0]], c=[1, 1])) is None
@@ -188,6 +198,51 @@ class TestEnumerate:
     def test_rejects_sparse_sampling(self, dense_2d):
         with pytest.raises(ValueError):
             enumerate_kkt(dense_2d, samples_per_interval=4)
+
+    @pytest.mark.parametrize("q, c, poles", [
+        ([1.0, -1.0], [1.0, 1.0], [1.0]),
+        ([1.0, -1.0, -3.0], [1.0, 1.0, 0.0], [1.0, 3.0]),
+    ])
+    def test_critical_family_one_point_per_cell(self, q, c, poles):
+        # g vanishes for every nonsingular sigma, so the pencil is singular and
+        # its eigenvalues are arbitrary; a tail rotation keeps the family
+        R = np.eye(len(q))
+        if len(q) > 2:
+            R[1:3, 1:3] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+        p = ProblemInstance(Q=R.T @ np.diag(q) @ R, c=R.T @ np.array(c))
+        pts = enumerate_kkt(p)
+        edges = [0.0] + poles + [np.inf]
+        assert len(pts) == len(edges) - 1
+        for cp, lo, hi in zip(pts, edges[:-1], edges[1:]):
+            assert lo <= cp.sigma < hi
+            assert lo == 0.0 or cp.sigma - lo > 1e-6  # clear of the pole
+            assert kkt_check(p, cp.x, cp.sigma).max_residual <= 1e-7
+        assert solve_problem(p).solution is not None
+
+    def test_light_like_poles_return_only_kkt_points(self):
+        # Q = M - s*L with M u = 0 for a light-like u: G(s) = M is singular
+        # with a defective pole, where ||x(sigma)|| outgrows x'Lx and the
+        # relative gap tends to 0 although g does not vanish
+        rng = np.random.default_rng(2)
+        points = 0
+        for k in range(400):
+            n = int(rng.integers(2, 5))
+            u = np.ones(n)
+            t = rng.standard_normal(n - 1)
+            u[1:] = t / np.linalg.norm(t)
+            B = rng.standard_normal((n, n))
+            P = np.eye(n) - np.outer(u, u) / (u @ u)
+            M = P @ (B + B.T) @ P
+            s = rng.uniform(0.1, 3.0)
+            c = rng.uniform(-2.0, 2.0, n)
+            if k % 3 == 0:  # c nearly orthogonal to the null vector
+                c = c - (c @ u) / (u @ u) * u + 10.0 ** rng.uniform(-14, -6) * u
+            p = ProblemInstance(Q=M - s * np.diag(lorentz_signs(n)), c=c)
+            rep = solve_problem(p)
+            for cp in rep.critical_points:
+                points += 1
+                assert kkt_check(p, cp.x, cp.sigma).max_residual <= 1e-7, (k, cp.sigma)
+        assert points > 200
 
     def test_primal_dual_equality_and_kkt_closure(self):
         kinds = ("convex", "indefinite", "diagonal")

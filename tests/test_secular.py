@@ -96,6 +96,15 @@ class TestSecularEnumerate:
                 assert abs(secular_derivative(diag_saddle, cp.sigma)) <= 1e-8
             assert kkt_check(dense, cp.x, cp.sigma).max_residual <= 1e-7
 
+    @pytest.mark.parametrize("c0", [1e-6, 1e-8, 3e-9, 1e-9])
+    def test_roots_next_to_a_pole(self, c0):
+        # c nearly orthogonal to the null vector at the pole sigma = 1 puts a
+        # root on each side of it, closer than the eigensolvers can resolve
+        d = DiagonalInstance(q=[1.0, 1.0], c=[c0, 1.0])
+        expected = [(1.0 - c0) / (1.0 + c0), (1.0 + c0) / (1.0 - c0)]
+        for pts in (secular_enumerate(d), enumerate_kkt(d.to_dense())):
+            assert [cp.sigma for cp in pts] == pytest.approx(expected, rel=0, abs=1e-14)
+
     def test_agrees_with_dense_enumeration(self):
         for seed in range(40):
             d = gen_instance("diagonal", (2, 3, 4)[seed % 3], 1300 + seed)

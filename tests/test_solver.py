@@ -12,6 +12,7 @@ from lorentzqp import (
     solve_problem,
     sweep_table,
 )
+from lorentzqp.fileio import as_dense, gen_instance
 
 
 class TestSolveSelection:
@@ -51,6 +52,38 @@ class TestSolveSelection:
         assert rep.solution is None
         assert rep.exit_code == EXIT_NO_SOLUTION
         assert any("no cone-feasible KKT point" in w for w in rep.warnings)
+
+    @pytest.mark.parametrize("seed, sigma", [(9021, 48.718), (9050, 60.979)])
+    def test_strictly_convex_tail_multiplier(self, seed, sigma):
+        # the only cone-feasible multiplier lies far beyond the last pole
+        rep = solve_problem(as_dense(gen_instance("convex", 2, seed)))
+        assert rep.exit_code == EXIT_UNCERTIFIED
+        assert rep.solution.sigma == pytest.approx(sigma, abs=1e-3)
+        assert rep.residuals.max_residual <= 1e-7
+
+    def test_certified_root_in_narrow_cell(self):
+        # |g| at the root is above an absolute 1e-8 but tiny relative to ||x||^2
+        rep = solve_problem(as_dense(gen_instance("diagonal", 5, 5038)))
+        assert rep.exit_code == EXIT_CERTIFIED
+        assert rep.solution.sigma == pytest.approx(1.78516, abs=1e-5)
+        assert rep.solution.primal_value == pytest.approx(-74.249, abs=1e-3)
+
+    @pytest.mark.parametrize("beta", [1e-4, 1e4])
+    def test_scaling_c_scales_x_only(self, beta):
+        for kind in ("convex", "indefinite", "diagonal"):
+            for seed in range(7000, 7060):
+                p = as_dense(gen_instance(kind, 3, seed))
+                rep = solve_problem(p)
+                scaled = solve_problem(ProblemInstance(Q=p.Q, c=beta * p.c))
+                assert scaled.exit_code == rep.exit_code, (kind, seed)
+                if rep.solution is None:
+                    assert scaled.solution is None
+                    continue
+                assert scaled.solution.sigma == pytest.approx(
+                    rep.solution.sigma, rel=1e-8, abs=1e-12)
+                np.testing.assert_allclose(
+                    scaled.solution.x, beta * rep.solution.x,
+                    rtol=1e-7, atol=1e-9 * beta * np.abs(rep.solution.x).max())
 
     def test_oracle_block(self, dense_2d):
         rep = solve_problem(dense_2d, oracle=True, oracle_resolution=64)
