@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,6 +58,36 @@ def _add_tolerance_flags(sp):
     sp.add_argument("--samples", type=int, default=d.samples_per_interval,
                     help="accepted and validated (at least 8) for compatibility; "
                          f"no effect on results (default {d.samples_per_interval})")
+
+
+def _finite_positive(value) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+# Numeric flags (by argparse dest) and the values they accept; any other value
+# is malformed input.  A flag a subcommand lacks, or left at None, is skipped.
+_FLAG_RULES = {
+    "tol_kkt": (_finite_positive, "finite and > 0"),
+    "tol_eig": (_finite_positive, "finite and > 0"),
+    "tol_root": (_finite_positive, "finite and > 0"),
+    "max_iter": (lambda v: v >= 1, "at least 1"),
+    "samples": (lambda v: v >= 8, "at least 8"),
+    "oracle_radius": (_finite_positive, "finite and > 0"),
+    "oracle_resolution": (lambda v: v >= 16, "at least 16"),
+    "radius": (_finite_positive, "finite and > 0"),
+    "resolution": (lambda v: v >= 16, "at least 16"),
+    "steps": (lambda v: v >= 2, "at least 2"),
+    "sigma_min": (math.isfinite, "finite"),
+    "sigma_max": (math.isfinite, "finite"),
+}
+
+
+def _flag_error(args) -> str | None:
+    for dest, (accepts, rule) in _FLAG_RULES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not accepts(value):
+            return f"--{dest.replace('_', '-')} must be {rule}, got {value!r}"
+    return None
 
 
 def _emit(text: str, output: str | None):
@@ -110,9 +141,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_sweep(args) -> int:
     p = as_dense(_load(args.problem))
-    if args.steps < 2:
-        print("error: --steps must be at least 2", file=sys.stderr)
-        return EXIT_BAD_INPUT
     rows = sweep_table(p, args.sigma_min, args.sigma_max, args.steps, args.tol_eig)
     _emit(sweep_csv(rows), args.output)
     return 0
@@ -181,11 +209,7 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     p = as_dense(_load(args.problem))
     radius = args.radius if args.radius is not None else default_oracle_radius(p, None)
-    try:
-        result = brute_force_min(p, radius, args.resolution)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    result = brute_force_min(p, radius, args.resolution)
     out = {
         "tool": {"name": "lorentzqp", "version": __version__},
         "problem": problem_to_jsonable(p),
@@ -271,6 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    error = _flag_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -77,6 +77,10 @@ REALNESS_TOL = 1e-6
 # sqrt(eps) (relative); an eigenvalue this close to a pole is polished from
 # one start on each side of it instead.
 POLE_RESOLUTION = 1e-7
+# Zero band (tol_eig) of G at a hard-case shift, looser than DEFAULT_TOL_EIG:
+# the shift comes from an eigensolve, so G is singular there only to within
+# the round-off of that shift.
+HARD_CASE_TOL_EIG = 1e-8
 EPS = float(np.finfo(float).eps)
 
 
@@ -469,25 +473,18 @@ def _pseudo_solve(p: ProblemInstance, sigma_sing: float, tol: float) -> tuple[np
     HardCaseError unless G is singular there and c is orthogonal (within
     tol*(1+||c||)) to its null space.
     """
-    G = shifted_hessian(p, sigma_sing)
-    w, U = np.linalg.eigh(G)
-    band = 1e-8 * max(1.0, float(np.abs(G).sum(axis=1).max()))
-    null_mask = np.abs(w) <= band
-    if not np.any(null_mask):
+    f = factorize(shifted_hessian(p, sigma_sing), HARD_CASE_TOL_EIG)
+    if not f.singular:
         raise HardCaseError(
             f"G(sigma) is not singular at sigma={sigma_sing!r} (no null space found)"
         )
-    U0 = U[:, null_mask]
-    U1 = U[:, ~null_mask]
-    w1 = w[~null_mask]
-
-    c_null = U0.T @ p.c
-    if float(np.linalg.norm(c_null)) > tol * (1.0 + float(np.linalg.norm(p.c))):
+    U0, U1 = f.U[:, f.null], f.U[:, ~f.null]
+    if float(np.linalg.norm(U0.T @ p.c)) > tol * (1.0 + float(np.linalg.norm(p.c))):
         raise HardCaseError(
             "c has a component in the null space of G(sigma); the dual supremum "
             "is not attained"
         )
-    return U1 @ ((U1.T @ p.c) / w1), U0
+    return U1 @ ((U1.T @ p.c) / f.w[~f.null]), U0
 
 
 def hard_case_solve(

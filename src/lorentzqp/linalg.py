@@ -1,9 +1,10 @@
-"""Dense symmetric linear algebra: factorization with inertia, solves,
-extreme eigenvalues, and the singular shifts of det(Q + sigma*L) = 0.
+"""Dense symmetric linear algebra: one eigendecomposition per shifted
+Hessian, and the singular shifts of det(Q + sigma*L) = 0.
 
-Desk scale only (n up to a few hundred); everything is backed by LAPACK
-through numpy/scipy.  Inertia comes from a Bunch-Kaufman LDL' factorization
-so that tests can cross-check it against an independent eigensolver.
+Desk scale only (n up to a few hundred), backed by LAPACK through numpy.
+``factorize`` computes G = U diag(w) U' once; its inertia, singularity,
+solves and null space are all read from that decomposition under one
+scale-free zero band.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .model import ProblemInstance
+from .model import ProblemInstance, shifted_hessian
 
 __all__ = [
     "SingularMatrixError",
@@ -37,80 +37,64 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class Factorization:
-    """Factored symmetric matrix with inertia (n_pos, n_zero, n_neg)."""
+    """Symmetric eigendecomposition G = U diag(w) U', eigenvalues ascending.
+
+    Eigenvalues with |w| <= band count as zero, where
+    ``band = tol_eig * max(1, ||G||_inf)``.
+    """
 
     G: np.ndarray
-    inertia: tuple[int, int, int]
-    tol_eig: float
-    _lu: tuple | None
+    w: np.ndarray
+    U: np.ndarray
+    band: float
 
     @property
     def n(self) -> int:
         return self.G.shape[0]
 
     @property
+    def null(self) -> np.ndarray:
+        """Mask of the eigenvalues inside the zero band."""
+        return np.abs(self.w) <= self.band
+
+    @property
+    def inertia(self) -> tuple[int, int, int]:
+        """(n_pos, n_zero, n_neg) under the zero band."""
+        n_pos = int(np.sum(self.w > self.band))
+        n_zero = int(np.sum(self.null))
+        return n_pos, n_zero, self.n - n_pos - n_zero
+
+    @property
     def singular(self) -> bool:
-        return self.inertia[1] > 0
+        return bool(np.any(self.null))
 
     @property
     def positive_definite(self) -> bool:
-        return self.inertia == (self.n, 0, 0)
-
-
-def _ldl_block_eigenvalues(d: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the block-diagonal D from an LDL' factorization."""
-    n = d.shape[0]
-    vals = []
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            a, b, cc = d[i, i], d[i + 1, i], d[i + 1, i + 1]
-            mean = 0.5 * (a + cc)
-            rad = np.hypot(0.5 * (a - cc), b)
-            vals.extend([mean - rad, mean + rad])
-            i += 2
-        else:
-            vals.append(d[i, i])
-            i += 1
-    return np.asarray(vals)
+        return bool(self.w[0] > self.band)
 
 
 def factorize(G: np.ndarray, tol_eig: float = DEFAULT_TOL_EIG) -> Factorization:
-    """Symmetric-indefinite factorization reporting inertia.
-
-    Eigen-signs are counted with a scale-free zero band
-    ``|lambda| <= tol_eig * max(1, ||G||_inf)``.  Singularity is reported in
-    the inertia, not raised; only subsequent solves raise.
+    """Eigendecomposition of a symmetric matrix with a scale-free zero band
+    ``|lambda| <= tol_eig * max(1, ||G||_inf)``.  Singularity is reported,
+    not raised; only subsequent solves raise.
     """
     G = np.asarray(G, dtype=float)
-    n = G.shape[0]
     band = tol_eig * max(1.0, float(np.abs(G).sum(axis=1).max()))
-    _, d, _ = scipy.linalg.ldl(G)
-    vals = _ldl_block_eigenvalues(d)
-    n_zero = int(np.sum(np.abs(vals) <= band))
-    n_pos = int(np.sum(vals > band))
-    n_neg = n - n_zero - n_pos
-    lu = scipy.linalg.lu_factor(G) if n_zero == 0 else None
-    return Factorization(G=G, inertia=(n_pos, n_zero, n_neg), tol_eig=tol_eig, _lu=lu)
+    w, U = np.linalg.eigh(G)
+    return Factorization(G=G, w=w, U=U, band=band)
 
 
 def solve_linear(f: Factorization, rhs) -> np.ndarray:
-    """Solve G x = rhs through a Factorization, with one refinement step.
+    """Solve G x = rhs as U (U' rhs / w).
 
     Raises SingularMatrixError on singular factorizations; those systems
     belong to the hard-case path instead.
     """
-    if f._lu is None:
+    if f.singular:
         raise SingularMatrixError(
             "shifted Hessian is singular; evaluate via the hard-case path instead"
         )
-    rhs = np.asarray(rhs, dtype=float)
-    x = scipy.linalg.lu_solve(f._lu, rhs)
-    # One step of iterative refinement keeps the residual at noise level even
-    # for moderately ill-conditioned shifts near the singular set.
-    r = rhs - f.G @ x
-    x = x + scipy.linalg.lu_solve(f._lu, r)
-    return x
+    return f.U @ ((f.U.T @ np.asarray(rhs, dtype=float)) / f.w)
 
 
 def min_eigenvalue(G: np.ndarray) -> float:
@@ -130,8 +114,13 @@ def pencil_singular_sigmas(p: ProblemInstance, tol: float = 1e-9) -> list[float]
     w = np.linalg.eigvals(LQ)
     scale = 1.0 + float(np.max(np.abs(p.Q)))
     # A loose realness filter keeps nearly-real pairs (possible at eigenvalue
-    # collisions); an extra breakpoint is harmless downstream.
-    real = w[np.abs(w.imag) <= 1e-7 * scale].real
-    sig = -real
-    sig = sig[sig >= -tol * scale]
-    return sorted(float(max(s, 0.0)) for s in sig)
+    # collisions); an extra breakpoint is harmless downstream.  A defective
+    # double pole (light-like null vector) can split into a pair farther from
+    # the real axis; such a pair counts twice when G is singular at its real
+    # part.
+    sig = list(-w[np.abs(w.imag) <= 1e-7 * scale].real)
+    for lam in w[w.imag > 1e-7 * scale]:
+        s = -float(lam.real)
+        if s >= -tol * scale and factorize(shifted_hessian(p, max(s, 0.0))).singular:
+            sig += [s, s]
+    return sorted(float(max(s, 0.0)) for s in sig if s >= -tol * scale)

@@ -22,7 +22,7 @@ from .dual import (
     _maximize_with_notes,
     enumerate_kkt,
 )
-from .linalg import DEFAULT_TOL_EIG, factorize, min_eigenvalue
+from .linalg import DEFAULT_TOL_EIG, factorize, solve_linear
 from .model import ProblemInstance, shifted_hessian
 from .verify import (
     KKTResiduals,
@@ -173,25 +173,25 @@ def sweep_table(
 ) -> list[tuple[float, float | None, float | None, float, bool]]:
     """Rows (sigma, dual_value, dual_derivative, min_eigenvalue, is_pd).
 
-    Value fields are None exactly where the shifted Hessian is singular under
-    the scale-free tolerance; those rows serialize as empty CSV cells.
+    Every field of a row comes from one ``factorize`` of G(sigma).  Value
+    fields are None exactly where the shifted Hessian is singular under the
+    scale-free tolerance; those rows serialize as empty CSV cells.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     rows = []
     for sigma in np.linspace(sigma_min, sigma_max, steps):
         sigma = float(sigma)
-        G = shifted_hessian(p, sigma)
-        f = factorize(G, tol_eig)
-        lam = min_eigenvalue(G)
+        f = factorize(shifted_hessian(p, sigma), tol_eig)
+        lam = float(f.w[0])
         if f.singular:
             rows.append((sigma, None, None, lam, False))
             continue
-        x = np.linalg.solve(G, p.c)
+        x = solve_linear(f, p.c)
         dv = -0.5 * float(p.c @ x)
         dd = 0.5 * (float(x[1:] @ x[1:]) - float(x[0]) ** 2)
         if not (math.isfinite(dv) and math.isfinite(dd)):
             rows.append((sigma, None, None, lam, False))
             continue
-        rows.append((sigma, dv, dd, lam, bool(lam > 0.0)))
+        rows.append((sigma, dv, dd, lam, f.positive_definite))
     return rows

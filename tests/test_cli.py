@@ -50,6 +50,26 @@ class TestSolveCommand:
         assert "Q[1][1]" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--samples", "4"],
+    ["solve", "--tol-eig", "nan"],
+    ["solve", "--tol-root", "inf"],
+    ["solve", "--tol-kkt", "-1"],
+    ["solve", "--max-iter", "0"],
+    ["solve", "--oracle", "--oracle-resolution", "8"],
+    ["solve", "--oracle", "--oracle-radius", "-1"],
+    ["sweep", "--sigma-max", "2", "--steps", "3", "--tol-eig", "-1"],
+    ["sweep", "--steps", "3", "--sigma-max", "inf"],
+    ["oracle", "--radius", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_numeric_flag_exit_64(capsys, problem_dir, argv):
+    command, flag, value = argv[0], argv[-2], argv[-1]
+    code, out, err = run_cli(
+        capsys, command, str(problem_dir / "dense_2d_certified.json"), *argv[1:])
+    assert code == 64 and out == ""
+    assert err.count("\n") == 1 and flag in err and value in err
+
+
 class TestCheckCommand:
     def test_self_consistency(self, capsys, tmp_path, problem_dir):
         problem = problem_dir / "dense_2d_certified.json"

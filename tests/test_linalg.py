@@ -117,3 +117,19 @@ class TestPencilSingularSigmas:
                     left = np.linalg.det(shifted_hessian(p, s - h))
                     right = np.linalg.det(shifted_hessian(p, s + h))
                     assert left * right < 0
+
+    def test_defective_pole_split_into_complex_pair(self):
+        # Q = M - s*L with M u = 0 for a light-like u (s = 0.8955575446677707):
+        # the double eigenvalue of L Q comes back as -0.89555754 +- 4.3e-7i,
+        # outside the realness filter, while G is singular at its real part
+        Q = np.array([
+            [1.5779782471642378, -1.050515395084039, 1.8084960445944924, 0.7907998602116446],
+            [-1.050515395084039, 1.3973163320556954, 0.778530531417841, -1.8683033199086712],
+            [1.8084960445944924, 0.778530531417841, -0.41002833297825136, 1.6091541768457058],
+            [0.7907998602116446, -1.8683033199086712, 1.6091541768457058, 0.2722008177465042],
+        ])
+        poles = pencil_singular_sigmas(ProblemInstance(Q=Q, c=np.zeros(4)))
+        near = [s for s in poles if abs(s - 0.8955575446677707) <= 1e-9]
+        assert len(near) == 2
+        assert factorize(Q + near[0] * np.diag([-1.0, 1.0, 1.0, 1.0])).singular
+        assert any(abs(s - 0.9021687211918277) <= 1e-9 for s in poles)

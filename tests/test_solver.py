@@ -12,7 +12,31 @@ from lorentzqp import (
     solve_problem,
     sweep_table,
 )
-from lorentzqp.fileio import as_dense, gen_instance
+from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
+from lorentzqp.linalg import pencil_singular_sigmas
+from lorentzqp.model import shifted_hessian
+
+
+def _metamorphic_corpus():
+    """4 kinds x n in {2, 3, 5} x generator seeds 7000-7029."""
+    for kind in GEN_KINDS:
+        for n in (2, 3, 5):
+            for seed in range(7000, 7030):
+                yield (kind, n, seed), as_dense(gen_instance(kind, n, seed))
+
+
+def _assert_same_verdict(rep, scaled, case, sigma_scale, x_scale):
+    """scaled solves a transformed problem whose solution is (sigma_scale *
+    sigma, x_scale * x) for the solution (sigma, x) of rep."""
+    assert scaled.exit_code == rep.exit_code, case
+    if rep.solution is None:
+        assert scaled.solution is None
+        return
+    assert scaled.solution.sigma == pytest.approx(
+        sigma_scale * rep.solution.sigma, rel=1e-8, abs=1e-12 * sigma_scale), case
+    np.testing.assert_allclose(
+        scaled.solution.x, x_scale * rep.solution.x,
+        rtol=1e-7, atol=1e-9 * x_scale * np.abs(rep.solution.x).max(), err_msg=str(case))
 
 
 class TestSolveSelection:
@@ -75,15 +99,27 @@ class TestSolveSelection:
                 p = as_dense(gen_instance(kind, 3, seed))
                 rep = solve_problem(p)
                 scaled = solve_problem(ProblemInstance(Q=p.Q, c=beta * p.c))
-                assert scaled.exit_code == rep.exit_code, (kind, seed)
-                if rep.solution is None:
-                    assert scaled.solution is None
-                    continue
-                assert scaled.solution.sigma == pytest.approx(
-                    rep.solution.sigma, rel=1e-8, abs=1e-12)
-                np.testing.assert_allclose(
-                    scaled.solution.x, beta * rep.solution.x,
-                    rtol=1e-7, atol=1e-9 * beta * np.abs(rep.solution.x).max())
+                _assert_same_verdict(rep, scaled, (kind, seed), 1.0, beta)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e4])
+    def test_scaling_q_and_c_scales_sigma_only(self, alpha):
+        for case, p in _metamorphic_corpus():
+            rep = solve_problem(p)
+            scaled = solve_problem(ProblemInstance(Q=alpha * p.Q, c=alpha * p.c))
+            _assert_same_verdict(rep, scaled, case, alpha, 1.0)
+
+    def test_tail_rotation_keeps_verdict(self):
+        # x -> (x0, R x_tail) with R orthogonal maps the cone onto itself
+        rng = np.random.default_rng(7)
+        for case, p in _metamorphic_corpus():
+            T = np.eye(p.n)
+            T[1:, 1:] = np.linalg.qr(rng.standard_normal((p.n - 1, p.n - 1)))[0]
+            rep = solve_problem(p)
+            rotated = solve_problem(ProblemInstance(Q=T.T @ p.Q @ T, c=T.T @ p.c))
+            assert rotated.exit_code == rep.exit_code, case
+            if rep.solution is not None:
+                assert rotated.solution.primal_value == pytest.approx(
+                    rep.solution.primal_value, rel=1e-8, abs=1e-12), case
 
     def test_oracle_block(self, dense_2d):
         rep = solve_problem(dense_2d, oracle=True, oracle_resolution=64)
@@ -121,3 +157,26 @@ class TestSweepTable:
     def test_step_validation(self, dense_2d):
         with pytest.raises(ValueError):
             sweep_table(dense_2d, 0.0, 1.0, 1)
+
+    def test_columns_match_an_independent_eigensolver(self):
+        # random rows, plus rows placed exactly at the poles
+        rng = np.random.default_rng(11)
+        singular_rows = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            A = rng.uniform(-2, 2, (n, n))
+            p = ProblemInstance(Q=0.5 * (A + A.T), c=rng.uniform(-1, 1, n))
+            rows = sweep_table(p, 0.0, 3.0, 31)
+            for pole in pencil_singular_sigmas(p):
+                rows += sweep_table(p, pole, pole + 1.0, 2)
+            for sigma, dv, dd, lam, is_pd in rows:
+                G = shifted_hessian(p, sigma)
+                w = np.linalg.eigvalsh(G)
+                norm = max(1.0, np.abs(G).sum(axis=1).max())
+                band = 1e-10 * norm
+                assert lam == pytest.approx(w[0], abs=1e-13 * norm)
+                assert is_pd == bool(np.all(w > band))
+                singular = bool(np.any(np.abs(w) <= band))
+                assert (dv is None) == singular and (dd is None) == singular
+                singular_rows += singular
+        assert singular_rows > 40
