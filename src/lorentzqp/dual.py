@@ -116,6 +116,16 @@ class CriticalPoint:
         return self.certificate == CERT_GLOBAL
 
 
+class _KKTPoints(list):
+    """The points ``enumerate_kkt`` returns, with the pole cells (see
+    ``_cells``) they were enumerated in, so that the selection from them does
+    not compute the poles a second time."""
+
+    def __init__(self, points, cells: tuple[list[float], bool]):
+        super().__init__(points)
+        self.cells = cells
+
+
 # ---------------------------------------------------------------------------
 # dual function and derivative
 
@@ -186,10 +196,14 @@ def pd_interval(p: ProblemInstance) -> DualInterval | None:
     ``factorize``: a bare Cholesky factorization can succeed on the singular
     PSD matrix at the center of the sliver that a defective pole splits into.
     """
+    return _pd_window(p, *_cells(p))
+
+
+def _pd_window(p: ProblemInstance, breaks: list[float], zero_singular: bool) -> DualInterval | None:
+    """``pd_interval`` from pole cells already computed by ``_cells``."""
     cap = float(p.Q[0, 0])
     if cap <= 0.0:
         return None
-    breaks, zero_singular = _cells(p)
     for i, (lo, hi) in enumerate(zip(breaks[:-1], breaks[1:])):
         if lo >= cap:
             break
@@ -254,7 +268,7 @@ def maximize_dual(
 
 def _maximize_with_notes(
     p: ProblemInstance,
-    points: list[CriticalPoint],
+    points: _KKTPoints,
     tol: float = DEFAULT_TOL_KKT,
     tol_eig: float = DEFAULT_TOL_EIG,
 ) -> tuple[CriticalPoint | None, list[str]]:
@@ -264,13 +278,14 @@ def _maximize_with_notes(
     the one where G(sigma) is positive definite (uncertified if it recovers
     a mirror-nappe point).  Only without one are the window's ends needed:
     the derivative keeps its sign across the window, and positive means the
-    supremum sits at the singular upper end (hard case).
+    supremum sits at the singular upper end (hard case).  The window comes
+    from the pole cells the enumeration already computed.
     """
     inside = [cp for cp in points if cp.inertia == (p.n, 0, 0)]
     if inside:
         return inside[0], []
 
-    window = pd_interval(p)
+    window = _pd_window(p, *points.cells)
     if window is None:
         return None, ["no positive-definite dual window; certificate unavailable"]
     if dual_derivative(p, 0.5 * (window.lo + window.hi), tol_eig) > 0.0:
@@ -431,7 +446,8 @@ def enumerate_kkt(
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
-        return [build_critical_point(p, sigma0, tol_eig, x=np.zeros(p.n))]
+        return _KKTPoints([build_critical_point(p, sigma0, tol_eig, x=np.zeros(p.n))],
+                          (breaks, zero_singular))
 
     reps = _family_representatives(p, breaks, zero_singular, tol)
     if reps is not None:
@@ -459,7 +475,7 @@ def enumerate_kkt(
             continue  # a family representative at an unresolved pole
         if cp.inertia[1] == 0:  # within tol_eig of a pole: no point to recover
             points.append(cp)
-    return points
+    return _KKTPoints(points, (breaks, zero_singular))
 
 
 # ---------------------------------------------------------------------------

@@ -99,53 +99,56 @@ def projection_lorentz(x) -> np.ndarray:
     return out
 
 
-def _project_rows(X: np.ndarray) -> np.ndarray:
-    """Row-wise cone projection, vectorized."""
-    x1 = X[:, 0]
-    tail = np.linalg.norm(X[:, 1:], axis=1)
+def _project_cols(Y: np.ndarray) -> np.ndarray:
+    """Cone projection of every column of the component-major array Y, in
+    place: the closed form of ``projection_lorentz``, column by column."""
+    x1 = Y[0]
+    tail = np.linalg.norm(Y[1:], axis=0)
     inside = tail <= x1
     polar = x1 <= -tail
-    out = X.copy()
-    mid = ~inside & ~polar
-    alpha = 0.5 * (x1[mid] + tail[mid])
-    out[mid, 0] = alpha
-    out[mid, 1:] = X[mid, 1:] * (alpha / tail[mid])[:, None]
-    out[polar] = 0.0
-    return out
+    alpha = 0.5 * (x1 + tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(inside, 1.0, np.where(polar, 0.0, alpha / tail))
+    Y[0] = np.where(inside, x1, np.where(polar, 0.0, alpha))
+    Y[1:] *= scale
+    return Y
 
 
 def _slice_grid(n: int, radius: float, resolution: int) -> np.ndarray:
-    """Deterministic grid over {0 <= x1 <= radius, ||x[1:]|| <= x1}.
+    """Deterministic grid over {0 <= x1 <= radius, ||x[1:]|| <= x1}, each
+    point once, component-major: shape (n, N), one row per coordinate.
 
     x1 runs at full resolution; the tail ball is sampled radially/angularly
     at documented coarser factors so the point count stays at desk scale.
+    Samples that coincide are emitted once: the apex stands for the whole
+    x1 = 0 level, the axis point for the rad = 0 ring of each level, and at
+    n = 4 each pole (theta = 0 or pi) for its row of phi angles.
     """
-    x1s = np.linspace(0.0, radius, resolution)
+    x1s = np.linspace(0.0, radius, resolution)[1:]
     if n == 2:
-        t = np.linspace(-1.0, 1.0, resolution)
-        X1, T = np.meshgrid(x1s, t, indexing="ij")
-        pts = np.stack([X1.ravel(), (X1 * T).ravel()], axis=1)
-        return pts
-    rad = np.linspace(0.0, 1.0, max(4, resolution // 16) + 1)
-    if n == 3:
-        theta = np.linspace(0.0, 2.0 * np.pi, max(16, resolution // 4), endpoint=False)
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    elif n == 4:
-        m = max(8, resolution // 16)
-        theta = np.linspace(0.0, np.pi, m)
-        phi = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-        TH, PH = np.meshgrid(theta, phi, indexing="ij")
-        dirs = np.stack(
-            [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=2
-        ).reshape(-1, 3)
+        tails = np.linspace(-1.0, 1.0, resolution)[:, None]
     else:
-        raise ValueError("exhaustive oracle grid supports n <= 4 only")
-    tails = rad[:, None, None] * dirs[None, :, :]          # (nr, nd, n-1)
-    tails = tails.reshape(-1, n - 1)
-    pts = np.empty((x1s.size * tails.shape[0], n))
+        rad = np.linspace(0.0, 1.0, max(4, resolution // 16) + 1)[1:]
+        if n == 3:
+            theta = np.linspace(0.0, 2.0 * np.pi, max(16, resolution // 4), endpoint=False)
+            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        elif n == 4:
+            m = max(8, resolution // 16)
+            theta = np.linspace(0.0, np.pi, m)[1:-1]
+            phi = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+            TH, PH = np.meshgrid(theta, phi, indexing="ij")
+            ring = np.stack(
+                [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=2
+            ).reshape(-1, 3)
+            dirs = np.concatenate([[[0.0, 0.0, 1.0]], ring, [[0.0, 0.0, -1.0]]])
+        else:
+            raise ValueError("exhaustive oracle grid supports n <= 4 only")
+        tails = (rad[:, None, None] * dirs[None, :, :]).reshape(-1, n - 1)
+        tails = np.concatenate([np.zeros((1, n - 1)), tails])
+    pts = np.zeros((n, 1 + x1s.size * tails.shape[0]))     # column 0: the apex
     X1 = np.repeat(x1s, tails.shape[0])
-    pts[:, 0] = X1
-    pts[:, 1:] = X1[:, None] * np.tile(tails, (x1s.size, 1))
+    pts[0, 1:] = X1
+    pts[1:, 1:] = X1 * np.tile(tails.T, x1s.size)
     return pts
 
 
@@ -192,6 +195,9 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     Deterministic and bit-reproducible: fixed grid, fixed step
     1/(||Q||_inf + 1), at most POLISH_STEPS iterations with a global
     displacement stop, value ties broken lexicographically by coordinates.
+    The iterates are held component-major, shape (n, N) with one column per
+    grid point, so every per-point step, projection, rescale and
+    displacement runs along contiguous rows of length N.
     Polish iterates are rescaled into a large ball so unbounded instances
     stay finite; escape shows up as a very negative best value alongside the
     reported unbounded direction.
@@ -200,20 +206,24 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
         raise ValueError("radius must be positive")
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
-    X = _slice_grid(p.n, radius, resolution)
-    step = 1.0 / (float(np.abs(p.Q).sum(axis=1).max()) + 1.0)
+    XT = _slice_grid(p.n, radius, resolution)
+    Q, cT = p.Q, p.c[:, None]
+    step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
     cap = 1e6 * (1.0 + radius)
     for _ in range(POLISH_STEPS):
-        Xn = _project_rows(X - step * (X @ p.Q - p.c))
-        big = np.abs(Xn).max(axis=1) > cap
+        Y = _project_cols(XT - step * (Q @ XT - cT))
+        size = np.abs(Y).max(axis=0)
+        big = size > cap
         if np.any(big):
-            Xn[big] *= (cap / np.abs(Xn[big]).max(axis=1))[:, None]
-        disp = float(np.max(np.abs(Xn - X)))
-        X = Xn
+            Y[:, big] *= cap / size[big]
+        disp = float(np.max(np.abs(Y - XT)))
+        XT = Y
         if disp < POLISH_STOP:
             break
 
-    vals = 0.5 * np.einsum("ij,ij->i", X @ p.Q, X) - X @ p.c
+    # One point per row: x'Qx and c'x are summed in the per-point order.
+    X = np.ascontiguousarray(XT.T)
+    vals = 0.5 * np.einsum("ij,ij->i", X @ Q, X) - X @ p.c
     order = np.lexsort(tuple(X[:, k] for k in range(p.n - 1, -1, -1)) + (vals,))
     best = order[0]
 

@@ -12,6 +12,7 @@ from lorentzqp import (
     solve_problem,
     sweep_table,
 )
+from lorentzqp import dual
 from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.linalg import pencil_singular_sigmas
 from lorentzqp.model import shifted_hessian
@@ -120,6 +121,24 @@ class TestSolveSelection:
             if rep.solution is not None:
                 assert rotated.solution.primal_value == pytest.approx(
                     rep.solution.primal_value, rel=1e-8, abs=1e-12), case
+
+    def test_poles_computed_once_per_solve(self, monkeypatch, hardcase_2d, dense_2d, dense_3d):
+        # The hard case and the window-less dense_3d select without a
+        # multiplier in the window; the window comes from the enumeration's cells.
+        calls = []
+
+        def counted(p, *args, **kwargs):
+            calls.append(p)
+            return pencil_singular_sigmas(p, *args, **kwargs)
+
+        monkeypatch.setattr(dual, "pencil_singular_sigmas", counted)
+        for p in (hardcase_2d, dense_2d, dense_3d):
+            calls.clear()
+            solve_problem(p)
+            assert len(calls) == 1
+            calls.clear()
+            dual.maximize_dual(p)
+            assert len(calls) == 1
 
     def test_oracle_block(self, dense_2d):
         rep = solve_problem(dense_2d, oracle=True, oracle_resolution=64)

@@ -9,6 +9,8 @@ from lorentzqp import (
     primal_objective,
     projection_lorentz,
 )
+from lorentzqp.fileio import as_dense, gen_instance
+from lorentzqp.verify import POLISH_STEPS, POLISH_STOP, _project_cols, _slice_grid
 
 
 class TestKKTCheck:
@@ -83,7 +85,123 @@ class TestProjection:
         assert np.linalg.norm(px - x) <= best + 1e-4
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_column_projection_matches_closed_form(self, n):
+        rng = np.random.default_rng(14 + n)
+        cols = [3.0 * rng.standard_normal(n) for _ in range(300)]
+        cols += [1e9 * rng.standard_normal(n) for _ in range(50)]   # beyond the oracle cap
+        u = rng.standard_normal(n - 1)
+        u /= np.linalg.norm(u)
+        for t in (0.0, 1e-300, 0.7, 2.0, 1e12):
+            cols.append(np.concatenate(([t], t * u)))               # tail == x1
+            cols.append(np.concatenate(([-t], t * u)))              # x1 == -tail
+        for x1 in (-2.0, 0.0, 2.0):
+            cols.append(np.concatenate(([x1], np.zeros(n - 1))))    # zero tail
+        X = np.array(cols)
+        out = _project_cols(np.ascontiguousarray(X.T)).T
+        for x, y in zip(X, out):
+            ref = projection_lorentz(x)
+            np.testing.assert_allclose(y, ref, rtol=1e-15, atol=1e-15 * np.abs(x).max())
+
+
+def _reference_grid(n, radius, resolution):
+    """The documented grid, one row per point, coincident samples included."""
+    rad = np.linspace(0.0, 1.0, max(4, resolution // 16) + 1)
+    if n == 2:
+        tails = [[t] for t in np.linspace(-1.0, 1.0, resolution)]
+    elif n == 3:
+        theta = np.linspace(0.0, 2.0 * np.pi, max(16, resolution // 4), endpoint=False)
+        tails = [[r * np.cos(a), r * np.sin(a)] for r in rad for a in theta]
+    else:
+        m = max(8, resolution // 16)
+        tails = [[r * (np.sin(a) * np.cos(b)), r * (np.sin(a) * np.sin(b)), r * np.cos(a)]
+                 for r in rad
+                 for a in np.linspace(0.0, np.pi, m)
+                 for b in np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)]
+    return np.array([[x1] + [x1 * t for t in tail]
+                     for x1 in np.linspace(0.0, radius, resolution) for tail in tails])
+
+
+def _reference_oracle(p, radius, resolution):
+    """Row-by-row transcription of the documented oracle: every grid point is
+    a row; projected gradient steps with step 1/(||Q||_inf + 1), rescaled
+    into the cap ball, stopped when no coordinate moves by POLISH_STOP; the
+    lowest value wins, ties broken by coordinates; the curvature scan over
+    the axis and four rings of unit directions."""
+    X = _reference_grid(p.n, radius, resolution)
+    step = 1.0 / (np.abs(p.Q).sum(axis=1).max() + 1.0)
+    cap = 1e6 * (1.0 + radius)
+    for _ in range(POLISH_STEPS):
+        Y = X - step * (X @ p.Q - p.c)
+        x1 = Y[:, 0].copy()
+        tail = np.linalg.norm(Y[:, 1:], axis=1)
+        mid = (-tail < x1) & (x1 < tail)
+        alpha = 0.5 * (x1[mid] + tail[mid])
+        Y[mid, 0] = alpha
+        Y[mid, 1:] *= (alpha / tail[mid])[:, None]
+        Y[x1 <= -tail] = 0.0
+        size = np.abs(Y).max(axis=1)
+        big = size > cap
+        Y[big] *= (cap / size[big])[:, None]
+        done = np.abs(Y - X).max() < POLISH_STOP
+        X = Y
+        if done:
+            break
+    vals = [0.5 * x @ p.Q @ x - p.c @ x for x in X]
+    best = min(range(len(X)), key=lambda i: (vals[i], *X[i]))
+
+    if p.n == 2:
+        udirs = [[-1.0], [1.0]]
+    elif p.n == 3:
+        udirs = [[np.cos(a), np.sin(a)] for a in
+                 np.linspace(0.0, 2.0 * np.pi, max(16, resolution // 4), endpoint=False)]
+    else:
+        m = max(8, resolution // 16)
+        udirs = [[np.sin(a) * np.cos(b), np.sin(a) * np.sin(b), np.cos(a)]
+                 for a in np.linspace(0.0, np.pi, m)
+                 for b in np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)]
+    dirs = [np.eye(p.n)[0]]
+    for f in np.linspace(0.0, 1.0, 5)[1:]:
+        ang = f * np.pi / 4.0
+        for u in udirs:
+            d = np.concatenate(([np.cos(ang)], np.sin(ang) * np.asarray(u)))
+            dirs.append(d / np.linalg.norm(d))
+    curv = [d @ p.Q @ d for d in dirs]
+    k = int(np.argmin(curv))
+    return vals[best], (dirs[k] if curv[k] < -1e-10 else None)
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("resolution", [16, 32, 64])
+    def test_grid_holds_each_documented_point_once(self, n, resolution):
+        grid = _slice_grid(n, 2.5, resolution)
+        ref = _reference_grid(n, 2.5, resolution)
+        # At n = 4 the theta = pi row differs from its pole by sin(pi) ~ 1e-16.
+        rounded = np.unique(np.round(grid.T, 12), axis=0)
+        assert rounded.shape[0] == grid.shape[1]
+        np.testing.assert_array_equal(rounded, np.unique(np.round(ref, 12), axis=0))
+
+    def test_matches_row_by_row_reference(self):
+        unbounded = 0
+        for n in (2, 3, 4):
+            for kind in ("convex", "indefinite"):
+                for seed in range(4):
+                    p = as_dense(gen_instance(kind, n, 51_000 + seed))
+                    resolution = (16, 32)[seed % 2] if n < 4 else 16
+                    value, direction = _reference_oracle(p, 2.0, resolution)
+                    res = brute_force_min(p, 2.0, resolution)
+                    case = (kind, n, seed, resolution)
+                    assert abs(res.best_value - value) <= 1e-12 * (1.0 + abs(value)), case
+                    if direction is None:
+                        assert res.unbounded_direction is None, case
+                    else:
+                        unbounded += 1
+                        np.testing.assert_array_equal(res.unbounded_direction, direction,
+                                                      err_msg=str(case))
+        assert unbounded >= 1
+
+
     def test_hard_case_instance(self, hardcase_2d):
         res = brute_force_min(hardcase_2d, 3.0, 256)
         assert res.best_value == pytest.approx(-0.25, abs=1e-4)
