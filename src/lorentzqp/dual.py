@@ -12,10 +12,12 @@ Everything here comes from the pencil G(sigma).  Its singular shifts (the
 poles of the dual) cut [0, inf) into cells of constant inertia, so the
 positive-definite window is the one cell whose midpoint is positive
 definite.  Since ``det [[G L G, c], [c', 0]] = 2 det(G)^2 g(sigma)`` for the
-derivative g, every KKT multiplier is a real eigenvalue of a quadratic
-eigenproblem of size n+1, solved as one generalized eigenproblem of size
-2(n+1).  The dual maximum is then a selection from that multiplier set: the
-multiplier inside the window, or the singular-boundary hard case.
+derivative g, every KKT multiplier is a real eigenvalue of that bordered
+quadratic pencil.  Projecting it onto the complement of c leaves a quadratic
+eigenproblem of size n-1, solved as one standard eigenproblem of size 2(n-1)
+with ``numpy.linalg.eigvals``.  The dual maximum is then a selection from
+that multiplier set: the multiplier inside the window, or the
+singular-boundary hard case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DEFAULT_TOL_EIG,
@@ -69,10 +70,18 @@ DEFAULT_SAMPLES = 64
 
 # Tolerance for the nappe test x[0] >= -tol (scale-free).
 NAPPE_TOL = 1e-8
-# Eigenvalues of the pencil with |imag| up to this (relative) count as real:
-# double roots of g split into nearly-real pairs, and Newton plus the KKT
-# gate decide what a kept value is worth.
+# Eigenvalues mu = 1/(sigma - s0) of the pencil with |imag mu| up to this
+# count as real: double roots of g split into nearly-real pairs, and Newton
+# plus the KKT gate decide what a kept value is worth.
 REALNESS_TOL = 1e-6
+# Shifts s0 of sigma = s0 + 1/mu, in units of max|Q|, tried in order until
+# K(s0)^{-1} [P'LP, K'(s0)] has no entry above SHIFT_LIMIT (else the one with
+# the smallest largest entry is used): a root of det K that close to s0 would
+# cost the other eigenvalues that much accuracy.
+# Negative, so that sigma >= 0 maps to the bounded 0 < mu <= 1/|s0|, and
+# irrational, so that no structured data puts a root on them.
+SHIFTS = (-0.5 * (math.sqrt(5.0) - 1.0), -math.sqrt(2.0), math.sqrt(3.0) - 2.0)
+SHIFT_LIMIT = 1e8
 # The eigensolver cannot separate roots of g from a pole closer than about
 # sqrt(eps) (relative); an eigenvalue this close to a pole is polished from
 # one start on each side of it instead.
@@ -305,39 +314,69 @@ def _maximize_with_notes(
 
 
 def _pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
-    """Real positive eigenvalues of B(sigma) = B0 + sigma*B1 + sigma^2*B2.
+    """Real positive eigenvalues of B(sigma) = [[G L G, c], [c', 0]].
 
-    B0 = [[Q L Q, c], [c', 0]], B1 = 2Q (+) 0, B2 = L (+) 0, linearized as
-    A z = sigma B z with z = (v, sigma v).  Q is scaled to unit max-norm and
-    c to unit length, which balances the blocks and only rescales sigma.
+    With P an orthonormal basis of c-perp (the last n-1 columns of the
+    Householder reflector of c), det B = -||c||^2 det K for the quadratic
+    K(sigma) = P'QLQP + 2 sigma P'QP + sigma^2 P'LP of size n-1, which has
+    no spurious infinite eigenvalues.  The Moebius shift sigma = s0 + 1/mu
+    turns det K = 0 into mu^2 K(s0) + mu K'(s0) + P'LP = 0, solved as a
+    companion matrix of size 2(n-1) by ``numpy.linalg.eigvals``.  Realness
+    and infinity are judged on mu, where the eigensolver's error is absolute:
+    mu = 0 is sigma = inf, the one eigenvalue a light-like c adds.  Q is
+    scaled to unit max-norm and c to unit length, which makes s0 scale-free.
     """
-    n, m = p.n, p.n + 1
+    n, m = p.n, p.n - 1
     scale = float(np.max(np.abs(p.Q))) or 1.0
     Q = p.Q / scale
-    c = p.c / float(np.linalg.norm(p.c))
+    u = p.c / float(np.linalg.norm(p.c))
     signs = lorentz_signs(n)
-    A = np.zeros((2 * m, 2 * m))
-    A[:m, m:] = np.eye(m)
-    A[m:m + n, :n] = -(Q @ (signs[:, None] * Q))
-    A[m:m + n, n] = A[m + n, :n] = -c
-    A[m:m + n, m:m + n] = -2.0 * Q
-    B = np.eye(2 * m)
-    B[m:, m:] = np.diag(np.append(signs, 0.0))
-    w = scipy.linalg.eigvals(A, B)
-    w = w[np.isfinite(w)]
-    real = w[np.abs(w.imag) <= REALNESS_TOL * (1.0 + np.abs(w.real))].real
-    return scale * real[real > 0.0]
+    v = u.copy()
+    v[0] += 1.0 if u[0] >= 0.0 else -1.0
+    P = np.eye(n)[:, 1:] - np.outer(v, v[1:] / (1.0 + abs(u[0])))
+    LP = signs[:, None] * P
+    QP = Q @ P
+    K2 = P.T @ LP
+    best = (math.inf, 0.0, None)
+    for s0 in SHIFTS:
+        GP = QP + s0 * LP
+        K0 = GP.T @ (signs[:, None] * GP)
+        K1 = 2.0 * (P.T @ GP)
+        try:
+            X = np.linalg.solve(K0, np.hstack([K2, K1]))
+        except np.linalg.LinAlgError:
+            continue
+        size = float(np.max(np.abs(X)))
+        if size < best[0]:
+            best = (size, s0, X)
+        if size <= SHIFT_LIMIT:
+            break
+    _, s0, X = best
+    if X is None:  # det K vanishes at every shift: g is 0 to round-off
+        return np.zeros(0)
+    C = np.zeros((2 * m, 2 * m))
+    C[:m, m:] = np.eye(m)
+    C[m:, :] = -X
+    mu = np.linalg.eigvals(C)
+    if abs(cone_quadratic(u)) <= n * EPS:
+        # c light-like to rounding (|c'Lc| <= 2n eps ||c||^2): then
+        # det P'LP = -c'Lc/||c||^2 = 0 and one mu is 0
+        mu = np.delete(mu, np.argmin(np.abs(mu)))
+    mu = mu[(np.abs(mu.imag) <= REALNESS_TOL) & (mu.real != 0.0)].real
+    sigma = s0 + 1.0 / mu
+    return scale * sigma[sigma > 0.0]
 
 
-def _polish(p: ProblemInstance, sigma: float, pole: float, tol_root: float,
-            max_iter: int) -> tuple[float, np.ndarray | None]:
+def _polish(p: ProblemInstance, sigma: float, pole: float, poles: list[float],
+            tol_root: float, max_iter: int) -> tuple[float, np.ndarray | None]:
     """Newton on h = (sigma - pole)^2 * g, which stays smooth at ``pole``
     (pass inf for plain Newton on g).
 
     Returns the iterate whose |_kkt_gap| is the smallest, with its x (None
     if no solve succeeded).  Iteration stops once a step falls below
-    tol_root*min(1+sigma, |sigma-pole|), or once the gap or the step stops
-    shrinking (a start drifting toward a pole or infinity, or round-off).
+    tol_root*min(1+sigma, distance to the nearest of ``poles``), or once the
+    gap or the step stops shrinking (a start drifting toward a pole or
+    infinity, or round-off).
     The returned x takes the last Newton step on g to first order,
     x - (g/g') dx/dsigma: a double sigma cannot, and near a pole one ulp of
     sigma can move x'Lx by more than tol.
@@ -358,7 +397,8 @@ def _polish(p: ProblemInstance, sigma: float, pole: float, tol_root: float,
             break
         sigma -= step
         last = abs(step)
-        converged = last <= tol_root * min(1.0 + abs(sigma), abs(sigma - pole))
+        dist = min((abs(sigma - s) for s in poles), default=math.inf)
+        converged = last <= tol_root * min(1.0 + abs(sigma), dist)
     return best_s, best_x
 
 
@@ -426,10 +466,12 @@ def enumerate_kkt(
 
     The multipliers are the real positive eigenvalues of the quadratic
     pencil B(sigma) = [[G L G, c], [c', 0]], whose determinant is
-    2 det(G)^2 g(sigma); one generalized eigensolve covers the whole
+    2 det(G)^2 g(sigma); one standard eigensolve of size 2(n-1) (the pencil
+    projected onto c-perp, see ``_pencil_eigenvalues``) covers the whole
     half-line, with no search range and no sampling.  Each eigenvalue is
     Newton-polished on g (from both sides of a pole it cannot be told apart
-    from) and kept when the recovered point passes the relative gate
+    from, and to within tol_root times its distance to the nearest pole) and
+    kept when the recovered point passes the relative gate
     |x'Lx| <= tol*||x||^2, which rejects the spurious eigenvalues near poles
     and near infinity, and has scaled KKT residuals within tol (see
     ``_is_multiplier``); survivors within 1e-9 relative are merged.
@@ -455,7 +497,7 @@ def enumerate_kkt(
     else:
         poles = breaks if zero_singular else breaks[1:]
         starts = {st for s in _pencil_eigenvalues(p) for st in _starts(float(s), poles)}
-        polished = [_polish(p, start, pole, tol_root, max_iter) for start, pole in starts]
+        polished = [_polish(p, start, pole, poles, tol_root, max_iter) for start, pole in starts]
         candidates = [(s, x) for s, x in polished
                       if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     if not zero_singular:

@@ -195,3 +195,44 @@ def test_console_entry_point_subprocess(problem_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solution"]["certificate"] == "global_min_certified"
+
+
+def test_solve_subprocess_does_not_import_scipy(problem_dir):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "lorentzqp.cli", "solve",
+         str(problem_dir / "dense_2d_certified.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "numpy" in imported and "lorentzqp.dual" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+# Runs every subcommand in one interpreter in which importing scipy fails.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from lorentzqp.cli import main
+problems, tmp = sys.argv[1], sys.argv[2]
+dense, hard = problems + "/dense_2d_certified.json", problems + "/hardcase_2d.json"
+codes = [
+    main(["solve", dense, "-o", tmp + "/report.json"]),
+    main(["check", dense, tmp + "/report.json"]),
+    main(["enumerate", problems + "/diagonal_2d_saddle.json"]),
+    main(["sweep", dense, "--sigma-max", "2", "--steps", "3"]),
+    main(["oracle", hard, "--radius", "3", "--resolution", "16"]),
+    main(["gen", "indefinite", "3", "--seed", "1", "-o", tmp + "/gen.json"]),
+    main(["solve", tmp + "/gen.json"]),
+]
+print(json.dumps(codes), file=sys.stderr)
+"""
+
+
+def test_every_subcommand_runs_without_scipy(problem_dir, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(problem_dir), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert codes[:6] == [0, 0, 0, 0, 0, 0] and codes[6] in (0, 2, 3, 4)

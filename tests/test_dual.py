@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from lorentzqp import dual
 from lorentzqp import (
     CERT_GLOBAL,
     CERT_HARD,
@@ -321,3 +324,107 @@ class TestHardCase:
         for eps in (1e-4, 1e-6):
             assert dual_value(hardcase_2d, 1.0 - eps) == pytest.approx(cp.dual_value, abs=1e-3)
         assert cone_quadratic(cp.x) == pytest.approx(0.0, abs=1e-12)
+
+
+def qz_pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
+    """Real positive eigenvalues of B(sigma) = [[G L G, c], [c', 0]] from
+    scipy's QZ on the generalized linearization of size 2(n+1), an
+    independent reference for ``dual._pencil_eigenvalues``.  Eigenvalues
+    with |beta| <= 1e-10 |alpha| are the pencil's infinite ones."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    n, m = p.n, p.n + 1
+    scale = float(np.max(np.abs(p.Q))) or 1.0
+    Q = p.Q / scale
+    c = p.c / float(np.linalg.norm(p.c))
+    signs = lorentz_signs(n)
+    A = np.zeros((2 * m, 2 * m))
+    A[:m, m:] = np.eye(m)
+    A[m:m + n, :n] = -(Q @ (signs[:, None] * Q))
+    A[m:m + n, n] = A[m + n, :n] = -c
+    A[m:m + n, m:m + n] = -2.0 * Q
+    B = np.eye(2 * m)
+    B[m:, m:] = np.diag(np.append(signs, 0.0))
+    alpha, beta = scipy_linalg.eigvals(A, B, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 1e-10 * np.abs(alpha)
+    w = alpha[finite] / beta[finite]
+    real = w[np.abs(w.imag) <= 1e-6 * (1.0 + np.abs(w.real))].real
+    return scale * real[real > 0.0]
+
+
+def qz_multipliers(p: ProblemInstance, monkeypatch) -> list[float]:
+    """enumerate_kkt with the QZ reference in place of the pencil eigensolve."""
+    with monkeypatch.context() as m:
+        m.setattr(dual, "_pencil_eigenvalues", qz_pencil_eigenvalues)
+        return [cp.sigma for cp in enumerate_kkt(p)]
+
+
+class TestPencilEigenvalues:
+    def test_matches_qz_reference(self):
+        for kind in ("convex", "indefinite", "diagonal", "hardcase"):
+            for n in (2, 3, 5, 8):
+                for seed in range(10):
+                    p = as_dense(gen_instance(kind, n, 40_000 + seed))
+                    ref = np.sort(qz_pencil_eigenvalues(p))
+                    got = np.sort(dual._pencil_eigenvalues(p))
+                    assert got.size == ref.size, (kind, n, seed)
+                    np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0)
+
+    def test_nearly_light_like_c_keeps_its_large_multiplier(self):
+        # c'Lc = -(2e-4 + 1e-8): one multiplier near sigma = 5e4.  For n = 2,
+        # x(sigma) is light-like when c is parallel to G(sigma)(1, s), s = +-1,
+        # which is linear in sigma.  Shift-invert on the 2(n+1) pencil, whose
+        # four infinite eigenvalues spread to O(eps^(1/4)), loses this one.
+        q00, q01, q11 = 1.0225087906176649, -3.7203227421757443, 1.499412988801198
+        c0, c1 = 1.0 + 1e-4, -1.0
+        p = ProblemInstance(Q=[[q00, q01], [q01, q11]], c=[c0, c1])
+        roots = [(c1 * (q00 + q01 * s) - c0 * (q01 + q11 * s)) / (c1 + c0 * s) for s in (1.0, -1.0)]
+        expected = sorted(r for r in roots if r >= 0.0)
+        assert expected[-1] > 1e4
+        got = [cp.sigma for cp in enumerate_kkt(p) if cp.sigma > 0.0]
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("Q, c", [
+        ([[-2.0, -1.0], [-1.0, -2.0]], [1.0, 1.0]),
+        ([[1.0, 1.0], [1.0, -2.0]], [1.0, 1.0]),
+        ([[-2.0, -2.0, -2.0], [-2.0, -2.0, 1.0], [-2.0, 1.0, -2.0]], [5.0, 3.0, 4.0]),
+    ])
+    def test_light_like_c_adds_no_multiplier(self, monkeypatch, Q, c):
+        # c'Lc = 0 exactly: the projected pencil has an eigenvalue at
+        # sigma = inf, computed as mu ~ eps; Newton would carry it to a
+        # "multiplier" near 1e16, where x(sigma) ~ Lc/sigma passes every
+        # scale-free gate
+        p = ProblemInstance(Q=Q, c=c)
+        assert cone_quadratic(p.c) == 0.0
+        ref = qz_multipliers(p, monkeypatch)
+        got = [cp.sigma for cp in enumerate_kkt(p)]
+        assert got == pytest.approx(ref, rel=1e-9)
+        assert max(got) < 1e3
+
+    @pytest.mark.parametrize("case", ["pole", "pole_orthogonal_to_c", "root", "root_dense"])
+    def test_pole_or_root_at_the_default_shift(self, monkeypatch, case):
+        s0 = dual.SHIFTS[0]  # in units of max|Q|, which is 1 in every case
+        if case == "pole":
+            p = ProblemInstance(Q=np.diag([1.0, -s0]), c=[0.3, 1.0])
+        elif case == "pole_orthogonal_to_c":  # K(s0) is singular
+            p = ProblemInstance(Q=np.diag([1.0, -s0, 0.5]), c=[1.0, 0.0, 0.7])
+        else:  # g(s0) = 0: c = G(s0) x for a light-like x, so K(s0) is singular
+            Q = np.diag([1.0, 0.5]) if case == "root" else np.array(
+                [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.3]])
+            x = np.array([1.0, 1.0] if case == "root" else [1.0, 0.6, 0.8])
+            p = ProblemInstance(Q=Q, c=(Q + s0 * np.diag(lorentz_signs(len(x)))) @ x)
+        got = [cp.sigma for cp in enumerate_kkt(p)]
+        assert got == pytest.approx(qz_multipliers(p, monkeypatch), rel=1e-9)
+
+
+@pytest.mark.parametrize("c0", [1e-6, 1e-8])
+def test_polish_stops_relative_to_the_nearest_pole(c0):
+    # the roots (1 -+ c0)/(1 +- c0) straddle the pole sigma = 1; plain Newton
+    # from next to a root must not stop while its error, not its step, is
+    # still larger than tol_root times the distance to that pole
+    p = ProblemInstance(Q=np.eye(2), c=[c0, 1.0])
+    for root in ((1.0 - c0) / (1.0 + c0), (1.0 + c0) / (1.0 - c0)):
+        for start in (root * (1.0 - 1e-9), root * (1.0 + 1e-9)):
+            sigma, x = dual._polish(p, start, math.inf, [1.0], dual.DEFAULT_TOL_ROOT,
+                                    dual.DEFAULT_MAX_ITER)
+            assert x is not None
+            assert abs(sigma - root) <= 1e-14
