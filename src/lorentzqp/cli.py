@@ -25,6 +25,7 @@ from .fileio import (
     dumps_json,
     gen_instance,
     load_problem,
+    oracle_to_jsonable,
     point_to_jsonable,
     problem_to_jsonable,
     report_to_jsonable,
@@ -214,13 +215,7 @@ def cmd_oracle(args) -> int:
         "tool": {"name": "lorentzqp", "version": __version__},
         "problem": problem_to_jsonable(p),
         "radius": radius,
-        "oracle": {
-            "best_x": result.best_x,
-            "best_value": result.best_value,
-            "grid_resolution": result.grid_resolution,
-            "refined": result.refined,
-            "unbounded_direction": result.unbounded_direction,
-        },
+        "oracle": oracle_to_jsonable(result),
     }
     _emit(dumps_json(out) + "\n", args.output)
     return 0

@@ -9,11 +9,13 @@ KKT points; they map one-to-one onto stationary points of the primal with
 ``primal value == dual value``.
 
 Everything here comes from the pencil G(sigma).  Its singular shifts (the
-poles of the dual) cut [0, inf) into cells of constant inertia, so the
-positive-definite window is the one cell whose midpoint is positive
-definite.  Since ``det [[G L G, c], [c', 0]] = 2 det(G)^2 g(sigma)`` for the
-derivative g, every KKT multiplier is a real eigenvalue of that bordered
-quadratic pencil.  Projecting it onto the complement of c leaves a quadratic
+poles of the dual) cut [0, inf) into cells of constant inertia.  L has one
+negative square, so only the top cell, from the second-largest pole (or 0)
+to the largest, can be positive definite (see ``pd_interval``): one
+factorization at its midpoint decides the window.  Since
+``det [[G L G, c], [c', 0]] = 2 det(G)^2 g(sigma)`` for the derivative g,
+every KKT multiplier is a real eigenvalue of that bordered quadratic
+pencil.  Projecting it onto the complement of c leaves a quadratic
 eigenproblem of size n-1, solved as one standard eigenproblem of size 2(n-1)
 with ``numpy.linalg.eigvals``.  The dual maximum is then a selection from
 that multiplier set: the multiplier inside the window, or the
@@ -99,11 +101,10 @@ class HardCaseError(RuntimeError):
 
 @dataclass(frozen=True)
 class DualInterval:
-    """Maximal sub-interval of [0, inf) with G(sigma) in a fixed regime."""
+    """Maximal sub-interval of [0, inf) where G(sigma) is positive definite."""
 
     lo: float
     hi: float
-    kind: str  # "positive_definite" or "nonsingular_indefinite"
     lo_singular: bool
     hi_singular: bool
 
@@ -197,29 +198,36 @@ def _cells(p: ProblemInstance) -> tuple[list[float], bool]:
 def pd_interval(p: ProblemInstance) -> DualInterval | None:
     """The unique maximal interval of sigma >= 0 where G(sigma) is PD.
 
-    The PD set is the preimage of the (convex) PD cone under an affine map,
-    hence a single interval bounded above by Q[0,0] (the (0,0) entry of G
-    must stay positive).  Inertia changes only at the singular shifts, so the
-    window is the pole cell whose midpoint is positive definite, and its ends
-    are the poles themselves.  The midpoint test uses the banded inertia of
+    Only the top pole cell, from the second-largest pole (or 0) to the
+    largest, can be positive definite.  Suppose G(s) = R'R is PD.  Then
+    ``G(sigma) = R'(I + (sigma - s) S) R`` with ``S = R^{-T} L R^{-1}``, which
+    is congruent to L and so, by Sylvester's law of inertia, has exactly one
+    negative eigenvalue s_1.  The poles are the real shifts ``s - 1/s_i``,
+    and exactly one of them, ``s + 1/|s_1|``, lies above s; it is simple.  So
+    every PD shift lies in the top cell, and the window is that whole cell.
+    It is empty when the cell starts at or above Q[0,0] (the (0,0) entry of
+    G must stay positive); otherwise one factorization at the cell's
+    midpoint decides it.  That test uses the banded inertia of
     ``factorize``: a bare Cholesky factorization can succeed on the singular
     PSD matrix at the center of the sliver that a defective pole splits into.
     """
-    return _pd_window(p, *_cells(p))
+    window = _pd_window(p, *_cells(p))
+    return None if window is None else window[0]
 
 
-def _pd_window(p: ProblemInstance, breaks: list[float], zero_singular: bool) -> DualInterval | None:
-    """``pd_interval`` from pole cells already computed by ``_cells``."""
-    cap = float(p.Q[0, 0])
-    if cap <= 0.0:
+def _pd_window(p: ProblemInstance, breaks: list[float],
+               zero_singular: bool) -> tuple[DualInterval, Factorization] | None:
+    """``pd_interval`` from pole cells already computed by ``_cells``, with
+    the factorization of G at the window's midpoint."""
+    if len(breaks) < 2 or breaks[-2] >= float(p.Q[0, 0]):
         return None
-    for i, (lo, hi) in enumerate(zip(breaks[:-1], breaks[1:])):
-        if lo >= cap:
-            break
-        if factorize(shifted_hessian(p, 0.5 * (lo + hi))).positive_definite:
-            return DualInterval(lo=lo, hi=hi, kind="positive_definite",
-                                lo_singular=i > 0 or zero_singular, hi_singular=True)
-    return None
+    lo, hi = breaks[-2], breaks[-1]
+    f = factorize(shifted_hessian(p, 0.5 * (lo + hi)))
+    if not f.positive_definite:
+        return None
+    window = DualInterval(lo=lo, hi=hi, lo_singular=len(breaks) > 2 or zero_singular,
+                          hi_singular=True)
+    return window, f
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,8 @@ def _maximize_with_notes(
     a mirror-nappe point).  Only without one are the window's ends needed:
     the derivative keeps its sign across the window, and positive means the
     supremum sits at the singular upper end (hard case).  The window comes
-    from the pole cells the enumeration already computed.
+    from the pole cells the enumeration already computed, and the sign of
+    the derivative from the factorization that decided the window.
     """
     inside = [cp for cp in points if cp.inertia == (p.n, 0, 0)]
     if inside:
@@ -297,9 +306,10 @@ def _maximize_with_notes(
     window = _pd_window(p, *points.cells)
     if window is None:
         return None, ["no positive-definite dual window; certificate unavailable"]
-    if dual_derivative(p, 0.5 * (window.lo + window.hi), tol_eig) > 0.0:
+    interval, f = window
+    if cone_quadratic(solve_linear(f, p.c)) > 0.0:
         try:
-            point = hard_case_solve(p, window.hi, tol=tol, tol_eig=tol_eig)
+            point = hard_case_solve(p, interval.hi, tol=tol, tol_eig=tol_eig)
         except HardCaseError as exc:
             return None, [f"hard case without boundary solution: {exc}; no certificate, see oracle"]
         return point, ["dual supremum attained only at the singular boundary (hard case)"]
@@ -379,7 +389,9 @@ def _polish(p: ProblemInstance, sigma: float, pole: float, poles: list[float],
     infinity, or round-off).
     The returned x takes the last Newton step on g to first order,
     x - (g/g') dx/dsigma: a double sigma cannot, and near a pole one ulp of
-    sigma can move x'Lx by more than tol.
+    sigma can move x'Lx by more than tol.  Where g' = 0 x is kept as it is,
+    and a zero slope of h ends the polish: both happen whenever G(sigma) is
+    proportional to (sigma - pole), as for Q = 0 or Q = -L.
     """
     best_s, best_x, best_r = sigma, None, math.inf
     last, converged = math.inf, False
@@ -391,9 +403,13 @@ def _polish(p: ProblemInstance, sigma: float, pole: float, poles: list[float],
         r = abs(_kkt_gap(x))
         if not r < best_r:
             break
-        best_s, best_x, best_r = sigma, x + (g / gp) * y, r
-        step = g / (gp + 2.0 * g / (sigma - pole))
-        if converged or not abs(step) < last:
+        best_s, best_r = sigma, r
+        best_x = x + (g / gp) * y if gp != 0.0 else x
+        h_slope = gp + 2.0 * g / (sigma - pole)
+        if converged or h_slope == 0.0:
+            break
+        step = g / h_slope
+        if not abs(step) < last:
             break
         sigma -= step
         last = abs(step)
@@ -501,8 +517,14 @@ def enumerate_kkt(
         candidates = [(s, x) for s, x in polished
                       if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     if not zero_singular:
-        x = np.linalg.solve(p.Q, p.c)
-        if _is_multiplier(p, x, 0.0, tol):
+        # A defective pole at 0 escapes ``_cells`` when round-off splits it
+        # into a pair of shifts around 0; then Q is exactly singular and
+        # sigma = 0 is no candidate, as the inertia filter below would decide.
+        try:
+            x = np.linalg.solve(p.Q, p.c)
+        except np.linalg.LinAlgError:
+            x = None
+        if x is not None and _is_multiplier(p, x, 0.0, tol):
             candidates.append((0.0, x))
 
     # Each point reports the x that passed the gate, so its KKT residuals

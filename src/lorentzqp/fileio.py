@@ -26,6 +26,7 @@ __all__ = [
     "problem_to_jsonable",
     "report_to_jsonable",
     "point_to_jsonable",
+    "oracle_to_jsonable",
     "dumps_json",
     "sweep_csv",
     "gen_instance",
@@ -219,15 +220,18 @@ def report_to_jsonable(report: SolveReport, version: str) -> dict:
             "complementarity": r.complementarity,
         }
     if report.oracle is not None:
-        o = report.oracle
-        out["oracle"] = {
-            "best_x": o.best_x,
-            "best_value": o.best_value,
-            "grid_resolution": o.grid_resolution,
-            "refined": o.refined,
-            "unbounded_direction": o.unbounded_direction,
-        }
+        out["oracle"] = oracle_to_jsonable(report.oracle)
     return out
+
+
+def oracle_to_jsonable(result) -> dict:
+    return {
+        "best_x": result.best_x,
+        "best_value": result.best_value,
+        "grid_resolution": result.grid_resolution,
+        "refined": result.refined,
+        "unbounded_direction": result.unbounded_direction,
+    }
 
 
 # ---------------------------------------------------------------------------

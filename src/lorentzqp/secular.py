@@ -147,7 +147,8 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float, tol_root: float,
     """Newton on (sigma - pole)^2 times the secular derivative, with the
     dense path's stopping rules: the iterate with the smallest
     |x'Lx| / ||x||^2, and its x advanced to first order by the last Newton
-    step on g."""
+    step on g (left as it is where g' = 0); a flat (sigma - pole)^2 g ends
+    the polish."""
     best_s, best_x, best_r = sigma, None, math.inf
     last, converged = math.inf, False
     for _ in range(max_iter):
@@ -163,9 +164,13 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float, tol_root: float,
         gp = _slope(d, sigma)
         y = x / den  # G^{-1} L x = -dx/dsigma
         y[0] = -y[0]
-        best_s, best_x, best_r = sigma, x + (g / gp) * y, r
-        step = g / (gp + 2.0 * g / (sigma - pole))
-        if converged or not abs(step) < last:
+        best_s, best_r = sigma, r
+        best_x = x + (g / gp) * y if gp != 0.0 else x
+        h_slope = gp + 2.0 * g / (sigma - pole)
+        if converged or h_slope == 0.0:
+            break
+        step = g / h_slope
+        if not abs(step) < last:
             break
         sigma -= step
         last = abs(step)

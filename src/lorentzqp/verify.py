@@ -52,17 +52,9 @@ class KKTResiduals:
         return max(self.stationarity, self.primal_feasibility,
                    self.dual_feasibility, self.complementarity)
 
-    def is_kkt(self, tol: float) -> bool:
-        return self.max_residual <= tol
 
-    def on_cone(self, tol: float) -> bool:
-        return self.max_residual <= tol and self.nappe_violation <= tol
-
-
-def kkt_check(p: ProblemInstance, x, sigma: float, tol: float = 1e-8) -> KKTResiduals:
-    """Compute all residuals for (x, sigma).  ``tol`` is only a convenience
-    default for the is_kkt/on_cone queries; residuals are exact."""
-    del tol
+def kkt_check(p: ProblemInstance, x, sigma: float) -> KKTResiduals:
+    """Compute all residuals for (x, sigma)."""
     x = np.asarray(x, dtype=float)
     lam = cone_quadratic(x)
     return KKTResiduals(

@@ -34,6 +34,23 @@ class TestSolveCommand:
         rep = json.loads(out)
         assert rep["solution"]["x"] == [0.5, 0.5]
 
+    def test_hard_case_with_a_wide_eigenvalue_band(self, capsys, problem_dir):
+        # the window and the sign of g at its midpoint come from one
+        # factorization under the default band, not from a second solve
+        # under --tol-eig
+        code, out, _ = run_cli(
+            capsys, "solve", str(problem_dir / "hardcase_2d.json"), "--tol-eig", "0.5")
+        assert code == 3
+        assert json.loads(out)["solution"]["x"] == [0.5, 0.5]
+
+    def test_zero_matrix_exit_four(self, capsys, tmp_path):
+        # G(sigma) = sigma*L: the pole-deflated Newton slope is exactly 0
+        bad = tmp_path / "zero.json"
+        bad.write_text('{"n": 2, "Q": [[0, 0], [0, 0]], "c": [1, 0.5]}')
+        code, out, _ = run_cli(capsys, "solve", str(bad))
+        assert code == 4
+        assert json.loads(out)["critical_points"] == []
+
     def test_output_file_written_atomically(self, capsys, tmp_path, problem_dir):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(

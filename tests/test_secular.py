@@ -11,6 +11,7 @@ from lorentzqp import (
     secular_derivative,
     secular_enumerate,
     secular_value,
+    solve_problem,
 )
 from lorentzqp.fileio import gen_instance
 
@@ -104,6 +105,20 @@ class TestSecularEnumerate:
         expected = [(1.0 - c0) / (1.0 + c0), (1.0 + c0) / (1.0 - c0)]
         for pts in (secular_enumerate(d), enumerate_kkt(d.to_dense())):
             assert [cp.sigma for cp in pts] == pytest.approx(expected, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("q, c, sigmas, exit_code", [
+        ([1.0, -1.0, -1.0], [1.0, 0.3, -0.2], [0.0], 2),  # Q = -L
+        ([1.0, -1.0], [-1.0, 0.5], [0.0], 4),  # Q = -L, sigma = 0 on the mirror nappe
+        ([0.0, 0.0], [1.0, 0.5], [], 4),  # Q = 0
+    ])
+    def test_flat_deflated_derivative_ends_the_polish(self, q, c, sigmas, exit_code):
+        # G(sigma) proportional to (sigma - pole) makes (sigma - pole)^2 g
+        # flat at every iterate; neither path may divide by its zero slope
+        d = DiagonalInstance(q=q, c=c)
+        assert [cp.sigma for cp in secular_enumerate(d)] == sigmas
+        rep = solve_problem(d.to_dense())
+        assert [cp.sigma for cp in rep.critical_points] == sigmas
+        assert rep.exit_code == exit_code
 
     def test_agrees_with_dense_enumeration(self):
         for seed in range(40):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lorentzqp import (
     EXIT_NO_SOLUTION,
     EXIT_UNCERTIFIED,
     ProblemInstance,
+    kkt_check,
     solve_problem,
     sweep_table,
 )
@@ -150,6 +153,28 @@ class TestSolveSelection:
         rep = solve_problem(dense_3d, oracle=True, oracle_radius=5.0, oracle_resolution=64)
         assert rep.oracle.unbounded_direction is not None
         assert any("unbounded" in w for w in rep.warnings)
+
+
+def test_integer_census_solves_to_kkt_points():
+    # every symmetric Q in {-1,0,1}^{3x3} with six c, and every symmetric Q
+    # in {-2,-1,1,2}^{3x3} with c = (1.0001, 0.6, 0.8): exactly singular Q,
+    # defective poles at 0 that round-off moves off 0, and G(sigma)
+    # proportional to (sigma - pole), where the Newton slope vanishes
+    def sym(e):
+        return [[e[0], e[1], e[2]], [e[1], e[3], e[4]], [e[2], e[4], e[5]]]
+
+    cs = [(1, 0.3, -0.2), (0.5, 1, 0), (1, 1, 0), (2, -1, 0.5), (1, 0, 0), (0, 1, 0)]
+    census = [(sym(e), c) for e in itertools.product((-1.0, 0.0, 1.0), repeat=6) for c in cs]
+    census += [(sym(e), (1.0001, 0.6, 0.8))
+               for e in itertools.product((-2.0, -1.0, 1.0, 2.0), repeat=6)]
+    assert len(census) == 8470
+    points = 0
+    for Q, c in census:
+        p = ProblemInstance(Q=Q, c=c)
+        for cp in solve_problem(p).critical_points:
+            points += 1
+            assert kkt_check(p, cp.x, cp.sigma).max_residual <= 1e-7, (Q, c, cp.sigma)
+    assert points > 8000
 
 
 class TestSweepTable:
