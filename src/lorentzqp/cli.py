@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -56,9 +57,10 @@ def _add_tolerance_flags(sp):
                          f"tol*(1+sigma) (default {d.tol_root:g})")
     sp.add_argument("--max-iter", type=int, default=d.max_iter,
                     help=f"Newton polish iteration cap per multiplier (default {d.max_iter})")
-    sp.add_argument("--samples", type=int, default=d.samples_per_interval,
-                    help="accepted and validated (at least 8) for compatibility; "
-                         f"no effect on results (default {d.samples_per_interval})")
+    sp.add_argument("--samples", type=int, default=None,
+                    help="deprecated: accepted and validated (at least 8) for "
+                         "compatibility; no effect on results "
+                         f"(reports carry {d.samples_per_interval} unless given)")
 
 
 def _finite_positive(value) -> bool:
@@ -110,10 +112,16 @@ def _load(path):
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        tol_kkt=args.tol_kkt, tol_eig=args.tol_eig, tol_root=args.tol_root,
-        max_iter=args.max_iter, samples_per_interval=args.samples,
-    )
+    samples = {} if args.samples is None else {"samples_per_interval": args.samples}
+    with warnings.catch_warnings():
+        # main() prints its own note on --samples; run as ``python -m
+        # lorentzqp.cli`` this module is __main__, where Python would show
+        # the DeprecationWarning of ``Tolerances`` as well
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return Tolerances(
+            tol_kkt=args.tol_kkt, tol_eig=args.tol_eig, tol_root=args.tol_root,
+            max_iter=args.max_iter, **samples,
+        )
 
 
 def cmd_solve(args) -> int:
@@ -128,9 +136,7 @@ def cmd_solve(args) -> int:
 
 def cmd_enumerate(args) -> int:
     p = as_dense(_load(args.problem))
-    points = enumerate_kkt(
-        p, args.tol_kkt, args.samples, args.tol_root, args.tol_eig, args.max_iter
-    )
+    points = enumerate_kkt(p, args.tol_kkt, None, args.tol_root, args.tol_eig, args.max_iter)
     out = {
         "tool": {"name": "lorentzqp", "version": __version__},
         "problem": problem_to_jsonable(p),
@@ -294,6 +300,8 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if getattr(args, "samples", None) is not None:
+        print("note: --samples is deprecated and has no effect on results", file=sys.stderr)
     try:
         return args.func(args)
     except SystemExit as exc:

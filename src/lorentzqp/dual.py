@@ -8,23 +8,33 @@ positive definite, and its derivative at sigma equals
 KKT points; they map one-to-one onto stationary points of the primal with
 ``primal value == dual value``.
 
-Everything here comes from the pencil G(sigma).  Its singular shifts (the
-poles of the dual) cut [0, inf) into cells of constant inertia.  L has one
-negative square, so only the top cell, from the second-largest pole (or 0)
-to the largest, can be positive definite (see ``pd_interval``): one
-factorization at its midpoint decides the window.  Since
-``det [[G L G, c], [c', 0]] = 2 det(G)^2 g(sigma)`` for the derivative g,
-every KKT multiplier is a real eigenvalue of that bordered quadratic
-pencil.  Projecting it onto the complement of c leaves a quadratic
-eigenproblem of size n-1, solved as one standard eigenproblem of size 2(n-1)
-with ``numpy.linalg.eigvals``.  The dual maximum is then a selection from
-that multiplier set: the multiplier inside the window, or the
+Everything here comes from the pencil G(sigma) = L (LQ + sigma*I), through
+one eigendecomposition ``LQ V = V diag(lam)`` per solve.  Its poles
+``-lam_i`` (the singular shifts) cut [0, inf) into cells of constant
+inertia.  L has one negative square, so only the top cell, from the
+second-largest pole (or 0) to the largest, can be positive definite (see
+``pd_interval``): one factorization at its midpoint decides the window.  LQ
+is self-adjoint for the indefinite inner product x'Ly, so its eigenvectors
+are L-orthogonal, and the derivative takes the secular form
+``g(sigma) = 0.5 * sum_i beta_i / (lam_i + sigma)^2`` with
+``beta_i = (v_i'c)^2 / (v_i'L v_i)``: all real but one negative weight, or
+one complex pair (see ``pontryagin``).  After a change of variable g is
+convex on each cell, so each cell holds at most two roots, most cells are
+ruled out by a closed-form bound, and the rest are solved by monotone
+Newton from their ends, all in O(n) per step.  When that eigenbasis is
+ill-conditioned, at a defective light-like pole, the multipliers are instead
+the real eigenvalues of the bordered quadratic pencil
+``[[G L G, c], [c', 0]]``, whose determinant is ``2 det(G)^2 g(sigma)``,
+projected onto the complement of c and solved as one companion eigenproblem
+of size 2(n-1) with ``numpy.linalg.eigvals``.  The dual maximum is then a
+selection from the multiplier set: the multiplier inside the window, or the
 singular-boundary hard case.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +44,10 @@ from .linalg import (
     Factorization,
     SingularMatrixError,
     factorize,
+    lq_matrix,
     pencil_singular_sigmas,
     solve_linear,
+    spectrum_poles,
 )
 from .model import (
     ProblemInstance,
@@ -44,6 +56,7 @@ from .model import (
     primal_objective,
     shifted_hessian,
 )
+from .pontryagin import EPS, secular_form
 
 __all__ = [
     "CERT_GLOBAL",
@@ -92,7 +105,6 @@ POLE_RESOLUTION = 1e-7
 # the shift comes from an eigensolve, so G is singular there only to within
 # the round-off of that shift.
 HARD_CASE_TOL_EIG = 1e-8
-EPS = float(np.finfo(float).eps)
 
 
 class HardCaseError(RuntimeError):
@@ -187,8 +199,13 @@ def _g_and_slope(p: ProblemInstance, sigma: float) -> tuple[np.ndarray, float, f
 def _cells(p: ProblemInstance) -> tuple[list[float], bool]:
     """Left ends [0, p1, p2, ...] of the cells between merged poles, and
     whether 0 is itself a pole."""
+    return _pole_cells(pencil_singular_sigmas(p))
+
+
+def _pole_cells(sigmas: list[float]) -> tuple[list[float], bool]:
+    """``_cells`` from the sorted singular shifts."""
     poles: list[float] = []
-    for s in pencil_singular_sigmas(p):
+    for s in sigmas:
         if not poles or s - poles[-1] > 1e-9 * (1.0 + s):
             poles.append(s)
     zero_singular = bool(poles) and poles[0] <= 1e-12
@@ -278,7 +295,7 @@ def maximize_dual(
     (hard case).  Windows where the dual decreases throughout and that
     start above 0 carry no certified point and yield None.
     """
-    points = enumerate_kkt(p, tol, DEFAULT_SAMPLES, tol_root, tol_eig, max_iter)
+    points = enumerate_kkt(p, tol, None, tol_root, tol_eig, max_iter)
     point, _ = _maximize_with_notes(p, points, tol, tol_eig)
     return point
 
@@ -450,56 +467,85 @@ def _starts(sigma: float, poles: list[float]) -> list[tuple[float, float]]:
     return [(sigma, math.inf)]
 
 
-def _family_representatives(p: ProblemInstance, breaks: list[float], zero_singular: bool,
-                            tol: float) -> list[float] | None:
-    """One sigma per pole cell when g vanishes identically, else None.
+def _family_representatives(breaks: list[float], zero_singular: bool) -> list[float]:
+    """One sigma per pole cell, for g vanishing identically.
 
     For data such as Q = diag(1, -1), c = (1, 1) every nonsingular sigma is
-    critical and B(sigma) is singular, so its eigenvalues are arbitrary.  A
-    nonzero g is rational with finitely many roots; vanishing at two probes
-    beyond every pole, at irrational offsets, marks the family.  Cells are
-    represented by their midpoints, the last one by 2*top + 1, and the first
-    by sigma = 0 (admitted separately) unless 0 is a pole.
+    critical.  Cells are represented by their midpoints, the last one by
+    2*top + 1, and the first by sigma = 0 (admitted separately) unless 0 is
+    a pole.
     """
     top = breaks[-1]
+    reps = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:] + [3.0 * top + 2.0])]
+    return reps if zero_singular else reps[1:]
+
+
+def _vanishes_at_probes(p: ProblemInstance, top: float, tol: float) -> bool:
+    """g = 0 at two probes beyond every pole, at irrational offsets.  A
+    nonzero g is rational with finitely many roots, so this marks the
+    family where the secular form is not available; the pencil B(sigma) is
+    then singular and its eigenvalues are arbitrary."""
     for offset in (0.5 * math.sqrt(2.0), math.pi):
         x = np.linalg.solve(shifted_hessian(p, top + offset * (1.0 + top)), p.c)
         if abs(_kkt_gap(x)) > tol:
-            return None
-    reps = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:] + [3.0 * top + 2.0])]
-    return reps if zero_singular else reps[1:]
+            return False
+    return True
+
+
+def _recovered(p: ProblemInstance, sigma: float) -> np.ndarray | None:
+    """x(sigma) advanced to first order by the Newton step on g, as
+    ``_polish`` returns it (None if G(sigma) is exactly singular)."""
+    try:
+        x, g, gp, y = _g_and_slope(p, sigma)
+    except np.linalg.LinAlgError:
+        return None
+    return x + (g / gp) * y if gp != 0.0 else x
+
+
+def _deprecated_samples(samples_per_interval: int | None, stacklevel: int):
+    """Validate the deprecated ``samples_per_interval`` (at least 8) and warn
+    that it has no effect; None means it was not passed."""
+    if samples_per_interval is None:
+        return
+    if samples_per_interval < 8:
+        raise ValueError("samples_per_interval must be at least 8")
+    warnings.warn("samples_per_interval is deprecated and has no effect on results",
+                  DeprecationWarning, stacklevel=stacklevel + 1)
 
 
 def enumerate_kkt(
     p: ProblemInstance,
     tol: float = DEFAULT_TOL_KKT,
-    samples_per_interval: int = DEFAULT_SAMPLES,
+    samples_per_interval: int | None = None,
     tol_root: float = DEFAULT_TOL_ROOT,
     tol_eig: float = DEFAULT_TOL_EIG,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[CriticalPoint]:
     """All dual KKT points sigma >= 0, classified by inertia.
 
-    The multipliers are the real positive eigenvalues of the quadratic
-    pencil B(sigma) = [[G L G, c], [c', 0]], whose determinant is
-    2 det(G)^2 g(sigma); one standard eigensolve of size 2(n-1) (the pencil
-    projected onto c-perp, see ``_pencil_eigenvalues``) covers the whole
-    half-line, with no search range and no sampling.  Each eigenvalue is
-    Newton-polished on g (from both sides of a pole it cannot be told apart
-    from, and to within tol_root times its distance to the nearest pole) and
-    kept when the recovered point passes the relative gate
-    |x'Lx| <= tol*||x||^2, which rejects the spurious eigenvalues near poles
-    and near infinity, and has scaled KKT residuals within tol (see
+    One ``eig(LQ)`` gives the poles and the secular form of g (see
+    ``pontryagin.SecularForm``), whose roots are isolated exactly cell by cell and
+    Newton-polished on g in O(n) per step, to within tol_root times their
+    distance to the nearest pole.  When that eigenbasis is ill-conditioned
+    (a defective, light-like pole) or breaks the one-negative-square
+    structure, the multipliers are instead the real positive eigenvalues of
+    the quadratic pencil B(sigma) = [[G L G, c], [c', 0]], whose determinant
+    is 2 det(G)^2 g(sigma), from one companion eigensolve of size 2(n-1)
+    (see ``_pencil_eigenvalues``), each Newton-polished with dense solves
+    (see ``_polish``).  Either way there is no search range and no sampling.
+    A candidate is kept when the recovered point passes the relative gate
+    |x'Lx| <= tol*||x||^2, which rejects spurious values near poles and near
+    infinity, and has scaled KKT residuals within tol (see
     ``_is_multiplier``); survivors within 1e-9 relative are merged.
     sigma = 0 is admitted under the same gate with x'Lx <= 0 in place of
     x'Lx = 0, since complementarity holds there identically.  Each point
     reports the x the gate accepted.
-    ``samples_per_interval`` is validated but has no effect on the result.
+    ``samples_per_interval`` is deprecated: validated, with no effect.
     """
-    if samples_per_interval < 8:
-        raise ValueError("samples_per_interval must be at least 8")
+    _deprecated_samples(samples_per_interval, stacklevel=2)
 
-    breaks, zero_singular = _cells(p)
+    w, V = np.linalg.eig(lq_matrix(p))
+    breaks, zero_singular = _pole_cells(spectrum_poles(p, w))
     if float(np.max(np.abs(p.c))) == 0.0:
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
@@ -507,9 +553,16 @@ def enumerate_kkt(
         return _KKTPoints([build_critical_point(p, sigma0, tol_eig, x=np.zeros(p.n))],
                           (breaks, zero_singular))
 
-    reps = _family_representatives(p, breaks, zero_singular, tol)
-    if reps is not None:
-        candidates = [(s, None) for s in reps]
+    form = secular_form(p, w, V, tol)
+    if form.vanishes if form is not None else _vanishes_at_probes(p, breaks[-1], tol):
+        candidates = [(s, None) for s in _family_representatives(breaks, zero_singular)]
+    elif form is not None:
+        u = p.c / float(np.linalg.norm(p.c))
+        sigmas = [form.polish(float(s), tol_root, max_iter)
+                  for s in form.roots(abs(cone_quadratic(u)) <= p.n * EPS, max_iter)]
+        recovered = [(s, _recovered(p, s)) for s in sigmas]
+        candidates = [(s, x) for s, x in recovered
+                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     else:
         poles = breaks if zero_singular else breaks[1:]
         starts = {st for s in _pencil_eigenvalues(p) for st in _starts(float(s), poles)}

@@ -21,6 +21,8 @@ __all__ = [
     "factorize",
     "solve_linear",
     "min_eigenvalue",
+    "lq_matrix",
+    "spectrum_poles",
     "pencil_singular_sigmas",
 ]
 
@@ -102,16 +104,18 @@ def min_eigenvalue(G: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(G, dtype=float))[0])
 
 
-def pencil_singular_sigmas(p: ProblemInstance, tol: float = 1e-9) -> list[float]:
-    """All real sigma >= 0 with det(Q + sigma * diag(-1,1,...,1)) = 0, sorted.
-
-    Multiplicities are kept.  Computed as the real spectrum of -(L Q): with
-    L^2 = I, Q + sigma*L = L (L Q + sigma*I), so the singular shifts are the
-    negated real eigenvalues of L Q.
-    """
+def lq_matrix(p: ProblemInstance) -> np.ndarray:
+    """L Q with L = diag(-1,1,...,1).  With L^2 = I, Q + sigma*L =
+    L (L Q + sigma*I), so the singular shifts are its negated real
+    eigenvalues."""
     LQ = p.Q.copy()
     LQ[0, :] = -LQ[0, :]
-    w = np.linalg.eigvals(LQ)
+    return LQ
+
+
+def spectrum_poles(p: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> list[float]:
+    """The singular shifts sigma >= 0, sorted and with multiplicities, read
+    from the eigenvalues w of ``lq_matrix(p)``."""
     scale = 1.0 + float(np.max(np.abs(p.Q)))
     # A loose realness filter keeps nearly-real pairs (possible at eigenvalue
     # collisions); an extra breakpoint is harmless downstream.  A defective
@@ -124,3 +128,11 @@ def pencil_singular_sigmas(p: ProblemInstance, tol: float = 1e-9) -> list[float]
         if s >= -tol * scale and factorize(shifted_hessian(p, max(s, 0.0))).singular:
             sig += [s, s]
     return sorted(float(max(s, 0.0)) for s in sig if s >= -tol * scale)
+
+
+def pencil_singular_sigmas(p: ProblemInstance, tol: float = 1e-9) -> list[float]:
+    """All real sigma >= 0 with det(Q + sigma * diag(-1,1,...,1)) = 0, sorted.
+
+    Multiplicities are kept.  ``spectrum_poles`` of the eigenvalues of L Q.
+    """
+    return spectrum_poles(p, np.linalg.eigvals(lq_matrix(p)), tol)

@@ -20,7 +20,6 @@ from .dual import (
     CERT_GLOBAL,
     CERT_KKT,
     DEFAULT_MAX_ITER,
-    DEFAULT_SAMPLES,
     DEFAULT_TOL_KKT,
     DEFAULT_TOL_ROOT,
     EPS,
@@ -28,6 +27,7 @@ from .dual import (
     POLE_RESOLUTION,
     REALNESS_TOL,
     CriticalPoint,
+    _deprecated_samples,
 )
 from .linalg import DEFAULT_TOL_EIG
 from .model import ProblemInstance
@@ -225,7 +225,7 @@ def _point(d: DiagonalInstance, sigma: float, tol_eig: float,
 def secular_enumerate(
     d: DiagonalInstance,
     tol: float = DEFAULT_TOL_KKT,
-    samples_per_interval: int = DEFAULT_SAMPLES,
+    samples_per_interval: int | None = None,
     tol_root: float = DEFAULT_TOL_ROOT,
     tol_eig: float = DEFAULT_TOL_EIG,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -237,13 +237,12 @@ def secular_enumerate(
     under the dense path's acceptance rules (relative gate
     |x'Lx| <= tol*||x||^2 plus scaled KKT residuals within tol, 1e-9
     relative merging, sigma = 0 admitted with x'Lx <= 0 in place of
-    x'Lx = 0).  ``samples_per_interval`` is validated for
-    compatibility and has no effect on the result.  When the derivative
-    vanishes identically (its numerator cancels) every sigma is critical,
-    and one per pole cell is reported.
+    x'Lx = 0, and a root within tol_eig of a pole, where no point can be
+    recovered, dropped).  ``samples_per_interval`` is deprecated: validated,
+    with no effect.  When the derivative vanishes identically (its numerator
+    cancels) every sigma is critical, and one per pole cell is reported.
     """
-    if samples_per_interval < 8:
-        raise ValueError("samples_per_interval must be at least 8")
+    _deprecated_samples(samples_per_interval, stacklevel=2)
 
     poles = _poles(d)
     zero_singular = bool(poles) and poles[0] <= 1e-12
@@ -273,9 +272,11 @@ def secular_enumerate(
         if _is_multiplier(d, x, 0.0, tol):
             candidates.append((0.0, x))
 
-    accepted: list[tuple[float, np.ndarray | None]] = []
+    points: list[CriticalPoint] = []
     for sigma, x in sorted(candidates, key=lambda sx: sx[0]):
-        if accepted and sigma - accepted[-1][0] <= 1e-9 * (1.0 + sigma):
+        if points and sigma - points[-1].sigma <= 1e-9 * (1.0 + sigma):
             continue
-        accepted.append((sigma, x))
-    return [_point(d, s, tol_eig, x) for s, x in accepted]
+        cp = _point(d, sigma, tol_eig, x)
+        if cp.inertia[1] == 0:  # within tol_eig of a pole: no point to recover
+            points.append(cp)
+    return points

@@ -19,6 +19,7 @@ from .dual import (
     DEFAULT_TOL_KKT,
     DEFAULT_TOL_ROOT,
     CriticalPoint,
+    _deprecated_samples,
     _maximize_with_notes,
     enumerate_kkt,
 )
@@ -57,12 +58,20 @@ DEFAULT_TOL_GAP = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Solver tolerances.  ``samples_per_interval`` is deprecated: it is
+    validated (at least 8) and carried in reports, has no effect, and warns
+    when it differs from DEFAULT_SAMPLES."""
+
     tol_kkt: float = DEFAULT_TOL_KKT
     tol_eig: float = DEFAULT_TOL_EIG
     tol_root: float = DEFAULT_TOL_ROOT
     tol_gap: float = DEFAULT_TOL_GAP
     max_iter: int = DEFAULT_MAX_ITER
     samples_per_interval: int = DEFAULT_SAMPLES
+
+    def __post_init__(self):
+        if self.samples_per_interval != DEFAULT_SAMPLES:
+            _deprecated_samples(self.samples_per_interval, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -105,10 +114,7 @@ def solve_problem(
     selected without a certificate.  Points recovered on the negative nappe
     are kept in the report but never selected.
     """
-    points = enumerate_kkt(
-        p, tol.tol_kkt, tol.samples_per_interval,
-        tol.tol_root, tol.tol_eig, tol.max_iter,
-    )
+    points = enumerate_kkt(p, tol.tol_kkt, None, tol.tol_root, tol.tol_eig, tol.max_iter)
     best, warnings = _maximize_with_notes(p, points, tol.tol_kkt, tol.tol_eig)
     if best is not None and best.certificate == CERT_HARD:
         # The boundary point sits at a pole, outside the enumeration; its

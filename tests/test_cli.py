@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -85,6 +86,23 @@ def test_bad_numeric_flag_exit_64(capsys, problem_dir, argv):
         capsys, command, str(problem_dir / "dense_2d_certified.json"), *argv[1:])
     assert code == 64 and out == ""
     assert err.count("\n") == 1 and flag in err and value in err
+
+
+@pytest.mark.parametrize("command", ["solve", "enumerate"])
+def test_samples_flag_is_deprecated(capsys, problem_dir, command):
+    problem = str(problem_dir / "dense_2d_certified.json")
+    code, out, err = run_cli(capsys, command, problem)
+    assert err == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the note above is the only notice
+        code_s, out_s, err_s = run_cli(capsys, command, problem, "--samples", "16")
+    assert code_s == code
+    assert err_s.count("\n") == 1 and "--samples is deprecated" in err_s
+    if command == "solve":
+        assert json.loads(out)["tolerances"]["samples_per_interval"] == 64
+        assert json.loads(out_s)["tolerances"]["samples_per_interval"] == 16
+        out = out.replace('"samples_per_interval": 64', '"samples_per_interval": 16')
+    assert out_s == out
 
 
 class TestCheckCommand:

@@ -1,9 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lorentzqp import dual
+from lorentzqp import dual, pontryagin
 from lorentzqp import (
     CERT_GLOBAL,
     CERT_HARD,
@@ -11,6 +13,7 @@ from lorentzqp import (
     HardCaseError,
     ProblemInstance,
     SingularMatrixError,
+    Tolerances,
     cone_quadratic,
     dual_derivative,
     dual_value,
@@ -19,10 +22,12 @@ from lorentzqp import (
     kkt_check,
     maximize_dual,
     pd_interval,
+    pencil_singular_sigmas,
     recover_primal,
     solve_problem,
 )
 from lorentzqp.fileio import as_dense, gen_instance
+from lorentzqp.linalg import lq_matrix
 from lorentzqp.model import lorentz_signs
 from conftest import random_orthogonal
 
@@ -202,6 +207,19 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_kkt(dense_2d, samples_per_interval=4)
 
+    def test_samples_per_interval_is_deprecated(self, dense_2d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = [cp.sigma for cp in enumerate_kkt(dense_2d)]
+            dataclasses.replace(Tolerances(), tol_kkt=1e-7)
+        with pytest.warns(DeprecationWarning, match="samples_per_interval"):
+            got = [cp.sigma for cp in enumerate_kkt(dense_2d, samples_per_interval=16)]
+        assert got == expected
+        with pytest.warns(DeprecationWarning, match="samples_per_interval"):
+            assert Tolerances(samples_per_interval=16).samples_per_interval == 16
+        with pytest.raises(ValueError):
+            Tolerances(samples_per_interval=4)
+
     @pytest.mark.parametrize("q, c, poles", [
         ([1.0, -1.0], [1.0, 1.0], [1.0]),
         ([1.0, -1.0, -3.0], [1.0, 1.0, 0.0], [1.0, 3.0]),
@@ -351,11 +369,27 @@ def qz_pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
     return scale * real[real > 0.0]
 
 
+def companion_multipliers(p: ProblemInstance, monkeypatch) -> list[float]:
+    """enumerate_kkt on its companion route: ``_pencil_eigenvalues`` and the
+    dense ``_polish``."""
+    with monkeypatch.context() as m:
+        m.setattr(dual, "secular_form", lambda *args: None)
+        return [cp.sigma for cp in enumerate_kkt(p)]
+
+
 def qz_multipliers(p: ProblemInstance, monkeypatch) -> list[float]:
-    """enumerate_kkt with the QZ reference in place of the pencil eigensolve."""
+    """enumerate_kkt on its companion route, with the QZ reference in place
+    of the pencil eigensolve."""
     with monkeypatch.context() as m:
         m.setattr(dual, "_pencil_eigenvalues", qz_pencil_eigenvalues)
-        return [cp.sigma for cp in enumerate_kkt(p)]
+        return companion_multipliers(p, m)
+
+
+def both_routes_multipliers(p: ProblemInstance, monkeypatch) -> list[list[float]]:
+    """enumerate_kkt on the secular route, which p must take, and on the
+    companion route."""
+    assert secular_form(p) is not None
+    return [[cp.sigma for cp in enumerate_kkt(p)], companion_multipliers(p, monkeypatch)]
 
 
 class TestPencilEigenvalues:
@@ -387,18 +421,20 @@ class TestPencilEigenvalues:
         ([[-2.0, -1.0], [-1.0, -2.0]], [1.0, 1.0]),
         ([[1.0, 1.0], [1.0, -2.0]], [1.0, 1.0]),
         ([[-2.0, -2.0, -2.0], [-2.0, -2.0, 1.0], [-2.0, 1.0, -2.0]], [5.0, 3.0, 4.0]),
+        (np.diag([-2.0, 1.0, -2.0, 1.0, 0.5]), [1.0, 0.5, 0.5, 0.5, 0.5]),
     ])
     def test_light_like_c_adds_no_multiplier(self, monkeypatch, Q, c):
         # c'Lc = 0 exactly: the projected pencil has an eigenvalue at
-        # sigma = inf, computed as mu ~ eps; Newton would carry it to a
-        # "multiplier" near 1e16, where x(sigma) ~ Lc/sigma passes every
-        # scale-free gate
+        # sigma = inf, computed as mu ~ eps, and in the secular form g has a
+        # root at t = 1/(sigma + lam_k) = 0 that Newton from the last pole
+        # reaches; either would become a "multiplier" near 1e16, where
+        # x(sigma) ~ Lc/sigma passes every scale-free gate
         p = ProblemInstance(Q=Q, c=c)
         assert cone_quadratic(p.c) == 0.0
         ref = qz_multipliers(p, monkeypatch)
-        got = [cp.sigma for cp in enumerate_kkt(p)]
-        assert got == pytest.approx(ref, rel=1e-9)
-        assert max(got) < 1e3
+        for got in both_routes_multipliers(p, monkeypatch):
+            assert got == pytest.approx(ref, rel=1e-9)
+            assert max(got, default=0.0) < 1e3
 
     @pytest.mark.parametrize("case", ["pole", "pole_orthogonal_to_c", "root", "root_dense"])
     def test_pole_or_root_at_the_default_shift(self, monkeypatch, case):
@@ -412,8 +448,108 @@ class TestPencilEigenvalues:
                 [[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, -0.3]])
             x = np.array([1.0, 1.0] if case == "root" else [1.0, 0.6, 0.8])
             p = ProblemInstance(Q=Q, c=(Q + s0 * np.diag(lorentz_signs(len(x)))) @ x)
-        got = [cp.sigma for cp in enumerate_kkt(p)]
-        assert got == pytest.approx(qz_multipliers(p, monkeypatch), rel=1e-9)
+        ref = qz_multipliers(p, monkeypatch)
+        for got in both_routes_multipliers(p, monkeypatch):
+            assert got == pytest.approx(ref, rel=1e-9)
+
+
+def coercive_instance(n: int, seed: int) -> ProblemInstance:
+    """Q = P - mu L with P positive definite and mu in [0.2, 3] max|P|:
+    indefinite, with a positive-definite window and multipliers."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    P = X @ X.T / n + 0.1 * np.eye(n)
+    mu = rng.uniform(0.2, 3.0) * float(np.max(np.abs(P)))
+    return ProblemInstance(Q=P - mu * np.diag(lorentz_signs(n)), c=rng.uniform(-2.0, 2.0, n))
+
+
+def secular_reference_set():
+    """The instances of ``test_matches_qz_reference`` and coercive ones at
+    n in {2, 3, 100}."""
+    for kind in ("convex", "indefinite", "diagonal", "hardcase"):
+        for n in (2, 3, 5, 8):
+            for seed in range(10):
+                yield as_dense(gen_instance(kind, n, 40_000 + seed))
+    for n, count in ((2, 10), (3, 10), (100, 1)):
+        for seed in range(count):
+            yield coercive_instance(n, 500 + seed)
+
+
+def secular_form(p: ProblemInstance):
+    w, V = np.linalg.eig(lq_matrix(p))
+    return pontryagin.secular_form(p, w, V, dual.DEFAULT_TOL_KKT)
+
+
+def light_like(p: ProblemInstance) -> bool:
+    return abs(cone_quadratic(p.c / np.linalg.norm(p.c))) <= p.n * pontryagin.EPS
+
+
+class TestSecularRoute:
+    def test_multipliers_match_qz_reference(self, monkeypatch):
+        for p in secular_reference_set():
+            assert secular_form(p) is not None
+            got = [cp.sigma for cp in enumerate_kkt(p)]
+            assert got == pytest.approx(qz_multipliers(p, monkeypatch), rel=1e-6)
+
+    def test_cells_hold_at_most_two_roots_and_the_bound_keeps_them(self, monkeypatch):
+        # the cells lie between the poles with nonzero weight; every root of
+        # g is a QZ eigenvalue, and skipping cells by the closed-form bound
+        # drops none of them.  QZ also returns the poles where c is
+        # orthogonal to the null space of G (det B vanishes there although g
+        # has no root), as for Q = I, c[0] = 0.
+        starts = {"bound": 0, "none": 0}
+
+        def counting(key):
+            def spy(*args):
+                starts[key] += 1
+                return descend(*args)
+            return spy
+
+        descend = pontryagin._descend
+        for p in secular_reference_set():
+            form = secular_form(p)
+            ref = np.sort(qz_pencil_eigenvalues(p))
+            singular = np.array(pencil_singular_sigmas(p))
+            ref = ref[[np.min(np.abs(singular - s), initial=np.inf) > 1e-8 * (1.0 + s) for s in ref]]
+            poles = np.sort(-form.lam[form.lam < 0.0])
+            counts = np.histogram(ref, np.r_[0.0, poles, np.inf])[0]
+            assert counts.max(initial=0) <= 2
+            with monkeypatch.context() as m:
+                m.setattr(pontryagin, "_descend", counting("bound"))
+                kept = np.sort(form.roots(light_like(p), dual.DEFAULT_MAX_ITER))
+                m.setattr(pontryagin, "_pole_bound", lambda *args: 0.0)
+                m.setattr(pontryagin, "_descend", counting("none"))
+                every = np.sort(form.roots(light_like(p), dual.DEFAULT_MAX_ITER))
+            np.testing.assert_array_equal(kept, every)
+            np.testing.assert_allclose(kept, ref, rtol=1e-6)
+        assert starts["bound"] < 0.5 * starts["none"]
+
+    def test_light_like_poles_take_the_companion_route(self):
+        # the light-like-pole generator: Q = M - sL with M u = 0 for a
+        # light-like u, every third c nearly orthogonal to u.  Exit codes and
+        # point counts are those of the companion route before the secular
+        # form existed.
+        exits = [2, 2, 4, 2, 4, 2, 4, 4, 4, 4, 4, 2, 4, 2, 4, 4, 4, 2, 4, 2,
+                 2, 4, 4, 2, 4, 2, 4, 4, 4, 4, 2, 2, 4, 4, 2, 2, 4, 2, 4, 4,
+                 4, 2, 4, 2, 2, 4, 4, 4, 4, 4, 4, 4, 4, 2, 4, 4, 4, 2, 2, 2]
+        counts = [2, 2, 1, 2, 1, 1, 0, 1, 1, 0, 1, 1, 0, 3, 1, 0, 1, 1, 0, 3,
+                  3, 0, 1, 3, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 2, 0,
+                  0, 3, 0, 1, 3, 0, 1, 0, 0, 1, 1, 0, 1, 3, 0, 1, 1, 2, 2, 2]
+        rng = np.random.default_rng(3)
+        for k in range(60):
+            n = int(rng.integers(2, 6))
+            t = rng.standard_normal(n - 1)
+            u = np.concatenate(([1.0], t / np.linalg.norm(t)))
+            X = rng.standard_normal((n, n))
+            Pu = np.eye(n) - np.outer(u, u) / (u @ u)
+            s = rng.uniform(0.1, 2.0)
+            c = rng.standard_normal(n)
+            if k % 3 == 0:
+                c = c - (c @ u) / (u @ u) * u + 1e-6 * u
+            p = ProblemInstance(Q=Pu @ X @ X.T @ Pu - s * np.diag(lorentz_signs(n)), c=c)
+            assert secular_form(p) is None, k
+            rep = solve_problem(p)
+            assert (rep.exit_code, len(rep.critical_points)) == (exits[k], counts[k]), k
 
 
 @pytest.mark.parametrize("c0", [1e-6, 1e-8])
@@ -421,10 +557,14 @@ def test_polish_stops_relative_to_the_nearest_pole(c0):
     # the roots (1 -+ c0)/(1 +- c0) straddle the pole sigma = 1; plain Newton
     # from next to a root must not stop while its error, not its step, is
     # still larger than tol_root times the distance to that pole
+    # on the dense polish of the companion route and the secular one
     p = ProblemInstance(Q=np.eye(2), c=[c0, 1.0])
+    form = secular_form(p)
     for root in ((1.0 - c0) / (1.0 + c0), (1.0 + c0) / (1.0 - c0)):
         for start in (root * (1.0 - 1e-9), root * (1.0 + 1e-9)):
             sigma, x = dual._polish(p, start, math.inf, [1.0], dual.DEFAULT_TOL_ROOT,
                                     dual.DEFAULT_MAX_ITER)
             assert x is not None
+            assert abs(sigma - root) <= 1e-14
+            sigma = form.polish(start, dual.DEFAULT_TOL_ROOT, dual.DEFAULT_MAX_ITER)
             assert abs(sigma - root) <= 1e-14

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,23 @@ class TestSecularEnumerate:
         rep = solve_problem(d.to_dense())
         assert [cp.sigma for cp in rep.critical_points] == sigmas
         assert rep.exit_code == exit_code
+
+    def test_root_on_a_pole_orthogonal_to_c_is_dropped(self):
+        # g has a root at the pole sigma = 1 of q = (0, 1, -1), where c is
+        # orthogonal to the null space of G: no point can be recovered there,
+        # and both paths drop it; so on the whole n = 2 grid
+        d = DiagonalInstance(q=[0.0, 1.0, -1.0], c=[0.5, 1.0, 0.0])
+        assert [cp.sigma for cp in secular_enumerate(d)] == []
+        assert [cp.sigma for cp in enumerate_kkt(d.to_dense())] == []
+        for q in itertools.product(range(-2, 3), repeat=2):
+            for c in itertools.product((-1.0, 0.0, 0.5, 1.0), repeat=2):
+                if not any(c):
+                    continue
+                d = DiagonalInstance(q=[float(v) for v in q], c=c)
+                sec = [(cp.sigma, cp.inertia) for cp in secular_enumerate(d)]
+                den = [(cp.sigma, cp.inertia) for cp in enumerate_kkt(d.to_dense())]
+                assert [i for _, i in sec] == [i for _, i in den], (q, c)
+                assert [s for s, _ in sec] == pytest.approx([s for s, _ in den], rel=1e-6), (q, c)
 
     def test_agrees_with_dense_enumeration(self):
         for seed in range(40):

@@ -126,15 +126,16 @@ class TestSolveSelection:
                     rep.solution.primal_value, rel=1e-8, abs=1e-12), case
 
     def test_poles_computed_once_per_solve(self, monkeypatch, hardcase_2d, dense_2d, dense_3d):
-        # The hard case and the window-less dense_3d select without a
-        # multiplier in the window; the window comes from the enumeration's cells.
+        # One eig(LQ) gives the poles, the window's cells and the secular
+        # form of the multipliers: exactly one nonsymmetric eigensolve per
+        # solve, also for the hard case and the window-less dense_3d, which
+        # select without a multiplier in the window.
         calls = []
-
-        def counted(p, *args, **kwargs):
-            calls.append(p)
-            return pencil_singular_sigmas(p, *args, **kwargs)
-
-        monkeypatch.setattr(dual, "pencil_singular_sigmas", counted)
+        for name in ("eig", "eigvals"):
+            def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append(args[0])
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
         for p in (hardcase_2d, dense_2d, dense_3d):
             calls.clear()
             solve_problem(p)
