@@ -41,7 +41,7 @@ from .solver import (
     solve_problem,
     sweep_table,
 )
-from .verify import brute_force_min, default_oracle_radius, kkt_check
+from .verify import ORACLE_MAX_N, brute_force_min, default_oracle_radius, kkt_check
 
 
 def _add_tolerance_flags(sp):
@@ -124,8 +124,18 @@ def _tolerances(args) -> Tolerances:
         )
 
 
+def _oracle_fits(p) -> bool:
+    if p.n <= ORACLE_MAX_N:
+        return True
+    print(f"error: the oracle grid supports n <= {ORACLE_MAX_N}, problem has n={p.n}",
+          file=sys.stderr)
+    return False
+
+
 def cmd_solve(args) -> int:
     p = as_dense(_load(args.problem))
+    if args.oracle and not _oracle_fits(p):
+        return EXIT_BAD_INPUT
     report = solve_problem(
         p, _tolerances(args), oracle=args.oracle,
         oracle_radius=args.oracle_radius, oracle_resolution=args.oracle_resolution,
@@ -215,6 +225,8 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = as_dense(_load(args.problem))
+    if not _oracle_fits(p):
+        return EXIT_BAD_INPUT
     radius = args.radius if args.radius is not None else default_oracle_radius(p, None)
     result = brute_force_min(p, radius, args.resolution)
     out = {

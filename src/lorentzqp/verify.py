@@ -31,6 +31,7 @@ __all__ = [
 POLISH_STEPS = 500
 POLISH_STOP = 1e-12
 CURVATURE_CUTOFF = -1e-10
+ORACLE_MAX_N = 4        # the largest dimension the exhaustive grid covers
 
 
 @dataclass(frozen=True)
@@ -91,18 +92,39 @@ def projection_lorentz(x) -> np.ndarray:
     return out
 
 
-def _project_cols(Y: np.ndarray) -> np.ndarray:
+def _project_work(N: int) -> tuple:
+    """Work arrays of ``_project_cols`` for N columns: two float, two bool."""
+    return np.empty(N), np.empty(N), np.empty(N, dtype=bool), np.empty(N, dtype=bool)
+
+
+def _project_cols(Y: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Cone projection of every column of the component-major array Y, in
-    place: the closed form of ``projection_lorentz``, column by column."""
+    place: the closed form of ``projection_lorentz``, column by column.
+
+    ``work`` (from ``_project_work``) lets a caller reuse the work arrays
+    across calls.  The tail norm is the square root of the sum of squares
+    over rows 1, 2, ... in that order, as ``np.linalg.norm(Y[1:], axis=0)``
+    sums them.
+    """
+    tail, alpha, inside, polar = work or _project_work(Y.shape[1])
     x1 = Y[0]
-    tail = np.linalg.norm(Y[1:], axis=0)
-    inside = tail <= x1
-    polar = x1 <= -tail
-    alpha = 0.5 * (x1 + tail)
+    np.multiply(Y[1], Y[1], out=tail)
+    for row in Y[2:]:
+        tail += np.multiply(row, row, out=alpha)
+    np.sqrt(tail, out=tail)
+    if np.less_equal(tail, x1, out=inside).all():
+        return Y
+    np.less_equal(x1, np.negative(tail, out=alpha), out=polar)
+    np.add(x1, tail, out=alpha)
+    alpha *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(inside, 1.0, np.where(polar, 0.0, alpha / tail))
-    Y[0] = np.where(inside, x1, np.where(polar, 0.0, alpha))
-    Y[1:] *= scale
+        np.divide(alpha, tail, out=tail)                    # the tail's scale
+    np.copyto(tail, 0.0, where=polar)
+    np.copyto(tail, 1.0, where=inside)
+    np.copyto(alpha, 0.0, where=polar)
+    np.copyto(alpha, x1, where=inside)
+    Y[0] = alpha
+    Y[1:] *= tail
     return Y
 
 
@@ -116,6 +138,8 @@ def _slice_grid(n: int, radius: float, resolution: int) -> np.ndarray:
     x1 = 0 level, the axis point for the rad = 0 ring of each level, and at
     n = 4 each pole (theta = 0 or pi) for its row of phi angles.
     """
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"exhaustive oracle grid supports n <= {ORACLE_MAX_N} only")
     x1s = np.linspace(0.0, radius, resolution)[1:]
     if n == 2:
         tails = np.linspace(-1.0, 1.0, resolution)[:, None]
@@ -124,7 +148,7 @@ def _slice_grid(n: int, radius: float, resolution: int) -> np.ndarray:
         if n == 3:
             theta = np.linspace(0.0, 2.0 * np.pi, max(16, resolution // 4), endpoint=False)
             dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        elif n == 4:
+        else:
             m = max(8, resolution // 16)
             theta = np.linspace(0.0, np.pi, m)[1:-1]
             phi = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
@@ -133,8 +157,6 @@ def _slice_grid(n: int, radius: float, resolution: int) -> np.ndarray:
                 [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=2
             ).reshape(-1, 3)
             dirs = np.concatenate([[[0.0, 0.0, 1.0]], ring, [[0.0, 0.0, -1.0]]])
-        else:
-            raise ValueError("exhaustive oracle grid supports n <= 4 only")
         tails = (rad[:, None, None] * dirs[None, :, :]).reshape(-1, n - 1)
         tails = np.concatenate([np.zeros((1, n - 1)), tails])
     pts = np.zeros((n, 1 + x1s.size * tails.shape[0]))     # column 0: the apex
@@ -189,27 +211,42 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     displacement stop, value ties broken lexicographically by coordinates.
     The iterates are held component-major, shape (n, N) with one column per
     grid point, so every per-point step, projection, rescale and
-    displacement runs along contiguous rows of length N.
+    displacement runs along contiguous rows of length N.  Each step writes
+    into work arrays allocated once per call (the next iterate swaps with
+    the current one), and skips the projection when every column is inside
+    the cone and the rescale when no entry exceeds the cap.  Every value
+    comes from the same floating-point operations in the same order as in
+    the unbuffered loop kept in ``tests/test_verify.py`` as the reference,
+    so every iterate is bit-identical to that loop's.
     Polish iterates are rescaled into a large ball so unbounded instances
     stay finite; escape shows up as a very negative best value alongside the
-    reported unbounded direction.
+    reported unbounded direction.  The grid covers n <= ORACLE_MAX_N.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be finite and positive")
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     XT = _slice_grid(p.n, radius, resolution)
     Q, cT = p.Q, p.c[:, None]
     step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
     cap = 1e6 * (1.0 + radius)
+    Y, G = np.empty_like(XT), np.empty_like(XT)
+    work = _project_work(XT.shape[1])
     for _ in range(POLISH_STEPS):
-        Y = _project_cols(XT - step * (Q @ XT - cT))
-        size = np.abs(Y).max(axis=0)
-        big = size > cap
-        if np.any(big):
-            Y[:, big] *= cap / size[big]
-        disp = float(np.max(np.abs(Y - XT)))
-        XT = Y
+        np.matmul(Q, XT, out=G)
+        G -= cT
+        G *= step
+        _project_cols(np.subtract(XT, G, out=Y), work)
+        if not max(Y.max(), -Y.min()) <= cap:      # also when Y holds a NaN
+            # Column j scales by cap / max(size_j, cap): exactly 1.0 unless
+            # size_j > cap, and 1.0 when size_j is NaN (fmax drops a NaN).
+            # work[0] is free once the projection has returned.
+            scale = np.max(np.abs(Y, out=G), axis=0, out=work[0])
+            np.divide(cap, np.fmax(scale, cap, out=scale), out=scale)
+            Y *= scale
+        np.subtract(Y, XT, out=G)
+        disp = max(G.max(), -G.min())
+        XT, Y = Y, XT
         if disp < POLISH_STOP:
             break
 

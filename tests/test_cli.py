@@ -203,6 +203,39 @@ class TestOracleCommand:
         res = json.loads(out)["oracle"]
         assert abs(res["best_value"] + 0.25) < 1e-3
 
+    @pytest.mark.parametrize("argv", [["oracle"], ["solve", "--oracle"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_oracle_above_n_4_exits_64_before_solving(self, capsys, tmp_path, monkeypatch,
+                                                      argv):
+        from lorentzqp import cli
+        from lorentzqp.verify import ORACLE_MAX_N
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran past the dimension check")
+
+        monkeypatch.setattr(cli, "solve_problem", must_not_run)
+        monkeypatch.setattr(cli, "brute_force_min", must_not_run)
+        path = tmp_path / "n5.json"
+        assert run_cli(capsys, "gen", "convex", str(ORACLE_MAX_N + 1), "-o", str(path))[0] == 0
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and f"n <= {ORACLE_MAX_N}" in err
+
+    def test_oracle_at_n_4_runs(self, capsys, tmp_path):
+        path = tmp_path / "n4.json"
+        assert run_cli(capsys, "gen", "convex", "4", "--seed", "3", "-o", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, "oracle", str(path), "--radius", "2",
+                               "--resolution", "16")
+        assert code == 0
+        assert len(json.loads(out)["oracle"]["best_x"]) == 4
+
+    def test_solve_above_n_4_without_oracle_runs(self, capsys, tmp_path):
+        path = tmp_path / "n5.json"
+        assert run_cli(capsys, "gen", "convex", "5", "-o", str(path))[0] == 0
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code in (0, 2, 3, 4) and err == ""
+        assert json.loads(out)["oracle"] is None
+
 
 class TestGenCommand:
     def test_byte_identical_output(self, capsys):

@@ -9,8 +9,16 @@ from lorentzqp import (
     primal_objective,
     projection_lorentz,
 )
-from lorentzqp.fileio import as_dense, gen_instance
-from lorentzqp.verify import POLISH_STEPS, POLISH_STOP, _project_cols, _slice_grid
+from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
+from lorentzqp.model import lorentz_signs
+from lorentzqp.verify import (
+    CURVATURE_CUTOFF,
+    POLISH_STEPS,
+    POLISH_STOP,
+    _direction_samples,
+    _project_cols,
+    _slice_grid,
+)
 
 
 class TestKKTCheck:
@@ -226,8 +234,127 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_min(dense_2d, 1.0, 8)
 
+    @pytest.mark.parametrize("radius", [np.inf, -np.inf, np.nan])
+    def test_non_finite_radius_is_rejected(self, dense_2d, radius):
+        # an infinite radius makes every grid column but the apex NaN
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_min(dense_2d, radius, 64)
+
     def test_deterministic(self, dense_2d):
         a = brute_force_min(dense_2d, 3.0, 64)
         b = brute_force_min(dense_2d, 3.0, 64)
         assert a.best_value == b.best_value
         np.testing.assert_array_equal(a.best_x, b.best_x)
+
+
+# ---------------------------------------------------------------------------
+# The unbuffered polish loop, kept as the reference for the buffered one.
+
+
+def _unbuffered_project_cols(Y):
+    x1 = Y[0]
+    tail = np.linalg.norm(Y[1:], axis=0)
+    inside = tail <= x1
+    polar = x1 <= -tail
+    alpha = 0.5 * (x1 + tail)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(inside, 1.0, np.where(polar, 0.0, alpha / tail))
+    Y[0] = np.where(inside, x1, np.where(polar, 0.0, alpha))
+    Y[1:] *= scale
+    return Y
+
+
+def _unbuffered_oracle(p, radius, resolution):
+    """``brute_force_min`` with a fresh array for every intermediate of every
+    step.  Returns (best_x, best_value, unbounded_direction) and the paths the
+    polish took: steps run, steps with a cap rescale, steps whose
+    pre-projection iterate lay inside the cone, and whether a column entered
+    the projection in the polar cone off the axis (tail > 0) or on the
+    negative axis (tail == 0, x1 < 0)."""
+    XT = _slice_grid(p.n, radius, resolution)
+    Q, cT = p.Q, p.c[:, None]
+    step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
+    cap = 1e6 * (1.0 + radius)
+    paths = {"steps": 0, "capped": 0, "all_inside": 0, "polar": False,
+             "negative_axis": False}
+    for _ in range(POLISH_STEPS):
+        Z = XT - step * (Q @ XT - cT)
+        tail = np.linalg.norm(Z[1:], axis=0)
+        paths["steps"] += 1
+        paths["all_inside"] += bool(np.all(tail <= Z[0]))
+        paths["polar"] |= bool(np.any((Z[0] <= -tail) & (tail > 0.0)))
+        paths["negative_axis"] |= bool(np.any((tail == 0.0) & (Z[0] < 0.0)))
+        Y = _unbuffered_project_cols(Z)
+        size = np.abs(Y).max(axis=0)
+        big = size > cap
+        if np.any(big):
+            paths["capped"] += 1
+            Y[:, big] *= cap / size[big]
+        disp = float(np.max(np.abs(Y - XT)))
+        XT = Y
+        if disp < POLISH_STOP:
+            break
+    X = np.ascontiguousarray(XT.T)
+    vals = 0.5 * np.einsum("ij,ij->i", X @ Q, X) - X @ p.c
+    order = np.lexsort(tuple(X[:, k] for k in range(p.n - 1, -1, -1)) + (vals,))
+    dirs = _direction_samples(p.n, resolution)
+    curv = np.einsum("ij,ij->i", dirs @ p.Q, dirs)
+    k = int(np.argmin(curv))
+    unbounded = dirs[k] if curv[k] < CURVATURE_CUTOFF else None
+    return (X[order[0]], float(vals[order[0]]), unbounded), paths
+
+
+def _assert_bit_identical(p, radius, resolution):
+    (x, value, direction), paths = _unbuffered_oracle(p, radius, resolution)
+    res = brute_force_min(p, radius, resolution)
+    # equal bytes: the signs of zeros and every last bit agree
+    assert res.best_x.tobytes() == x.tobytes()
+    assert np.float64(res.best_value).tobytes() == np.float64(value).tobytes()
+    if direction is None:
+        assert res.unbounded_direction is None
+    else:
+        assert res.unbounded_direction.tobytes() == direction.tobytes()
+    return paths
+
+
+class TestBufferedPolish:
+    @pytest.mark.parametrize("radius", [3.0, 60.0])
+    @pytest.mark.parametrize("kind", GEN_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generated_instances(self, n, kind, radius):
+        for seed in range(2):
+            p = as_dense(gen_instance(kind, n, 52_000 + seed))
+            _assert_bit_identical(p, radius, 32 if n < 4 else 16)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cap_rescale(self, n):
+        # Q = diag(-1, 0, ...) and Q = L have d'Qd < 0 inside the cone: the
+        # iterates escape and every later step rescales into the cap ball
+        for Q in (np.diag([-1.0] + [0.0] * (n - 1)), np.diag(lorentz_signs(n))):
+            for c in (np.zeros(n), np.ones(n)):
+                paths = _assert_bit_identical(ProblemInstance(Q=Q, c=c), 3.0, 32)
+                assert paths["capped"] > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_minus_L_runs_the_step_budget(self, n):
+        # Q = -L is flat along the boundary rays: the polish never settles
+        p = ProblemInstance(Q=-np.diag(lorentz_signs(n)), c=np.ones(n))
+        paths = _assert_bit_identical(p, 3.0, 32)
+        assert paths["steps"] == POLISH_STEPS and paths["capped"] == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_column_inside(self, n):
+        # the minimizer c of ||x - c||^2 lies inside the cone, so the polish
+        # converges to steps whose every column skips the projection
+        c = np.concatenate(([2.0], np.full(n - 1, 0.3)))
+        paths = _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=c), 3.0, 32)
+        assert paths["all_inside"] > 0 and paths["capped"] == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_apex_and_polar_columns(self, n):
+        # c = -e1 pulls every column through the polar cone to the apex;
+        # the axis columns (tail == 0) reach x1 < 0 first
+        axis = _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=-np.eye(n)[0]), 3.0, 32)
+        assert axis["negative_axis"]
+        c = np.concatenate(([-1.0], np.full(n - 1, 0.5)))
+        assert _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=c), 3.0, 32)["polar"]
