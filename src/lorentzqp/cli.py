@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -41,7 +40,13 @@ from .solver import (
     solve_problem,
     sweep_table,
 )
-from .verify import ORACLE_MAX_N, brute_force_min, default_oracle_radius, kkt_check
+from .verify import (
+    OracleError,
+    brute_force_min,
+    check_oracle_dimension,
+    default_oracle_radius,
+    kkt_check,
+)
 
 
 def _add_tolerance_flags(sp):
@@ -54,13 +59,10 @@ def _add_tolerance_flags(sp):
                     help=f"scale-free singularity band for inertia (default {d.tol_eig:g})")
     sp.add_argument("--tol-root", type=float, default=d.tol_root,
                     help="Newton polish stops once a sigma step is below "
-                         f"tol*(1+sigma) (default {d.tol_root:g})")
+                         "tol*min(1+sigma, distance to the nearest pole) "
+                         f"(default {d.tol_root:g})")
     sp.add_argument("--max-iter", type=int, default=d.max_iter,
                     help=f"Newton polish iteration cap per multiplier (default {d.max_iter})")
-    sp.add_argument("--samples", type=int, default=None,
-                    help="deprecated: accepted and validated (at least 8) for "
-                         "compatibility; no effect on results "
-                         f"(reports carry {d.samples_per_interval} unless given)")
 
 
 def _finite_positive(value) -> bool:
@@ -74,7 +76,6 @@ _FLAG_RULES = {
     "tol_eig": (_finite_positive, "finite and > 0"),
     "tol_root": (_finite_positive, "finite and > 0"),
     "max_iter": (lambda v: v >= 1, "at least 1"),
-    "samples": (lambda v: v >= 8, "at least 8"),
     "oracle_radius": (_finite_positive, "finite and > 0"),
     "oracle_resolution": (lambda v: v >= 16, "at least 16"),
     "radius": (_finite_positive, "finite and > 0"),
@@ -112,41 +113,31 @@ def _load(path):
 
 
 def _tolerances(args) -> Tolerances:
-    samples = {} if args.samples is None else {"samples_per_interval": args.samples}
-    with warnings.catch_warnings():
-        # main() prints its own note on --samples; run as ``python -m
-        # lorentzqp.cli`` this module is __main__, where Python would show
-        # the DeprecationWarning of ``Tolerances`` as well
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return Tolerances(
-            tol_kkt=args.tol_kkt, tol_eig=args.tol_eig, tol_root=args.tol_root,
-            max_iter=args.max_iter, **samples,
-        )
-
-
-def _oracle_fits(p) -> bool:
-    if p.n <= ORACLE_MAX_N:
-        return True
-    print(f"error: the oracle grid supports n <= {ORACLE_MAX_N}, problem has n={p.n}",
-          file=sys.stderr)
-    return False
+    return Tolerances(tol_kkt=args.tol_kkt, tol_eig=args.tol_eig, tol_root=args.tol_root,
+                      max_iter=args.max_iter)
 
 
 def cmd_solve(args) -> int:
     p = as_dense(_load(args.problem))
-    if args.oracle and not _oracle_fits(p):
+    try:
+        if args.oracle:
+            check_oracle_dimension(p.n)
+        report = solve_problem(
+            p, _tolerances(args), oracle=args.oracle,
+            oracle_radius=args.oracle_radius, oracle_resolution=args.oracle_resolution,
+        )
+    except OracleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = solve_problem(
-        p, _tolerances(args), oracle=args.oracle,
-        oracle_radius=args.oracle_radius, oracle_resolution=args.oracle_resolution,
-    )
     _emit(dumps_json(report_to_jsonable(report, __version__)) + "\n", args.output)
     return report.exit_code
 
 
 def cmd_enumerate(args) -> int:
     p = as_dense(_load(args.problem))
-    points = enumerate_kkt(p, args.tol_kkt, None, args.tol_root, args.tol_eig, args.max_iter)
+    tol = _tolerances(args)
+    points = enumerate_kkt(p, tol.tol_kkt, tol_root=tol.tol_root, tol_eig=tol.tol_eig,
+                           max_iter=tol.max_iter)
     out = {
         "tool": {"name": "lorentzqp", "version": __version__},
         "problem": problem_to_jsonable(p),
@@ -225,10 +216,13 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = as_dense(_load(args.problem))
-    if not _oracle_fits(p):
-        return EXIT_BAD_INPUT
     radius = args.radius if args.radius is not None else default_oracle_radius(p, None)
-    result = brute_force_min(p, radius, args.resolution)
+    try:
+        check_oracle_dimension(p.n)
+        result = brute_force_min(p, radius, args.resolution)
+    except OracleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     out = {
         "tool": {"name": "lorentzqp", "version": __version__},
         "problem": problem_to_jsonable(p),
@@ -312,8 +306,6 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if getattr(args, "samples", None) is not None:
-        print("note: --samples is deprecated and has no effect on results", file=sys.stderr)
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -34,7 +34,6 @@ singular-boundary hard case.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,6 @@ CERT_HARD = "boundary_hard_case"
 DEFAULT_TOL_ROOT = 1e-10
 DEFAULT_TOL_KKT = 1e-8
 DEFAULT_MAX_ITER = 200
-DEFAULT_SAMPLES = 64
 
 # Tolerance for the nappe test x[0] >= -tol (scale-free).
 NAPPE_TOL = 1e-8
@@ -152,29 +150,23 @@ class _KKTPoints(list):
 # dual function and derivative
 
 
-def _factorized(p: ProblemInstance, sigma: float, tol_eig: float) -> Factorization:
-    f = factorize(shifted_hessian(p, sigma), tol_eig)
-    if f.singular:
-        raise SingularMatrixError(
-            f"G(sigma) is singular at sigma={sigma!r}", sigma=sigma
-        )
-    return f
-
-
-def recover_primal(p: ProblemInstance, sigma: float, tol_eig: float = DEFAULT_TOL_EIG) -> np.ndarray:
+def recover_primal(p: ProblemInstance, sigma: float) -> np.ndarray:
     """Solve the stationarity system G(sigma) x = c."""
-    return solve_linear(_factorized(p, sigma, tol_eig), p.c)
+    f = factorize(shifted_hessian(p, sigma))
+    if f.singular:
+        raise SingularMatrixError(f"G(sigma) is singular at sigma={sigma!r}", sigma=sigma)
+    return solve_linear(f, p.c)
 
 
-def dual_value(p: ProblemInstance, sigma: float, tol_eig: float = DEFAULT_TOL_EIG) -> float:
+def dual_value(p: ProblemInstance, sigma: float) -> float:
     """-0.5 * c' G(sigma)^{-1} c.  Raises SingularMatrixError at singular shifts."""
-    x = recover_primal(p, sigma, tol_eig)
+    x = recover_primal(p, sigma)
     return -0.5 * float(p.c @ x)
 
 
-def dual_derivative(p: ProblemInstance, sigma: float, tol_eig: float = DEFAULT_TOL_EIG) -> float:
+def dual_derivative(p: ProblemInstance, sigma: float) -> float:
     """Derivative of the dual: cone_quadratic of the recovered point."""
-    return cone_quadratic(recover_primal(p, sigma, tol_eig))
+    return cone_quadratic(recover_primal(p, sigma))
 
 
 def _kkt_gap(x: np.ndarray) -> float:
@@ -280,13 +272,7 @@ def build_critical_point(
 # dual maximization over the PD window
 
 
-def maximize_dual(
-    p: ProblemInstance,
-    tol: float = DEFAULT_TOL_KKT,
-    tol_root: float = DEFAULT_TOL_ROOT,
-    tol_eig: float = DEFAULT_TOL_EIG,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> CriticalPoint | None:
+def maximize_dual(p: ProblemInstance) -> CriticalPoint | None:
     """Maximize the concave dual over its positive-definite window.
 
     Cases: the window may contain sigma=0 with nonincreasing dual
@@ -295,16 +281,15 @@ def maximize_dual(
     (hard case).  Windows where the dual decreases throughout and that
     start above 0 carry no certified point and yield None.
     """
-    points = enumerate_kkt(p, tol, None, tol_root, tol_eig, max_iter)
-    point, _ = _maximize_with_notes(p, points, tol, tol_eig)
+    point, _ = _maximize_with_notes(p, enumerate_kkt(p), DEFAULT_TOL_KKT, DEFAULT_TOL_EIG)
     return point
 
 
 def _maximize_with_notes(
     p: ProblemInstance,
     points: _KKTPoints,
-    tol: float = DEFAULT_TOL_KKT,
-    tol_eig: float = DEFAULT_TOL_EIG,
+    tol: float,
+    tol_eig: float,
 ) -> tuple[CriticalPoint | None, list[str]]:
     """Select the dual maximum from the enumerated multipliers.
 
@@ -502,21 +487,10 @@ def _recovered(p: ProblemInstance, sigma: float) -> np.ndarray | None:
     return x + (g / gp) * y if gp != 0.0 else x
 
 
-def _deprecated_samples(samples_per_interval: int | None, stacklevel: int):
-    """Validate the deprecated ``samples_per_interval`` (at least 8) and warn
-    that it has no effect; None means it was not passed."""
-    if samples_per_interval is None:
-        return
-    if samples_per_interval < 8:
-        raise ValueError("samples_per_interval must be at least 8")
-    warnings.warn("samples_per_interval is deprecated and has no effect on results",
-                  DeprecationWarning, stacklevel=stacklevel + 1)
-
-
 def enumerate_kkt(
     p: ProblemInstance,
     tol: float = DEFAULT_TOL_KKT,
-    samples_per_interval: int | None = None,
+    *,
     tol_root: float = DEFAULT_TOL_ROOT,
     tol_eig: float = DEFAULT_TOL_EIG,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -540,10 +514,7 @@ def enumerate_kkt(
     sigma = 0 is admitted under the same gate with x'Lx <= 0 in place of
     x'Lx = 0, since complementarity holds there identically.  Each point
     reports the x the gate accepted.
-    ``samples_per_interval`` is deprecated: validated, with no effect.
     """
-    _deprecated_samples(samples_per_interval, stacklevel=2)
-
     w, V = np.linalg.eig(lq_matrix(p))
     breaks, zero_singular = _pole_cells(spectrum_poles(p, w))
     if float(np.max(np.abs(p.c))) == 0.0:

@@ -200,7 +200,6 @@ def report_to_jsonable(report: SolveReport, version: str) -> dict:
             "tol_root": tol.tol_root,
             "tol_gap": tol.tol_gap,
             "max_iter": tol.max_iter,
-            "samples_per_interval": tol.samples_per_interval,
         },
         "solution": None,
         "critical_points": [point_to_jsonable(cp) for cp in report.critical_points],

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL_EIG = 1e-10
+# Singular shifts down to -ZERO_POLE_TOL * (1 + max|Q|) are poles at 0.
+ZERO_POLE_TOL = 1e-9
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -113,7 +115,7 @@ def lq_matrix(p: ProblemInstance) -> np.ndarray:
     return LQ
 
 
-def spectrum_poles(p: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> list[float]:
+def spectrum_poles(p: ProblemInstance, w: np.ndarray) -> list[float]:
     """The singular shifts sigma >= 0, sorted and with multiplicities, read
     from the eigenvalues w of ``lq_matrix(p)``."""
     scale = 1.0 + float(np.max(np.abs(p.Q)))
@@ -125,14 +127,14 @@ def spectrum_poles(p: ProblemInstance, w: np.ndarray, tol: float = 1e-9) -> list
     sig = list(-w[np.abs(w.imag) <= 1e-7 * scale].real)
     for lam in w[w.imag > 1e-7 * scale]:
         s = -float(lam.real)
-        if s >= -tol * scale and factorize(shifted_hessian(p, max(s, 0.0))).singular:
+        if s >= -ZERO_POLE_TOL * scale and factorize(shifted_hessian(p, max(s, 0.0))).singular:
             sig += [s, s]
-    return sorted(float(max(s, 0.0)) for s in sig if s >= -tol * scale)
+    return sorted(float(max(s, 0.0)) for s in sig if s >= -ZERO_POLE_TOL * scale)
 
 
-def pencil_singular_sigmas(p: ProblemInstance, tol: float = 1e-9) -> list[float]:
+def pencil_singular_sigmas(p: ProblemInstance) -> list[float]:
     """All real sigma >= 0 with det(Q + sigma * diag(-1,1,...,1)) = 0, sorted.
 
     Multiplicities are kept.  ``spectrum_poles`` of the eigenvalues of L Q.
     """
-    return spectrum_poles(p, np.linalg.eigvals(lq_matrix(p)), tol)
+    return spectrum_poles(p, np.linalg.eigvals(lq_matrix(p)))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import ZERO_POLE_TOL
 from .model import ProblemInstance, lorentz_signs
 
 __all__ = ["SecularForm", "secular_form"]
@@ -94,8 +95,8 @@ class SecularForm:
         """Every root sigma > 0 of g, isolated exactly (see ``_real_roots``
         and ``_pair_roots``); the root at sigma = inf of a light-like c is
         left out."""
-        # poles this close below 0 are at 0, as in ``spectrum_poles``
-        floor = -1e-9 * (1.0 + max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair)))
+        top = max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
+        floor = -ZERO_POLE_TOL * (1.0 + top)
         with np.errstate(all="ignore"):
             if self.pair:
                 if self.pair_beta == 0.0:

@@ -27,7 +27,6 @@ from .dual import (
     POLE_RESOLUTION,
     REALNESS_TOL,
     CriticalPoint,
-    _deprecated_samples,
 )
 from .linalg import DEFAULT_TOL_EIG
 from .model import ProblemInstance
@@ -225,7 +224,7 @@ def _point(d: DiagonalInstance, sigma: float, tol_eig: float,
 def secular_enumerate(
     d: DiagonalInstance,
     tol: float = DEFAULT_TOL_KKT,
-    samples_per_interval: int | None = None,
+    *,
     tol_root: float = DEFAULT_TOL_ROOT,
     tol_eig: float = DEFAULT_TOL_EIG,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -238,12 +237,10 @@ def secular_enumerate(
     |x'Lx| <= tol*||x||^2 plus scaled KKT residuals within tol, 1e-9
     relative merging, sigma = 0 admitted with x'Lx <= 0 in place of
     x'Lx = 0, and a root within tol_eig of a pole, where no point can be
-    recovered, dropped).  ``samples_per_interval`` is deprecated: validated,
-    with no effect.  When the derivative vanishes identically (its numerator
-    cancels) every sigma is critical, and one per pole cell is reported.
+    recovered, dropped).  When the derivative vanishes identically (its
+    numerator cancels) every sigma is critical, and one per pole cell is
+    reported.
     """
-    _deprecated_samples(samples_per_interval, stacklevel=2)
-
     poles = _poles(d)
     zero_singular = bool(poles) and poles[0] <= 1e-12
     if float(np.max(np.abs(d.c))) == 0.0:

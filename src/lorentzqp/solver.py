@@ -15,11 +15,9 @@ from .dual import (
     CERT_HARD,
     CERT_KKT,
     DEFAULT_MAX_ITER,
-    DEFAULT_SAMPLES,
     DEFAULT_TOL_KKT,
     DEFAULT_TOL_ROOT,
     CriticalPoint,
-    _deprecated_samples,
     _maximize_with_notes,
     enumerate_kkt,
 )
@@ -29,6 +27,7 @@ from .verify import (
     KKTResiduals,
     OracleResult,
     brute_force_min,
+    check_oracle_dimension,
     default_oracle_radius,
     kkt_check,
 )
@@ -58,20 +57,13 @@ DEFAULT_TOL_GAP = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Solver tolerances.  ``samples_per_interval`` is deprecated: it is
-    validated (at least 8) and carried in reports, has no effect, and warns
-    when it differs from DEFAULT_SAMPLES."""
+    """Solver tolerances."""
 
     tol_kkt: float = DEFAULT_TOL_KKT
     tol_eig: float = DEFAULT_TOL_EIG
     tol_root: float = DEFAULT_TOL_ROOT
     tol_gap: float = DEFAULT_TOL_GAP
     max_iter: int = DEFAULT_MAX_ITER
-    samples_per_interval: int = DEFAULT_SAMPLES
-
-    def __post_init__(self):
-        if self.samples_per_interval != DEFAULT_SAMPLES:
-            _deprecated_samples(self.samples_per_interval, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -112,9 +104,13 @@ def solve_problem(
     certified or is the hard-case boundary point; otherwise the best
     cone-feasible point (lowest objective, then lowest multiplier) is
     selected without a certificate.  Points recovered on the negative nappe
-    are kept in the report but never selected.
+    are kept in the report but never selected.  With ``oracle``, n above
+    ORACLE_MAX_N raises OracleError before the solve.
     """
-    points = enumerate_kkt(p, tol.tol_kkt, None, tol.tol_root, tol.tol_eig, tol.max_iter)
+    if oracle:
+        check_oracle_dimension(p.n)
+    points = enumerate_kkt(p, tol.tol_kkt, tol_root=tol.tol_root, tol_eig=tol.tol_eig,
+                           max_iter=tol.max_iter)
     best, warnings = _maximize_with_notes(p, points, tol.tol_kkt, tol.tol_eig)
     if best is not None and best.certificate == CERT_HARD:
         # The boundary point sits at a pole, outside the enumeration; its

@@ -20,11 +20,13 @@ from .model import ProblemInstance, cone_quadratic, primal_objective, shifted_he
 
 __all__ = [
     "KKTResiduals",
+    "OracleError",
     "OracleResult",
     "kkt_check",
     "duality_gap",
     "projection_lorentz",
     "brute_force_min",
+    "check_oracle_dimension",
     "default_oracle_radius",
 ]
 
@@ -32,6 +34,17 @@ POLISH_STEPS = 500
 POLISH_STOP = 1e-12
 CURVATURE_CUTOFF = -1e-10
 ORACLE_MAX_N = 4        # the largest dimension the exhaustive grid covers
+
+
+class OracleError(ValueError):
+    """The grid oracle cannot answer for this instance: its dimension is
+    above ORACLE_MAX_N, or its best value is not finite."""
+
+
+def check_oracle_dimension(n: int):
+    """Raise OracleError when the grid does not cover dimension n."""
+    if n > ORACLE_MAX_N:
+        raise OracleError(f"the oracle grid supports n <= {ORACLE_MAX_N}, problem has n={n}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +151,7 @@ def _slice_grid(n: int, radius: float, resolution: int) -> np.ndarray:
     x1 = 0 level, the axis point for the rad = 0 ring of each level, and at
     n = 4 each pole (theta = 0 or pi) for its row of phi angles.
     """
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"exhaustive oracle grid supports n <= {ORACLE_MAX_N} only")
+    check_oracle_dimension(n)
     x1s = np.linspace(0.0, radius, resolution)[1:]
     if n == 2:
         tails = np.linspace(-1.0, 1.0, resolution)[:, None]
@@ -220,7 +232,8 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     so every iterate is bit-identical to that loop's.
     Polish iterates are rescaled into a large ball so unbounded instances
     stay finite; escape shows up as a very negative best value alongside the
-    reported unbounded direction.  The grid covers n <= ORACLE_MAX_N.
+    reported unbounded direction.  A dimension above ORACLE_MAX_N, or a best
+    value that is not finite (Q near the float maximum), raises OracleError.
     """
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be finite and positive")
@@ -255,6 +268,10 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     vals = 0.5 * np.einsum("ij,ij->i", X @ Q, X) - X @ p.c
     order = np.lexsort(tuple(X[:, k] for k in range(p.n - 1, -1, -1)) + (vals,))
     best = order[0]
+    if not np.isfinite(vals[best]):
+        # a NaN would pass every comparison against a certificate
+        raise OracleError(f"the oracle's best value is {float(vals[best])!r}: "
+                          "the grid search overflows at this scale of Q")
 
     dirs = _direction_samples(p.n, resolution)
     curv = np.einsum("ij,ij->i", dirs @ p.Q, dirs)

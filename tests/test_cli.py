@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
-import warnings
 
+import numpy as np
 import pytest
 
+from lorentzqp import ProblemInstance
 from lorentzqp.cli import main
 
 
@@ -69,7 +70,6 @@ class TestSolveCommand:
 
 
 @pytest.mark.parametrize("argv", [
-    ["enumerate", "--samples", "4"],
     ["solve", "--tol-eig", "nan"],
     ["solve", "--tol-root", "inf"],
     ["solve", "--tol-kkt", "-1"],
@@ -89,20 +89,20 @@ def test_bad_numeric_flag_exit_64(capsys, problem_dir, argv):
 
 
 @pytest.mark.parametrize("command", ["solve", "enumerate"])
-def test_samples_flag_is_deprecated(capsys, problem_dir, command):
-    problem = str(problem_dir / "dense_2d_certified.json")
-    code, out, err = run_cli(capsys, command, problem)
-    assert err == ""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the note above is the only notice
-        code_s, out_s, err_s = run_cli(capsys, command, problem, "--samples", "16")
-    assert code_s == code
-    assert err_s.count("\n") == 1 and "--samples is deprecated" in err_s
-    if command == "solve":
-        assert json.loads(out)["tolerances"]["samples_per_interval"] == 64
-        assert json.loads(out_s)["tolerances"]["samples_per_interval"] == 16
-        out = out.replace('"samples_per_interval": 64', '"samples_per_interval": 16')
-    assert out_s == out
+def test_samples_flag_is_a_usage_error(capsys, problem_dir, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, str(problem_dir / "dense_2d_certified.json"), "--samples", "16"])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--samples" in out.err
+
+
+def test_every_flag_rule_has_its_flag():
+    from lorentzqp.cli import _FLAG_RULES, build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    dests = {a.dest for sp in subparsers.values() for a in sp._actions}
+    assert set(_FLAG_RULES) <= dests
 
 
 class TestCheckCommand:
@@ -155,6 +155,17 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check", str(problem), str(report))
         assert code == 1
         assert "FAIL" in out
+
+    def test_legacy_report_with_samples_field(self, capsys, tmp_path, problem_dir):
+        problem = problem_dir / "dense_2d_certified.json"
+        report = tmp_path / "report.json"
+        assert run_cli(capsys, "solve", str(problem), "-o", str(report))[0] == 0
+        obj = json.loads(report.read_text())
+        assert "samples_per_interval" not in obj["tolerances"]
+        obj["tolerances"]["samples_per_interval"] = 64
+        report.write_text(json.dumps(obj))
+        code, out, _ = run_cli(capsys, "check", str(problem), str(report))
+        assert code == 0 and "FAIL" not in out
 
     def test_dimension_mismatch_exit_65(self, capsys, tmp_path, problem_dir):
         report = tmp_path / "claim.json"
@@ -220,6 +231,31 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 64 and out == ""
         assert err.count("\n") == 1 and f"n <= {ORACLE_MAX_N}" in err
+
+    def test_non_finite_oracle_value_exits_64(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 2, "Q": [[1e308, 0], [0, 1e308]], "c": [1, 1]}')
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, "oracle", str(path), "--radius", "3")
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and "best value is nan" in err
+
+    def test_solve_reports_a_non_finite_oracle_value_with_exit_64(
+            self, capsys, monkeypatch, problem_dir):
+        # Q = 1e308 I stops the solve's own eigensolve first, so the solve's
+        # oracle step is handed that instance directly
+        from lorentzqp import solver, verify
+
+        with np.errstate(over="ignore"):
+            huge = ProblemInstance(Q=1e308 * np.eye(2), c=[1.0, 1.0])
+        monkeypatch.setattr(solver, "brute_force_min",
+                            lambda p, radius, resolution:
+                            verify.brute_force_min(huge, radius, resolution))
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, "solve", str(problem_dir / "dense_2d_certified.json"),
+                                     "--oracle")
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and "best value is nan" in err
 
     def test_oracle_at_n_4_runs(self, capsys, tmp_path):
         path = tmp_path / "n4.json"

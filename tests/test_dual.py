@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from lorentzqp import (
     HardCaseError,
     ProblemInstance,
     SingularMatrixError,
-    Tolerances,
     cone_quadratic,
     dual_derivative,
     dual_value,
@@ -203,22 +200,11 @@ class TestEnumerate:
         assert len(pts) == 1
         assert pts[0].sigma == 0.0
 
-    def test_rejects_sparse_sampling(self, dense_2d):
-        with pytest.raises(ValueError):
-            enumerate_kkt(dense_2d, samples_per_interval=4)
-
-    def test_samples_per_interval_is_deprecated(self, dense_2d):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            expected = [cp.sigma for cp in enumerate_kkt(dense_2d)]
-            dataclasses.replace(Tolerances(), tol_kkt=1e-7)
-        with pytest.warns(DeprecationWarning, match="samples_per_interval"):
-            got = [cp.sigma for cp in enumerate_kkt(dense_2d, samples_per_interval=16)]
-        assert got == expected
-        with pytest.warns(DeprecationWarning, match="samples_per_interval"):
-            assert Tolerances(samples_per_interval=16).samples_per_interval == 16
-        with pytest.raises(ValueError):
-            Tolerances(samples_per_interval=4)
+    def test_tolerances_after_tol_are_keyword_only(self, dense_2d):
+        # a call that still passes samples_per_interval third must fail, not
+        # run with tol_root = 64
+        with pytest.raises(TypeError):
+            enumerate_kkt(dense_2d, 1e-8, 64)
 
     @pytest.mark.parametrize("q, c, poles", [
         ([1.0, -1.0], [1.0, 1.0], [1.0]),

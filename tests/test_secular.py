@@ -92,6 +92,10 @@ class TestSecularEnumerate:
         assert pts[0].sigma == 0.0
         np.testing.assert_allclose(pts[0].x, [1.0, 0.0])
 
+    def test_tolerances_after_tol_are_keyword_only(self, diag_saddle):
+        with pytest.raises(TypeError):
+            secular_enumerate(diag_saddle, 1e-8, 64)
+
     def test_roots_satisfy_kkt(self, diag_saddle):
         dense = diag_saddle.to_dense()
         for cp in secular_enumerate(diag_saddle):

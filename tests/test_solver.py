@@ -150,6 +150,18 @@ class TestSolveSelection:
         assert rep.oracle.best_value >= rep.solution.primal_value - 1e-6
         assert not any("better feasible point" in w for w in rep.warnings)
 
+    def test_oracle_above_n_4_is_rejected_before_enumerating(self, monkeypatch):
+        from lorentzqp import solver
+        from lorentzqp.verify import ORACLE_MAX_N
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("enumerated past the dimension check")
+
+        monkeypatch.setattr(solver, "enumerate_kkt", must_not_run)
+        p = as_dense(gen_instance("convex", ORACLE_MAX_N + 1, 0))
+        with pytest.raises(ValueError, match=f"n <= {ORACLE_MAX_N}"):
+            solve_problem(p, oracle=True)
+
     def test_oracle_flags_unbounded(self, dense_3d):
         rep = solve_problem(dense_3d, oracle=True, oracle_radius=5.0, oracle_resolution=64)
         assert rep.oracle.unbounded_direction is not None

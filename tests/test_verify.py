@@ -240,6 +240,12 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="finite"):
             brute_force_min(dense_2d, radius, 64)
 
+    def test_non_finite_best_value_is_rejected(self):
+        # 0.5 (Q + Q') overflows to inf, so every polished column is NaN,
+        # and a NaN value would pass every comparison against a certificate
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="best value is nan"):
+            brute_force_min(ProblemInstance(Q=1e308 * np.eye(2), c=[1.0, 1.0]), 3.0, 64)
+
     def test_deterministic(self, dense_2d):
         a = brute_force_min(dense_2d, 3.0, 64)
         b = brute_force_min(dense_2d, 3.0, 64)
