@@ -34,6 +34,7 @@ from .fileio import (
 )
 from .linalg import SingularMatrixError
 from .solver import (
+    DEFAULT_TOL_GAP,
     EXIT_BAD_INPUT,
     EXIT_DIMENSION_MISMATCH,
     Tolerances,
@@ -57,12 +58,6 @@ def _add_tolerance_flags(sp):
                          f"within tol (default {d.tol_kkt:g})")
     sp.add_argument("--tol-eig", type=float, default=d.tol_eig,
                     help=f"scale-free singularity band for inertia (default {d.tol_eig:g})")
-    sp.add_argument("--tol-root", type=float, default=d.tol_root,
-                    help="Newton polish stops once a sigma step is below "
-                         "tol*min(1+sigma, distance to the nearest pole) "
-                         f"(default {d.tol_root:g})")
-    sp.add_argument("--max-iter", type=int, default=d.max_iter,
-                    help=f"Newton polish iteration cap per multiplier (default {d.max_iter})")
 
 
 def _finite_positive(value) -> bool:
@@ -74,8 +69,6 @@ def _finite_positive(value) -> bool:
 _FLAG_RULES = {
     "tol_kkt": (_finite_positive, "finite and > 0"),
     "tol_eig": (_finite_positive, "finite and > 0"),
-    "tol_root": (_finite_positive, "finite and > 0"),
-    "max_iter": (lambda v: v >= 1, "at least 1"),
     "oracle_radius": (_finite_positive, "finite and > 0"),
     "oracle_resolution": (lambda v: v >= 16, "at least 16"),
     "radius": (_finite_positive, "finite and > 0"),
@@ -113,8 +106,7 @@ def _load(path):
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(tol_kkt=args.tol_kkt, tol_eig=args.tol_eig, tol_root=args.tol_root,
-                      max_iter=args.max_iter)
+    return Tolerances(tol_kkt=args.tol_kkt, tol_eig=args.tol_eig)
 
 
 def cmd_solve(args) -> int:
@@ -136,8 +128,7 @@ def cmd_solve(args) -> int:
 def cmd_enumerate(args) -> int:
     p = as_dense(_load(args.problem))
     tol = _tolerances(args)
-    points = enumerate_kkt(p, tol.tol_kkt, tol_root=tol.tol_root, tol_eig=tol.tol_eig,
-                           max_iter=tol.max_iter)
+    points = enumerate_kkt(p, tol.tol_kkt, tol_eig=tol.tol_eig)
     out = {
         "tool": {"name": "lorentzqp", "version": __version__},
         "problem": problem_to_jsonable(p),
@@ -181,9 +172,8 @@ def cmd_check(args) -> int:
         return EXIT_DIMENSION_MISMATCH
 
     tols = report.get("tolerances", {})
-    defaults = Tolerances()
-    tol_kkt = float(tols.get("tol_kkt", defaults.tol_kkt))
-    tol_gap = float(tols.get("tol_gap", defaults.tol_gap))
+    tol_kkt = float(tols.get("tol_kkt", Tolerances().tol_kkt))
+    tol_gap = float(tols.get("tol_gap", DEFAULT_TOL_GAP))  # carried by older reports
 
     res = kkt_check(p, x, sigma)
     try:

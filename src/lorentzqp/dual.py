@@ -55,7 +55,7 @@ from .model import (
     primal_objective,
     shifted_hessian,
 )
-from .pontryagin import EPS, secular_form
+from .pontryagin import EPS, MAX_ITER, TOL_ROOT, secular_form
 
 __all__ = [
     "CERT_GLOBAL",
@@ -77,11 +77,10 @@ CERT_GLOBAL = "global_min_certified"
 CERT_KKT = "kkt_no_certificate"
 CERT_HARD = "boundary_hard_case"
 
-DEFAULT_TOL_ROOT = 1e-10
 DEFAULT_TOL_KKT = 1e-8
-DEFAULT_MAX_ITER = 200
 
-# Tolerance for the nappe test x[0] >= -tol (scale-free).
+# Tolerance for the nappe test x[0] >= -NAPPE_TOL * max|x|, relative to the
+# point's own size, so that scaling Q or c does not change it.
 NAPPE_TOL = 1e-8
 # Eigenvalues mu = 1/(sigma - s0) of the pencil with |imag mu| up to this
 # count as real: double roots of g split into nearly-real pairs, and Newton
@@ -254,7 +253,7 @@ def build_critical_point(
     f = factorize(shifted_hessian(p, sigma), tol_eig)
     if x is None:
         x = solve_linear(f, p.c)
-    nappe_ok = bool(x[0] >= -NAPPE_TOL * (1.0 + float(np.max(np.abs(x)))))
+    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.max(np.abs(x))))
     if certificate is None:
         certificate = CERT_GLOBAL if (f.positive_definite and nappe_ok) else CERT_KKT
     return CriticalPoint(
@@ -379,14 +378,14 @@ def _pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
     return scale * sigma[sigma > 0.0]
 
 
-def _polish(p: ProblemInstance, sigma: float, pole: float, poles: list[float],
-            tol_root: float, max_iter: int) -> tuple[float, np.ndarray | None]:
+def _polish(p: ProblemInstance, sigma: float, pole: float,
+            poles: list[float]) -> tuple[float, np.ndarray | None]:
     """Newton on h = (sigma - pole)^2 * g, which stays smooth at ``pole``
     (pass inf for plain Newton on g).
 
     Returns the iterate whose |_kkt_gap| is the smallest, with its x (None
     if no solve succeeded).  Iteration stops once a step falls below
-    tol_root*min(1+sigma, distance to the nearest of ``poles``), or once the
+    TOL_ROOT*min(1+sigma, distance to the nearest of ``poles``), or once the
     gap or the step stops shrinking (a start drifting toward a pole or
     infinity, or round-off).
     The returned x takes the last Newton step on g to first order,
@@ -397,7 +396,7 @@ def _polish(p: ProblemInstance, sigma: float, pole: float, poles: list[float],
     """
     best_s, best_x, best_r = sigma, None, math.inf
     last, converged = math.inf, False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         try:
             x, g, gp, y = _g_and_slope(p, sigma)
         except np.linalg.LinAlgError:
@@ -416,7 +415,7 @@ def _polish(p: ProblemInstance, sigma: float, pole: float, poles: list[float],
         sigma -= step
         last = abs(step)
         dist = min((abs(sigma - s) for s in poles), default=math.inf)
-        converged = last <= tol_root * min(1.0 + abs(sigma), dist)
+        converged = last <= TOL_ROOT * min(1.0 + abs(sigma), dist)
     return best_s, best_x
 
 
@@ -491,15 +490,13 @@ def enumerate_kkt(
     p: ProblemInstance,
     tol: float = DEFAULT_TOL_KKT,
     *,
-    tol_root: float = DEFAULT_TOL_ROOT,
     tol_eig: float = DEFAULT_TOL_EIG,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[CriticalPoint]:
     """All dual KKT points sigma >= 0, classified by inertia.
 
     One ``eig(LQ)`` gives the poles and the secular form of g (see
     ``pontryagin.SecularForm``), whose roots are isolated exactly cell by cell and
-    Newton-polished on g in O(n) per step, to within tol_root times their
+    Newton-polished on g in O(n) per step, to within TOL_ROOT times their
     distance to the nearest pole.  When that eigenbasis is ill-conditioned
     (a defective, light-like pole) or breaks the one-negative-square
     structure, the multipliers are instead the real positive eigenvalues of
@@ -529,15 +526,14 @@ def enumerate_kkt(
         candidates = [(s, None) for s in _family_representatives(breaks, zero_singular)]
     elif form is not None:
         u = p.c / float(np.linalg.norm(p.c))
-        sigmas = [form.polish(float(s), tol_root, max_iter)
-                  for s in form.roots(abs(cone_quadratic(u)) <= p.n * EPS, max_iter)]
+        sigmas = [form.polish(float(s)) for s in form.roots(abs(cone_quadratic(u)) <= p.n * EPS)]
         recovered = [(s, _recovered(p, s)) for s in sigmas]
         candidates = [(s, x) for s, x in recovered
                       if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     else:
         poles = breaks if zero_singular else breaks[1:]
         starts = {st for s in _pencil_eigenvalues(p) for st in _starts(float(s), poles)}
-        polished = [_polish(p, start, pole, poles, tol_root, max_iter) for start, pole in starts]
+        polished = [_polish(p, start, pole, poles) for start, pole in starts]
         candidates = [(s, x) for s, x in polished
                       if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     if not zero_singular:
@@ -630,11 +626,8 @@ def hard_case_solve(
             r = math.sqrt(disc)
             candidates.extend([(-lin_b - r) / quad_a, (-lin_b + r) / quad_a])
 
-    scale = 1.0 + float(np.max(np.abs(x_p)))
-    admissible = [
-        t for t in candidates
-        if math.isfinite(t) and (x_p[0] + t * v[0]) >= -NAPPE_TOL * scale
-    ]
+    admissible = [t for t in candidates if math.isfinite(t)
+                  and x_p[0] + t * v[0] >= -NAPPE_TOL * float(np.max(np.abs(x_p + t * v)))]
     if not admissible:
         raise HardCaseError(
             "no boundary point with x[0] >= 0 along the null direction; the dual "

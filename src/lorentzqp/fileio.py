@@ -197,9 +197,6 @@ def report_to_jsonable(report: SolveReport, version: str) -> dict:
         "tolerances": {
             "tol_kkt": tol.tol_kkt,
             "tol_eig": tol.tol_eig,
-            "tol_root": tol.tol_root,
-            "tol_gap": tol.tol_gap,
-            "max_iter": tol.max_iter,
         },
         "solution": None,
         "critical_points": [point_to_jsonable(cp) for cp in report.critical_points],

@@ -35,6 +35,11 @@ _TYPE_TOL = 1e-6
 # each other are one pole.
 _CLUSTER_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
+# Every Newton polish of a multiplier (here, in ``dual`` and in ``secular``)
+# stops at a step below TOL_ROOT*min(1+sigma, distance to the nearest pole)
+# or one that stops shrinking; no Newton run takes more than MAX_ITER steps.
+TOL_ROOT = 1e-10
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -73,13 +78,13 @@ class SecularForm:
             g, gp = g + wc.real, gp - 2.0 * (wc * rc).real
         return g, gp
 
-    def polish(self, sigma: float, tol_root: float, max_iter: int) -> float:
+    def polish(self, sigma: float) -> float:
         """Newton on g from an isolated root, until a step falls below
-        tol_root*min(1+sigma, distance to the nearest pole) or stops
+        TOL_ROOT*min(1+sigma, distance to the nearest pole) or stops
         shrinking.  A first step longer than half that distance is not
         taken: the start is already exact to rounding in its own variable."""
         last = math.inf
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             g, gp = self.g_and_slope(sigma)
             dist = float(np.abs(self.lam + sigma).min(initial=math.inf))
             step = g / gp if gp != 0.0 else math.inf
@@ -87,11 +92,11 @@ class SecularForm:
                 break
             sigma -= step
             last = abs(step)
-            if last <= tol_root * min(1.0 + abs(sigma), dist):
+            if last <= TOL_ROOT * min(1.0 + abs(sigma), dist):
                 break
         return sigma
 
-    def roots(self, light_like: bool, max_iter: int) -> np.ndarray:
+    def roots(self, light_like: bool) -> np.ndarray:
         """Every root sigma > 0 of g, isolated exactly (see ``_real_roots``
         and ``_pair_roots``); the root at sigma = inf of a light-like c is
         left out."""
@@ -102,11 +107,11 @@ class SecularForm:
                 if self.pair_beta == 0.0:
                     return np.zeros(0)  # g > 0
                 return _pair_roots(self.lam, self.beta, self.pair, self.pair_beta,
-                                   floor, light_like, max_iter)
+                                   floor, light_like)
             k = np.flatnonzero(self.beta < 0.0)
             if k.size == 0:
                 return np.zeros(0)  # g > 0
-            return _real_roots(self.lam, self.beta, int(k[0]), floor, light_like, max_iter)
+            return _real_roots(self.lam, self.beta, int(k[0]), floor, light_like)
 
 
 def secular_form(p: ProblemInstance, w: np.ndarray, V: np.ndarray,
@@ -156,7 +161,7 @@ def secular_form(p: ProblemInstance, w: np.ndarray, V: np.ndarray,
     return SecularForm(lam[keep], beta[keep], pair, pair_beta, vanishes)
 
 
-def _descend(F, u: float, inward: float, far: float, sure: bool, max_iter: int) -> float:
+def _descend(F, u: float, inward: float, far: float, sure: bool) -> float:
     """Newton on a convex F from u with F(u) >= 0, heading ``inward`` (+-1)
     toward ``far``, the other end of its interval; the root reached, or nan.
 
@@ -171,7 +176,7 @@ def _descend(F, u: float, inward: float, far: float, sure: bool, max_iter: int) 
     f, fp, size = F(u)
     if not ((sure or f >= 0.0) and (far - u) * inward > 0.0):
         return math.nan
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if f <= 8.0 * EPS * size:
             return u
         step = -f / fp
@@ -195,7 +200,7 @@ def _pole_bound(a: float, b: float, width: float) -> float:
 
 
 def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
-                light_like: bool, max_iter: int) -> np.ndarray:
+                light_like: bool) -> np.ndarray:
     """Roots sigma > 0 of g for a real spectrum with its negative weight at k.
 
     With ``t = 1/(sigma + lam_k)``, ``2g = t^2 (psi(t) - |beta_k|)`` for
@@ -247,7 +252,7 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
             starts.append((lo + math.sqrt(Ab / level), 1.0, hi, Ab > 0.0))
         if Aa is not None:
             starts.append((hi - math.sqrt(Aa / level), -1.0, lo, Aa > 0.0))
-    t = np.array([_descend(F, *start, max_iter) for start in starts])
+    t = np.array([_descend(F, *start) for start in starts])
     if light_like:  # the root t = 0 (sigma = inf), reached from the last pole
         t[np.abs(t) <= 1e-12 * np.abs([start[0] for start in starts])] = np.nan
     sigma = 1.0 / t[np.isfinite(t) & (t != 0.0)] - lk
@@ -255,7 +260,7 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
 
 
 def _pair_roots(lam: np.ndarray, beta: np.ndarray, lam_c: complex, beta_c: complex,
-                floor: float, light_like: bool, max_iter: int) -> np.ndarray:
+                floor: float, light_like: bool) -> np.ndarray:
     """Roots sigma > 0 of g with one complex pair ``lam_c = a + i gamma``.
 
     With ``phi = arg(lam_c + sigma)`` in (0, pi), decreasing in sigma, and
@@ -311,7 +316,7 @@ def _pair_roots(lam: np.ndarray, beta: np.ndarray, lam_c: complex, beta_c: compl
                     continue
                 starts.append((end + s * math.sqrt(Ae / (2.0 * mag)), s, other,
                                Ae > 0.0 or not edge))
-    phi = np.array([_descend(F, *start, max_iter) for start in starts])
+    phi = np.array([_descend(F, *start) for start in starts])
     if light_like:  # the root phi = 0 (sigma = inf), reached from the last pole
         phi[phi <= 1e-12 * np.abs([start[0] for start in starts])] = np.nan
     phi = phi[np.isfinite(phi) & (phi > 0.0)]

@@ -19,9 +19,7 @@ import numpy as np
 from .dual import (
     CERT_GLOBAL,
     CERT_KKT,
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL_KKT,
-    DEFAULT_TOL_ROOT,
     EPS,
     NAPPE_TOL,
     POLE_RESOLUTION,
@@ -30,6 +28,7 @@ from .dual import (
 )
 from .linalg import DEFAULT_TOL_EIG
 from .model import ProblemInstance
+from .pontryagin import MAX_ITER, TOL_ROOT
 
 __all__ = [
     "DiagonalInstance",
@@ -141,8 +140,7 @@ def _numerator(d: DiagonalInstance) -> np.ndarray:
     return np.zeros(1) if float(np.max(np.abs(num))) <= 1e-12 * size else num
 
 
-def _polish(d: DiagonalInstance, sigma: float, pole: float, tol_root: float,
-            max_iter: int) -> tuple[float, np.ndarray | None]:
+def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.ndarray | None]:
     """Newton on (sigma - pole)^2 times the secular derivative, with the
     dense path's stopping rules: the iterate with the smallest
     |x'Lx| / ||x||^2, and its x advanced to first order by the last Newton
@@ -150,7 +148,7 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float, tol_root: float,
     the polish."""
     best_s, best_x, best_r = sigma, None, math.inf
     last, converged = math.inf, False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         try:
             g = secular_derivative(d, sigma)
         except SecularPoleError:
@@ -173,7 +171,7 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float, tol_root: float,
             break
         sigma -= step
         last = abs(step)
-        converged = last <= tol_root * min(1.0 + abs(sigma), abs(sigma - pole))
+        converged = last <= TOL_ROOT * min(1.0 + abs(sigma), abs(sigma - pole))
     return best_s, best_x
 
 
@@ -211,7 +209,7 @@ def _point(d: DiagonalInstance, sigma: float, tol_eig: float,
     n_zero = int(np.sum(np.abs(den) <= band))
     n_pos = int(np.sum(den > band))
     inertia = (n_pos, n_zero, d.n - n_zero - n_pos)
-    nappe_ok = bool(x[0] >= -NAPPE_TOL * (1.0 + float(np.max(np.abs(x)))))
+    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.max(np.abs(x))))
     certificate = CERT_GLOBAL if (inertia == (d.n, 0, 0) and nappe_ok) else CERT_KKT
     dual = -0.5 * float(np.sum(d.c * x))
     primal = 0.5 * float(np.sum(d.q * x * x)) - float(np.sum(d.c * x))
@@ -225,9 +223,7 @@ def secular_enumerate(
     d: DiagonalInstance,
     tol: float = DEFAULT_TOL_KKT,
     *,
-    tol_root: float = DEFAULT_TOL_ROOT,
     tol_eig: float = DEFAULT_TOL_EIG,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[CriticalPoint]:
     """All dual KKT points of the diagonal instance, in closed form.
 
@@ -261,7 +257,7 @@ def secular_enumerate(
     roots = np.roots(num)
     real = roots[np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))].real
     for start, pole in {st for root in real[real > 0.0] for st in _starts(float(root), poles)}:
-        sigma, x = _polish(d, start, pole, tol_root, max_iter)
+        sigma, x = _polish(d, start, pole)
         if sigma > 0.0 and x is not None and _is_multiplier(d, x, sigma, tol):
             candidates.append((sigma, x))
     if not zero_singular:

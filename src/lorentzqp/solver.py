@@ -14,9 +14,7 @@ from .dual import (
     CERT_GLOBAL,
     CERT_HARD,
     CERT_KKT,
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL_KKT,
-    DEFAULT_TOL_ROOT,
     CriticalPoint,
     _maximize_with_notes,
     enumerate_kkt,
@@ -52,18 +50,18 @@ EXIT_NO_SOLUTION = 4
 EXIT_BAD_INPUT = 64
 EXIT_DIMENSION_MISMATCH = 65
 
+# Relative duality gap ``lorentzqp check`` accepts, unless the report
+# carries its own.
 DEFAULT_TOL_GAP = 1e-8
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Solver tolerances."""
+    """The two tolerances that define a verdict: the KKT gate of a
+    multiplier (``tol_kkt``) and the zero band of the inertia (``tol_eig``)."""
 
     tol_kkt: float = DEFAULT_TOL_KKT
     tol_eig: float = DEFAULT_TOL_EIG
-    tol_root: float = DEFAULT_TOL_ROOT
-    tol_gap: float = DEFAULT_TOL_GAP
-    max_iter: int = DEFAULT_MAX_ITER
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,7 @@ def solve_problem(
     """
     if oracle:
         check_oracle_dimension(p.n)
-    points = enumerate_kkt(p, tol.tol_kkt, tol_root=tol.tol_root, tol_eig=tol.tol_eig,
-                           max_iter=tol.max_iter)
+    points = enumerate_kkt(p, tol.tol_kkt, tol_eig=tol.tol_eig)
     best, warnings = _maximize_with_notes(p, points, tol.tol_kkt, tol.tol_eig)
     if best is not None and best.certificate == CERT_HARD:
         # The boundary point sits at a pole, outside the enumeration; its

@@ -71,9 +71,7 @@ class TestSolveCommand:
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--tol-eig", "nan"],
-    ["solve", "--tol-root", "inf"],
     ["solve", "--tol-kkt", "-1"],
-    ["solve", "--max-iter", "0"],
     ["solve", "--oracle", "--oracle-resolution", "8"],
     ["solve", "--oracle", "--oracle-radius", "-1"],
     ["sweep", "--sigma-max", "2", "--steps", "3", "--tol-eig", "-1"],
@@ -95,6 +93,18 @@ def test_samples_flag_is_a_usage_error(capsys, problem_dir, command):
     assert err.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "--samples" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol-root", "1e-6"],
+    ["enumerate", "--max-iter", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_newton_flags_are_usage_errors(capsys, problem_dir, argv):
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], str(problem_dir / "dense_2d_certified.json"), *argv[1:]])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and argv[1] in out.err
 
 
 def test_every_flag_rule_has_its_flag():
@@ -161,11 +171,15 @@ class TestCheckCommand:
         report = tmp_path / "report.json"
         assert run_cli(capsys, "solve", str(problem), "-o", str(report))[0] == 0
         obj = json.loads(report.read_text())
-        assert "samples_per_interval" not in obj["tolerances"]
-        obj["tolerances"]["samples_per_interval"] = 64
+        assert set(obj["tolerances"]) == {"tol_kkt", "tol_eig"}
+        obj["tolerances"].update(samples_per_interval=64, tol_root=1e-10, max_iter=200,
+                                 tol_gap=1e-6)
         report.write_text(json.dumps(obj))
         code, out, _ = run_cli(capsys, "check", str(problem), str(report))
         assert code == 0 and "FAIL" not in out
+        # an older report's tol_gap still sets the gap tolerance
+        gap_line = next(line for line in out.splitlines() if "duality_gap" in line)
+        assert gap_line.endswith("tol 1.0e-06)")
 
     def test_dimension_mismatch_exit_65(self, capsys, tmp_path, problem_dir):
         report = tmp_path / "claim.json"

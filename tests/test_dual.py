@@ -202,9 +202,14 @@ class TestEnumerate:
 
     def test_tolerances_after_tol_are_keyword_only(self, dense_2d):
         # a call that still passes samples_per_interval third must fail, not
-        # run with tol_root = 64
+        # run with tol_eig = 64
         with pytest.raises(TypeError):
             enumerate_kkt(dense_2d, 1e-8, 64)
+        # the Newton stopping rule and cap are pontryagin.TOL_ROOT and MAX_ITER
+        with pytest.raises(TypeError):
+            enumerate_kkt(dense_2d, tol_root=1e-10)
+        with pytest.raises(TypeError):
+            enumerate_kkt(dense_2d, max_iter=5)
 
     @pytest.mark.parametrize("q, c, poles", [
         ([1.0, -1.0], [1.0, 1.0], [1.0]),
@@ -502,10 +507,10 @@ class TestSecularRoute:
             assert counts.max(initial=0) <= 2
             with monkeypatch.context() as m:
                 m.setattr(pontryagin, "_descend", counting("bound"))
-                kept = np.sort(form.roots(light_like(p), dual.DEFAULT_MAX_ITER))
+                kept = np.sort(form.roots(light_like(p)))
                 m.setattr(pontryagin, "_pole_bound", lambda *args: 0.0)
                 m.setattr(pontryagin, "_descend", counting("none"))
-                every = np.sort(form.roots(light_like(p), dual.DEFAULT_MAX_ITER))
+                every = np.sort(form.roots(light_like(p)))
             np.testing.assert_array_equal(kept, every)
             np.testing.assert_allclose(kept, ref, rtol=1e-6)
         assert starts["bound"] < 0.5 * starts["none"]
@@ -542,15 +547,14 @@ class TestSecularRoute:
 def test_polish_stops_relative_to_the_nearest_pole(c0):
     # the roots (1 -+ c0)/(1 +- c0) straddle the pole sigma = 1; plain Newton
     # from next to a root must not stop while its error, not its step, is
-    # still larger than tol_root times the distance to that pole
+    # still larger than TOL_ROOT times the distance to that pole
     # on the dense polish of the companion route and the secular one
     p = ProblemInstance(Q=np.eye(2), c=[c0, 1.0])
     form = secular_form(p)
     for root in ((1.0 - c0) / (1.0 + c0), (1.0 + c0) / (1.0 - c0)):
         for start in (root * (1.0 - 1e-9), root * (1.0 + 1e-9)):
-            sigma, x = dual._polish(p, start, math.inf, [1.0], dual.DEFAULT_TOL_ROOT,
-                                    dual.DEFAULT_MAX_ITER)
+            sigma, x = dual._polish(p, start, math.inf, [1.0])
             assert x is not None
             assert abs(sigma - root) <= 1e-14
-            sigma = form.polish(start, dual.DEFAULT_TOL_ROOT, dual.DEFAULT_MAX_ITER)
+            sigma = form.polish(start)
             assert abs(sigma - root) <= 1e-14

@@ -95,6 +95,10 @@ class TestSecularEnumerate:
     def test_tolerances_after_tol_are_keyword_only(self, diag_saddle):
         with pytest.raises(TypeError):
             secular_enumerate(diag_saddle, 1e-8, 64)
+        with pytest.raises(TypeError):
+            secular_enumerate(diag_saddle, max_iter=5)
+        with pytest.raises(TypeError):
+            secular_enumerate(diag_saddle, tol_root=1e-10)
 
     def test_roots_satisfy_kkt(self, diag_saddle):
         dense = diag_saddle.to_dense()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,11 +12,13 @@ from lorentzqp import (
     EXIT_NO_SOLUTION,
     EXIT_UNCERTIFIED,
     ProblemInstance,
+    Tolerances,
     kkt_check,
     solve_problem,
     sweep_table,
 )
 from lorentzqp import dual
+from lorentzqp.dual import NAPPE_TOL
 from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.linalg import pencil_singular_sigmas
 from lorentzqp.model import shifted_hessian
@@ -112,6 +115,15 @@ class TestSolveSelection:
             scaled = solve_problem(ProblemInstance(Q=alpha * p.Q, c=alpha * p.c))
             _assert_same_verdict(rep, scaled, case, alpha, 1.0)
 
+    @pytest.mark.parametrize("alpha", [1e8, 1e12])
+    def test_scaling_q_scales_sigma_and_x(self, alpha):
+        # G(alpha*sigma) = alpha*(Q + sigma*L) for alpha*Q, so the solution
+        # moves to (alpha*sigma, x/alpha); the nappe test is relative to max|x|
+        for case, p in _metamorphic_corpus():
+            rep = solve_problem(p)
+            scaled = solve_problem(ProblemInstance(Q=alpha * p.Q, c=p.c))
+            _assert_same_verdict(rep, scaled, case, alpha, 1.0 / alpha)
+
     def test_tail_rotation_keeps_verdict(self):
         # x -> (x0, R x_tail) with R orthogonal maps the cone onto itself
         rng = np.random.default_rng(7)
@@ -124,6 +136,24 @@ class TestSolveSelection:
             if rep.solution is not None:
                 assert rotated.solution.primal_value == pytest.approx(
                     rep.solution.primal_value, rel=1e-8, abs=1e-12), case
+
+    def test_tail_rotation_keeps_verdict_near_light_like_c(self):
+        # c just outside K next to its boundary, c'Lc = 1e-12 ||c||^2 with
+        # c[0] > 0: multipliers near sigma ~ 1e12 recover x ~ Lc/sigma, on the
+        # mirror nappe with |x[0]| far below any absolute nappe tolerance (with
+        # c[0] < 0 they lie on the true nappe, where ROADMAP item 3b is open)
+        rng = np.random.default_rng(12)
+        eps = 1e-12
+        for k in range(150):
+            n = int(rng.integers(2, 6))
+            A = rng.standard_normal((n, n))
+            t = rng.standard_normal(n - 1)
+            c = np.concatenate(([np.sqrt((1.0 - eps) / (1.0 + eps))], t / np.linalg.norm(t)))
+            T = np.eye(n)
+            T[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+            p = ProblemInstance(Q=0.5 * (A + A.T), c=c)
+            rotated = ProblemInstance(Q=T.T @ p.Q @ T, c=T.T @ c)
+            assert solve_problem(rotated).exit_code == solve_problem(p).exit_code, k
 
     def test_poles_computed_once_per_solve(self, monkeypatch, hardcase_2d, dense_2d, dense_3d):
         # One eig(LQ) gives the poles, the window's cells and the secular
@@ -184,10 +214,18 @@ def test_integer_census_solves_to_kkt_points():
     points = 0
     for Q, c in census:
         p = ProblemInstance(Q=Q, c=c)
-        for cp in solve_problem(p).critical_points:
+        rep = solve_problem(p)
+        for cp in rep.critical_points:
             points += 1
             assert kkt_check(p, cp.x, cp.sigma).max_residual <= 1e-7, (Q, c, cp.sigma)
+        if rep.solution is not None:  # never a point of the mirror nappe
+            x = rep.solution.x
+            assert x[0] >= -NAPPE_TOL * np.abs(x).max(), (Q, c, rep.solution.sigma)
     assert points > 8000
+
+
+def test_tolerances_are_the_two_that_define_a_verdict():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["tol_kkt", "tol_eig"]
 
 
 class TestSweepTable:
