@@ -8,27 +8,30 @@ positive definite, and its derivative at sigma equals
 KKT points; they map one-to-one onto stationary points of the primal with
 ``primal value == dual value``.
 
-Everything here comes from the pencil G(sigma) = L (LQ + sigma*I), through
-one eigendecomposition ``LQ V = V diag(lam)`` per solve.  Its poles
-``-lam_i`` (the singular shifts) cut [0, inf) into cells of constant
-inertia.  L has one negative square, so only the top cell, from the
-second-largest pole (or 0) to the largest, can be positive definite (see
-``pd_interval``): one factorization at its midpoint decides the window.  LQ
-is self-adjoint for the indefinite inner product x'Ly, so its eigenvectors
-are L-orthogonal, and the derivative takes the secular form
-``g(sigma) = 0.5 * sum_i beta_i / (lam_i + sigma)^2`` with
-``beta_i = (v_i'c)^2 / (v_i'L v_i)``: all real but one negative weight, or
-one complex pair (see ``pontryagin``).  After a change of variable g is
-convex on each cell, so each cell holds at most two roots, most cells are
-ruled out by a closed-form bound, and the rest are solved by monotone
-Newton from their ends, all in O(n) per step.  When that eigenbasis is
-ill-conditioned, at a defective light-like pole, the multipliers are instead
-the real eigenvalues of the bordered quadratic pencil
-``[[G L G, c], [c', 0]]``, whose determinant is ``2 det(G)^2 g(sigma)``,
-projected onto the complement of c and solved as one companion eigenproblem
-of size 2(n-1) with ``numpy.linalg.eigvals``.  The dual maximum is then a
-selection from the multiplier set: the multiplier inside the window, or the
-singular-boundary hard case.
+Everything here comes from the pencil G(sigma) through its arrowhead form
+(``arrowhead.Arrowhead``): one symmetric ``eigh`` of the tail block per
+solve rotates G(sigma) into ``[[alpha - sigma, d'], [d, diag(nu + sigma)]]``.
+Its poles, the roots of the secular function
+``f(sigma) = alpha - sigma - sum d_i^2 / (nu_i + sigma)`` and the shifts of
+decoupled coordinates, cut [0, inf) into cells of constant inertia.  L has
+one negative square, so only the top cell, from the second-largest pole (or
+0) to the largest, can be positive definite (see ``pd_interval``): the
+inertia at its midpoint, the signs of nu_i + sigma and of f, decides the
+window.  The null vector of a pole p is ``v = (1, -d/(nu + p))``, with type
+``v'Lv = f'(p)`` and ``v'c = N(p)``, so the derivative takes the secular
+form ``g(sigma) = 0.5 * sum_i beta_i / (lam_i + sigma)^2`` with
+``beta_i = N(p_i)^2 / f'(p_i)``: all real but one negative weight, or one
+complex pair (see ``pontryagin``).  After a change of variable g is convex
+on each cell, so each cell holds at most two roots, most cells are ruled
+out by a closed-form bound, and the rest are solved by monotone Newton from
+their ends, all in O(n) per step; x, g and the inertia at each root are
+O(n) arrowhead solves too.  When a pole is nearly defective (a light-like
+null vector), the multipliers are instead the real eigenvalues of the
+bordered quadratic pencil ``[[G L G, c], [c', 0]]``, whose determinant is
+``2 det(G)^2 g(sigma)``, projected onto the complement of c and solved as
+one companion eigenproblem of size 2(n-1) with ``numpy.linalg.eigvals``.
+The dual maximum is then a selection from the multiplier set: the
+multiplier inside the window, or the singular-boundary hard case.
 """
 
 from __future__ import annotations
@@ -38,16 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL_EIG,
-    Factorization,
-    SingularMatrixError,
-    factorize,
-    lq_matrix,
-    pencil_singular_sigmas,
-    solve_linear,
-    spectrum_poles,
-)
+from .arrowhead import Arrowhead
+from .linalg import DEFAULT_TOL_EIG, Factorization, SingularMatrixError, factorize, solve_linear
 from .model import (
     ProblemInstance,
     cone_quadratic,
@@ -136,12 +131,13 @@ class CriticalPoint:
 
 
 class _KKTPoints(list):
-    """The points ``enumerate_kkt`` returns, with the pole cells (see
-    ``_cells``) they were enumerated in, so that the selection from them does
-    not compute the poles a second time."""
+    """The points ``enumerate_kkt`` returns, with the arrowhead and the pole
+    cells (see ``_cells``) they were enumerated from, so that the selection
+    from them does not compute the poles a second time."""
 
-    def __init__(self, points, cells: tuple[list[float], bool]):
+    def __init__(self, points, arrow: Arrowhead, cells: tuple[list[float], bool]):
         super().__init__(points)
+        self.arrow = arrow
         self.cells = cells
 
 
@@ -190,7 +186,7 @@ def _g_and_slope(p: ProblemInstance, sigma: float) -> tuple[np.ndarray, float, f
 def _cells(p: ProblemInstance) -> tuple[list[float], bool]:
     """Left ends [0, p1, p2, ...] of the cells between merged poles, and
     whether 0 is itself a pole."""
-    return _pole_cells(pencil_singular_sigmas(p))
+    return _pole_cells(Arrowhead(p).poles)
 
 
 def _pole_cells(sigmas: list[float]) -> tuple[list[float], bool]:
@@ -214,28 +210,30 @@ def pd_interval(p: ProblemInstance) -> DualInterval | None:
     and exactly one of them, ``s + 1/|s_1|``, lies above s; it is simple.  So
     every PD shift lies in the top cell, and the window is that whole cell.
     It is empty when the cell starts at or above Q[0,0] (the (0,0) entry of
-    G must stay positive); otherwise one factorization at the cell's
-    midpoint decides it.  That test uses the banded inertia of
-    ``factorize``: a bare Cholesky factorization can succeed on the singular
-    PSD matrix at the center of the sliver that a defective pole splits into.
+    G must stay positive); otherwise the inertia of G at the cell's midpoint
+    decides it, read from the arrowhead (``Arrowhead.inertia``: the signs of
+    nu_i + sigma and of the Schur complement f) under the zero band of
+    ``factorize``: a bare sign test of f can pass at the singular PSD
+    matrix at the center of the sliver that a defective pole splits into.
     """
-    window = _pd_window(p, *_cells(p))
+    arrow = Arrowhead(p)
+    window = _pd_window(p, arrow, *_pole_cells(arrow.poles))
     return None if window is None else window[0]
 
 
-def _pd_window(p: ProblemInstance, breaks: list[float],
-               zero_singular: bool) -> tuple[DualInterval, Factorization] | None:
+def _pd_window(p: ProblemInstance, arrow: Arrowhead, breaks: list[float],
+               zero_singular: bool) -> tuple[DualInterval, float] | None:
     """``pd_interval`` from pole cells already computed by ``_cells``, with
-    the factorization of G at the window's midpoint."""
+    the window's midpoint, where the window was decided."""
     if len(breaks) < 2 or breaks[-2] >= float(p.Q[0, 0]):
         return None
     lo, hi = breaks[-2], breaks[-1]
-    f = factorize(shifted_hessian(p, 0.5 * (lo + hi)))
-    if not f.positive_definite:
+    mid = 0.5 * (lo + hi)
+    if arrow.inertia(mid)[0] < p.n:
         return None
     window = DualInterval(lo=lo, hi=hi, lo_singular=len(breaks) > 2 or zero_singular,
                           hi_singular=True)
-    return window, f
+    return window, mid
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +246,26 @@ def build_critical_point(
     tol_eig: float = DEFAULT_TOL_EIG,
     certificate: str | None = None,
     x: np.ndarray | None = None,
+    inertia: tuple[int, int, int] | None = None,
 ) -> CriticalPoint:
-    """Complete a dual candidate sigma into a classified CriticalPoint."""
-    f = factorize(shifted_hessian(p, sigma), tol_eig)
-    if x is None:
-        x = solve_linear(f, p.c)
+    """Complete a dual candidate sigma into a classified CriticalPoint.
+
+    ``enumerate_kkt`` passes x and the inertia of G(sigma) from the
+    arrowhead; without ``inertia``, G(sigma) is factorized for both."""
+    if inertia is None:
+        f = factorize(shifted_hessian(p, sigma), tol_eig)
+        inertia = f.inertia
+        if x is None:
+            x = solve_linear(f, p.c)
     nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.max(np.abs(x))))
     if certificate is None:
-        certificate = CERT_GLOBAL if (f.positive_definite and nappe_ok) else CERT_KKT
+        certificate = CERT_GLOBAL if (inertia[0] == p.n and nappe_ok) else CERT_KKT
     return CriticalPoint(
         sigma=float(sigma),
         x=np.asarray(x, dtype=float),
         dual_value=-0.5 * float(p.c @ x),
         primal_value=primal_objective(p, x),
-        inertia=f.inertia,
+        inertia=inertia,
         certificate=certificate,
         nappe_ok=nappe_ok,
     )
@@ -297,18 +301,19 @@ def _maximize_with_notes(
     a mirror-nappe point).  Only without one are the window's ends needed:
     the derivative keeps its sign across the window, and positive means the
     supremum sits at the singular upper end (hard case).  The window comes
-    from the pole cells the enumeration already computed, and the sign of
-    the derivative from the factorization that decided the window.
+    from the arrowhead and the pole cells the enumeration already computed,
+    and the sign of the derivative from an arrowhead solve at the midpoint
+    that decided the window.
     """
     inside = [cp for cp in points if cp.inertia == (p.n, 0, 0)]
     if inside:
         return inside[0], []
 
-    window = _pd_window(p, *points.cells)
+    window = _pd_window(p, points.arrow, *points.cells)
     if window is None:
         return None, ["no positive-definite dual window; certificate unavailable"]
-    interval, f = window
-    if cone_quadratic(solve_linear(f, p.c)) > 0.0:
+    interval, mid = window
+    if points.arrow.g(mid) > 0.0:
         try:
             point = hard_case_solve(p, interval.hi, tol=tol, tol_eig=tol_eig)
         except HardCaseError as exc:
@@ -431,14 +436,16 @@ def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float) 
     where x'Lx cancels to below its own error.  At sigma = 0 complementarity
     holds identically and only x'Lx <= 0 (within the same bounds) is asked.
     """
+    s_unit = float(np.max(np.abs(p.Q))) or 1.0
+    c_norm = float(np.linalg.norm(p.c))
+    stationarity = float(np.max(np.abs(shifted_hessian(p, sigma) @ x - p.c))) / c_norm
+    # the gate reads x in units of its natural size c_norm / s_unit, so that
+    # no square of that unit is formed (it under- or overflows for large Q)
+    x = x * (s_unit / c_norm)
     q = cone_quadratic(x)
     r = abs(q) if sigma > 0.0 else q
     xx = float(x @ x)
-    s_unit = float(np.max(np.abs(p.Q))) or 1.0
-    c_norm = float(np.linalg.norm(p.c))
-    x_unit = c_norm / s_unit  # the natural size of x
-    stationarity = float(np.max(np.abs(shifted_hessian(p, sigma) @ x - p.c))) / c_norm
-    scaled = (r + EPS * xx) * max(1.0, sigma / s_unit) / x_unit**2
+    scaled = (r + EPS * xx) * max(1.0, sigma / s_unit)
     return r <= 0.5 * tol * xx and max(scaled, stationarity) <= tol
 
 
@@ -476,14 +483,12 @@ def _vanishes_at_probes(p: ProblemInstance, top: float, tol: float) -> bool:
     return True
 
 
-def _recovered(p: ProblemInstance, sigma: float) -> np.ndarray | None:
+def _recovered(arrow: Arrowhead, sigma: float) -> np.ndarray | None:
     """x(sigma) advanced to first order by the Newton step on g, as
-    ``_polish`` returns it (None if G(sigma) is exactly singular)."""
-    try:
-        x, g, gp, y = _g_and_slope(p, sigma)
-    except np.linalg.LinAlgError:
-        return None
-    return x + (g / gp) * y if gp != 0.0 else x
+    ``_polish`` returns it, from two arrowhead solves (None if G(sigma) is
+    exactly singular)."""
+    x = arrow.newton_point(sigma)
+    return x if np.all(np.isfinite(x)) else None
 
 
 def enumerate_kkt(
@@ -494,11 +499,12 @@ def enumerate_kkt(
 ) -> list[CriticalPoint]:
     """All dual KKT points sigma >= 0, classified by inertia.
 
-    One ``eig(LQ)`` gives the poles and the secular form of g (see
-    ``pontryagin.SecularForm``), whose roots are isolated exactly cell by cell and
-    Newton-polished on g in O(n) per step, to within TOL_ROOT times their
-    distance to the nearest pole.  When that eigenbasis is ill-conditioned
-    (a defective, light-like pole) or breaks the one-negative-square
+    One ``Arrowhead`` gives the poles and the secular form of g (see
+    ``pontryagin.SecularForm``), whose roots are isolated exactly cell by
+    cell and Newton-polished on g in O(n) per step, to within TOL_ROOT times
+    their distance to the nearest pole; x and the inertia at each root come
+    from the arrowhead in O(n) too.  When a pole is nearly defective (a
+    light-like null vector) or the types break the one-negative-square
     structure, the multipliers are instead the real positive eigenvalues of
     the quadratic pencil B(sigma) = [[G L G, c], [c', 0]], whose determinant
     is 2 det(G)^2 g(sigma), from one companion eigensolve of size 2(n-1)
@@ -512,22 +518,24 @@ def enumerate_kkt(
     x'Lx = 0, since complementarity holds there identically.  Each point
     reports the x the gate accepted.
     """
-    w, V = np.linalg.eig(lq_matrix(p))
-    breaks, zero_singular = _pole_cells(spectrum_poles(p, w))
+    arrow = Arrowhead(p)
+    cells = _pole_cells(arrow.poles)
+    breaks, zero_singular = cells
     if float(np.max(np.abs(p.c))) == 0.0:
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
-        return _KKTPoints([build_critical_point(p, sigma0, tol_eig, x=np.zeros(p.n))],
-                          (breaks, zero_singular))
+        point = build_critical_point(p, sigma0, tol_eig, x=np.zeros(p.n),
+                                     inertia=arrow.inertia(sigma0, tol_eig))
+        return _KKTPoints([point], arrow, cells)
 
-    form = secular_form(p, w, V, tol)
+    form = secular_form(arrow, tol)
     if form.vanishes if form is not None else _vanishes_at_probes(p, breaks[-1], tol):
         candidates = [(s, None) for s in _family_representatives(breaks, zero_singular)]
     elif form is not None:
         u = p.c / float(np.linalg.norm(p.c))
         sigmas = [form.polish(float(s)) for s in form.roots(abs(cone_quadratic(u)) <= p.n * EPS)]
-        recovered = [(s, _recovered(p, s)) for s in sigmas]
+        recovered = [(s, _recovered(arrow, s)) for s in sigmas]
         candidates = [(s, x) for s, x in recovered
                       if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     else:
@@ -538,13 +546,10 @@ def enumerate_kkt(
                       if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     if not zero_singular:
         # A defective pole at 0 escapes ``_cells`` when round-off splits it
-        # into a pair of shifts around 0; then Q is exactly singular and
-        # sigma = 0 is no candidate, as the inertia filter below would decide.
-        try:
-            x = np.linalg.solve(p.Q, p.c)
-        except np.linalg.LinAlgError:
-            x = None
-        if x is not None and _is_multiplier(p, x, 0.0, tol):
+        # into a pair of shifts around 0; then Q is singular and sigma = 0 is
+        # no candidate, as the inertia filter below decides.
+        x = arrow.x(0.0)
+        if np.all(np.isfinite(x)) and _is_multiplier(p, x, 0.0, tol):
             candidates.append((0.0, x))
 
     # Each point reports the x that passed the gate, so its KKT residuals
@@ -553,21 +558,21 @@ def enumerate_kkt(
     for sigma, x in sorted(candidates, key=lambda sx: sx[0]):
         if points and sigma - points[-1].sigma <= 1e-9 * (1.0 + sigma):
             continue
-        try:
-            cp = build_critical_point(p, sigma, tol_eig, x=x)
-        except SingularMatrixError:
-            continue  # a family representative at an unresolved pole
-        if cp.inertia[1] == 0:  # within tol_eig of a pole: no point to recover
-            points.append(cp)
-    return _KKTPoints(points, (breaks, zero_singular))
+        inertia = arrow.inertia(sigma, tol_eig)
+        if inertia[1] == 0:  # within tol_eig of a pole: no point to recover
+            points.append(build_critical_point(
+                p, sigma, tol_eig, x=arrow.x(sigma) if x is None else x, inertia=inertia))
+    return _KKTPoints(points, arrow, cells)
 
 
 # ---------------------------------------------------------------------------
 # singular boundary (hard case)
 
 
-def _pseudo_solve(p: ProblemInstance, sigma_sing: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solution of G(sigma_sing) x = c and a null-space basis.
+def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
+                  tol: float) -> tuple[np.ndarray, np.ndarray, Factorization]:
+    """Minimum-norm solution of G(sigma_sing) x = c, a null-space basis, and
+    the factorization of G(sigma_sing) they come from.
 
     The dual's limit value at the singular shift is ``-0.5 * c' x``.  Raises
     HardCaseError unless G is singular there and c is orthogonal (within
@@ -584,7 +589,7 @@ def _pseudo_solve(p: ProblemInstance, sigma_sing: float, tol: float) -> tuple[np
             "c has a component in the null space of G(sigma); the dual supremum "
             "is not attained"
         )
-    return U1 @ ((U1.T @ p.c) / f.w[~f.null]), U0
+    return U1 @ ((U1.T @ p.c) / f.w[~f.null]), U0, f
 
 
 def hard_case_solve(
@@ -600,7 +605,7 @@ def hard_case_solve(
     step chosen so the result lies exactly on the cone boundary, mirroring
     the trust-region hard case.
     """
-    x_p, U0 = _pseudo_solve(p, sigma_sing, tol)
+    x_p, U0, f = _pseudo_solve(p, sigma_sing, tol)
 
     # Deterministic null direction: maximize the first component.
     first_row = U0[0, :]
@@ -635,4 +640,5 @@ def hard_case_solve(
         )
     t = min(admissible, key=abs)
     x = x_p + t * v
-    return build_critical_point(p, sigma_sing, tol_eig, certificate=CERT_HARD, x=x)
+    return build_critical_point(p, sigma_sing, tol_eig, certificate=CERT_HARD, x=x,
+                                inertia=f.with_tol(tol_eig).inertia)

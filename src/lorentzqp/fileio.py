@@ -9,6 +9,7 @@ sweep CSV always uses '.' as the decimal separator.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -50,13 +51,46 @@ class ProblemFormatError(ValueError):
 # deterministic JSON with fixed 17-significant-digit floats
 
 
+# what ``json.dumps`` encodes a string with by default (ensure_ascii)
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _fmt_float(v: float) -> str:
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite value {v!r}")
     return format(float(v), ".16e")
 
 
+def _float_row(values: list) -> str:
+    return "[" + ", ".join([format(v, ".16e") for v in values]) + "]"
+
+
+def _float_array(a: np.ndarray, indent: int) -> str:
+    """``dumps_json`` of a 1-D or 2-D float array, byte for byte."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        _fmt_float(float(a[~finite][0]))  # raises, naming the first one
+    if a.ndim == 1:
+        return _float_row(a.tolist())
+    if not len(a):
+        return "[]"
+    inner = "  " * (indent + 1)
+    rows = ",\n".join(inner + _float_row(row) for row in a.tolist())
+    return "[\n" + rows + "\n" + "  " * indent + "]"
+
+
 def dumps_json(value, indent: int = 0) -> str:
+    """Deterministic JSON: two-space indentation, lists of scalars on one
+    line, every float with 17 significant digits (``_fmt_float``), and
+    ASCII strings escaped as ``json.dumps`` escapes them.  Float arrays of
+    one or two dimensions, which hold nearly every number of a report, are
+    checked for finiteness once and formatted row by row."""
+    if type(value) is float:
+        return _fmt_float(value)
+    if type(value) is str:
+        return _encode_str(value)
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim in (1, 2):
+        return _float_array(value, indent)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -68,7 +102,7 @@ def dumps_json(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _encode_str(value)
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
@@ -82,7 +116,7 @@ def dumps_json(value, indent: int = 0) -> str:
         if not value:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {dumps_json(v, indent + 1)}"
+            f"{inner}{_encode_str(str(k))}: {dumps_json(v, indent + 1)}"
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

@@ -4,16 +4,20 @@ Hessian, and the singular shifts of det(Q + sigma*L) = 0.
 Desk scale only (n up to a few hundred), backed by LAPACK through numpy.
 ``factorize`` computes G = U diag(w) U' once; its inertia, singularity,
 solves and null space are all read from that decomposition under one
-scale-free zero band.
+scale-free zero band.  The solve path uses it only at a hard-case pole and
+in the sweep table: the poles, and the inertia and solves at every other
+shift, come from the arrowhead form of the pencil (``arrowhead``), whose
+inertia keeps the same zero band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ProblemInstance, shifted_hessian
+from .arrowhead import DEFAULT_TOL_EIG, Arrowhead
+from .model import ProblemInstance
 
 __all__ = [
     "SingularMatrixError",
@@ -21,14 +25,8 @@ __all__ = [
     "factorize",
     "solve_linear",
     "min_eigenvalue",
-    "lq_matrix",
-    "spectrum_poles",
     "pencil_singular_sigmas",
 ]
-
-DEFAULT_TOL_EIG = 1e-10
-# Singular shifts down to -ZERO_POLE_TOL * (1 + max|Q|) are poles at 0.
-ZERO_POLE_TOL = 1e-9
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -76,6 +74,10 @@ class Factorization:
     def positive_definite(self) -> bool:
         return bool(self.w[0] > self.band)
 
+    def with_tol(self, tol_eig: float) -> Factorization:
+        """The same decomposition under the zero band of ``tol_eig``."""
+        return replace(self, band=_band(self.G, tol_eig))
+
 
 def factorize(G: np.ndarray, tol_eig: float = DEFAULT_TOL_EIG) -> Factorization:
     """Eigendecomposition of a symmetric matrix with a scale-free zero band
@@ -83,9 +85,12 @@ def factorize(G: np.ndarray, tol_eig: float = DEFAULT_TOL_EIG) -> Factorization:
     not raised; only subsequent solves raise.
     """
     G = np.asarray(G, dtype=float)
-    band = tol_eig * max(1.0, float(np.abs(G).sum(axis=1).max()))
     w, U = np.linalg.eigh(G)
-    return Factorization(G=G, w=w, U=U, band=band)
+    return Factorization(G=G, w=w, U=U, band=_band(G, tol_eig))
+
+
+def _band(G: np.ndarray, tol_eig: float) -> float:
+    return tol_eig * max(1.0, float(np.abs(G).sum(axis=1).max()))
 
 
 def solve_linear(f: Factorization, rhs) -> np.ndarray:
@@ -106,35 +111,10 @@ def min_eigenvalue(G: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(G, dtype=float))[0])
 
 
-def lq_matrix(p: ProblemInstance) -> np.ndarray:
-    """L Q with L = diag(-1,1,...,1).  With L^2 = I, Q + sigma*L =
-    L (L Q + sigma*I), so the singular shifts are its negated real
-    eigenvalues."""
-    LQ = p.Q.copy()
-    LQ[0, :] = -LQ[0, :]
-    return LQ
-
-
-def spectrum_poles(p: ProblemInstance, w: np.ndarray) -> list[float]:
-    """The singular shifts sigma >= 0, sorted and with multiplicities, read
-    from the eigenvalues w of ``lq_matrix(p)``."""
-    scale = 1.0 + float(np.max(np.abs(p.Q)))
-    # A loose realness filter keeps nearly-real pairs (possible at eigenvalue
-    # collisions); an extra breakpoint is harmless downstream.  A defective
-    # double pole (light-like null vector) can split into a pair farther from
-    # the real axis; such a pair counts twice when G is singular at its real
-    # part.
-    sig = list(-w[np.abs(w.imag) <= 1e-7 * scale].real)
-    for lam in w[w.imag > 1e-7 * scale]:
-        s = -float(lam.real)
-        if s >= -ZERO_POLE_TOL * scale and factorize(shifted_hessian(p, max(s, 0.0))).singular:
-            sig += [s, s]
-    return sorted(float(max(s, 0.0)) for s in sig if s >= -ZERO_POLE_TOL * scale)
-
-
 def pencil_singular_sigmas(p: ProblemInstance) -> list[float]:
     """All real sigma >= 0 with det(Q + sigma * diag(-1,1,...,1)) = 0, sorted.
 
-    Multiplicities are kept.  ``spectrum_poles`` of the eigenvalues of L Q.
+    Multiplicities are kept.  The poles of ``Arrowhead(p)``: the roots of
+    its secular function f and the shifts of its decoupled coordinates.
     """
-    return spectrum_poles(p, np.linalg.eigvals(lq_matrix(p)))
+    return Arrowhead(p).poles

@@ -1,16 +1,17 @@
-"""Secular form of the dual derivative from one eigendecomposition of LQ.
+"""Secular form of the dual derivative from the poles of the arrowhead.
 
 With ``G(sigma) = Q + sigma*L = L (LQ + sigma*I)`` and L = diag(-1,1,...,1),
 LQ is self-adjoint for the indefinite inner product x'Ly, which has one
 negative square (a Pontryagin space; Gohberg, Lancaster and Rodman,
-*Indefinite Linear Algebra and Applications*, 2005).  Its eigenvectors are
-L-orthogonal, so one ``eig(LQ)`` gives the poles of the dual, their types
-and the derivative g in secular form (``SecularForm``).  After a change of
+*Indefinite Linear Algebra and Applications*, 2005).  The null vectors of
+G at its poles are L-orthogonal, so the poles of ``arrowhead.Arrowhead``,
+with the type ``f'(p)`` and ``v'c = N(p)`` of each null vector, give the
+derivative g in secular form (``SecularForm``).  After a change of
 variable g is convex on each cell between poles, so a cell holds at most
 two roots; a closed-form bound rules most cells out and Newton runs from
 the ends of the rest, nearly linear next to a pole as in Moré and
 Sorensen's trust-region Newton (SIAM J. Sci. Stat. Comput. 4, 1983).
-``secular_form`` returns None where the eigenbasis is ill-conditioned, and
+``secular_form`` returns None where a pole is nearly defective, and
 ``dual.enumerate_kkt`` falls back to its companion eigensolve there.
 """
 
@@ -21,20 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_POLE_TOL
-from .model import ProblemInstance, lorentz_signs
+from .arrowhead import EPS, ZERO_POLE_TOL, Arrowhead
 
 __all__ = ["SecularForm", "secular_form"]
 
-# |v'Lv| of a unit eigenvector v of LQ is the reciprocal of its eigenvalue's
-# condition number.  At or below this bound the pole is defective or nearly
-# so (a light-like null vector), the secular form is not trusted, and the
-# multipliers come from the companion eigensolve instead.
+# |v'Lv| of a unit null vector v of G at a pole (an eigenvector of LQ) is
+# the reciprocal of the pole's condition number.  At or below this bound the
+# pole is defective or nearly so (a light-like null vector), the secular
+# form is not trusted, and the multipliers come from the companion
+# eigensolve instead.
 _TYPE_TOL = 1e-6
-# Real eigenvalues of LQ within this many times the largest |eigenvalue| of
-# each other are one pole.
+# Real poles within this many times the largest |pole| of each other are
+# one pole.
 _CLUSTER_TOL = 1e-9
-EPS = float(np.finfo(float).eps)
 # Every Newton polish of a multiplier (here, in ``dual`` and in ``secular``)
 # stops at a step below TOL_ROOT*min(1+sigma, distance to the nearest pole)
 # or one that stops shrinking; no Newton run takes more than MAX_ITER steps.
@@ -114,49 +114,47 @@ class SecularForm:
             return _real_roots(self.lam, self.beta, int(k[0]), floor, light_like)
 
 
-def secular_form(p: ProblemInstance, w: np.ndarray, V: np.ndarray,
-                 tol: float) -> SecularForm | None:
-    """The secular form from ``eig(LQ)``, or None when its eigenbasis is
-    ill-conditioned (some |eta| <= _TYPE_TOL for unit eigenvectors, or a
-    repeated eigenvalue whose computed eigenvectors are not L-orthogonal)
-    or the types break the one-negative-square structure."""
-    signs = lorentz_signs(p.n)
+def secular_form(arrow: Arrowhead, tol: float) -> SecularForm | None:
+    """The secular form from the poles of the arrowhead, or None when a pole
+    is nearly defective (|eta| <= _TYPE_TOL for a unit null vector) or the
+    types break the one-negative-square structure.
+
+    A root p of the arrowhead's f has the null vector ``v = (1, -d/(nu+p))``
+    (rotated coordinates), with ``eta = v'Lv = f'(p)`` and ``v'c = N(p)``; a
+    decoupled coordinate j has ``v = e_j``, ``eta = 1`` and ``v'c = c_j``.
+    Null vectors of distinct poles are L-orthogonal, and so are those of a
+    root of f and a decoupled pole that coincide, so a repeated pole sums
+    its weights.
+    """
+    roots, eta, vc, vv = arrow.roots, arrow.eta, arrow.vc, arrow.vv
     pair, pair_beta, sizes = 0j, 0j, 0.0
-    lam, Vr = w, V
-    if np.iscomplexobj(w):  # numpy returns real arrays for a real spectrum
-        real = w.imag == 0.0
-        if np.count_nonzero(~real) != 2:
+    if np.iscomplexobj(roots):  # a complex pair; the other roots are real
+        j = int(np.argmin(roots.imag))  # lam = -root has positive imaginary part
+        if abs(eta[j]) <= _TYPE_TOL * vv[j].real:
             return None
-        j = int(np.flatnonzero(w.imag > 0.0)[0])
-        eta_c = complex(signs @ (V[:, j] * V[:, j]))
-        if abs(eta_c) <= _TYPE_TOL:
-            return None
-        vc_c = complex(p.c @ V[:, j])
-        pair, pair_beta = complex(w[j]), vc_c * vc_c / eta_c
+        pair, pair_beta = complex(-roots[j]), complex(vc[j] * vc[j] / eta[j])
         sizes = 2.0 * abs(pair_beta)
-        lam, Vr = w.real[real], V.real[:, real]
-    eta = signs @ (Vr * Vr)
-    if eta.size and float(np.abs(eta).min()) <= _TYPE_TOL:
+        real = roots.imag == 0.0
+        roots, eta, vc, vv = roots[real].real, eta[real].real, vc[real].real, vv[real].real
+    if eta.size and float((np.abs(eta) / vv).min()) <= _TYPE_TOL:
         return None
     if np.count_nonzero(eta < 0.0) != (0 if pair else 1):
         return None
-    vc = p.c @ Vr
-    beta = vc * vc / eta
-    sizes += float(np.abs(beta).sum())
-    ordered = np.sort(lam)
-    gap = _CLUSTER_TOL * float(np.abs(lam).max(initial=0.0))
-    if lam.size > 1 and float((ordered[1:] - ordered[:-1]).min()) <= gap:
+    lam = np.concatenate([-roots, arrow.free_nu])
+    beta = np.concatenate([vc * vc / eta, arrow.free_c ** 2])
+    size = np.abs(beta).tolist()
+    sizes += sum(size)
+    ordered = sorted(lam.tolist())
+    gap = _CLUSTER_TOL * max(map(abs, ordered[:1] + ordered[-1:]), default=0.0)
+    if any(b - a <= gap for a, b in zip(ordered, ordered[1:])):
         order = np.argsort(lam)
-        lam, beta, Vr = lam[order], beta[order], Vr[:, order]
+        lam, beta = lam[order], beta[order]
         first = np.flatnonzero(np.diff(lam, prepend=-np.inf) > gap)
         counts = np.diff(first, append=lam.size)
-        for a, m in zip(first[counts > 1], counts[counts > 1]):
-            M = Vr[:, a:a + m].T @ (signs[:, None] * Vr[:, a:a + m])
-            if float(np.max(np.abs(M - np.diag(np.diag(M))))) > _TYPE_TOL:
-                return None
         lam = np.add.reduceat(lam, first) / counts
         beta = np.add.reduceat(beta, first)
-    vanishes = float(np.abs(beta).sum()) + 2.0 * abs(pair_beta) <= tol * sizes
+        size = np.abs(beta).tolist()
+    vanishes = sum(size) + 2.0 * abs(pair_beta) <= tol * sizes
     keep = beta != 0.0
     return SecularForm(lam[keep], beta[keep], pair, pair_beta, vanishes)
 
@@ -179,6 +177,8 @@ def _descend(F, u: float, inward: float, far: float, sure: bool) -> float:
     for _ in range(MAX_ITER):
         if f <= 8.0 * EPS * size:
             return u
+        if fp == 0.0:  # the minimum of F, above 0
+            return math.nan
         step = -f / fp
         nxt = u + step
         if not (step * inward > 0.0 and (far - nxt) * inward > 0.0):
@@ -217,8 +217,9 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
     lies before the nearest root); from sigma = 0 or sigma = inf, the end
     itself.  Poles down to ``floor`` below sigma = 0 bound the first cell in
     its place.  For a light-like c, sigma = inf (t = 0) is a root: no start
-    is made there, and a root within 1e-12 of t = 0, relative to its start,
-    is that one.
+    is made there, and a root within 1e-12 of t = 0, relative to the cell
+    end its start came from, is that one (the start itself can lie at t = 0
+    when no finite root follows the last pole).
     """
     lk, level = float(lam[k]), float(-beta[k])
     ell = level**-0.5
@@ -235,13 +236,13 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
     # sigma edges (sigma, t, A): psi's pole term is A / (t - t_i)^2; A = 0 at
     # sigma = 0 or inf, and A = None at the pole of k
     poles = -(d + lk)
-    edges = sorted([(s, -1.0 / di, bi / di**2)
+    edges = sorted([(s, -1.0 / di, bi / di / di)
                     for s, di, bi in zip(poles.tolist(), d.tolist(), b.tolist()) if s >= floor]
                    + ([(-lk, math.inf, None)] if -lk >= floor else []))
     if not edges or edges[0][0] > 0.0:
         edges.insert(0, (0.0, 1.0 / lk, 0.0))
     edges.append((math.inf, 0.0, 0.0))
-    starts = []  # (u, inward, far, sure) for ``_descend``
+    starts, ends = [], []  # (u, inward, far, sure) for ``_descend``; the cell end
     for (sa, ta, Aa), (sb, tb, Ab) in zip(edges, edges[1:]):
         # t decreases with sigma: the cell is (t(sb), t(sa)) in t
         lo = -math.inf if Ab is None else tb
@@ -250,11 +251,13 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
             continue
         if Ab is not None and not (sb == math.inf and light_like):
             starts.append((lo + math.sqrt(Ab / level), 1.0, hi, Ab > 0.0))
+            ends.append(lo)
         if Aa is not None:
             starts.append((hi - math.sqrt(Aa / level), -1.0, lo, Aa > 0.0))
+            ends.append(hi)
     t = np.array([_descend(F, *start) for start in starts])
     if light_like:  # the root t = 0 (sigma = inf), reached from the last pole
-        t[np.abs(t) <= 1e-12 * np.abs([start[0] for start in starts])] = np.nan
+        t[np.abs(t) <= 1e-12 * np.abs(ends)] = np.nan
     sigma = 1.0 / t[np.isfinite(t) & (t != 0.0)] - lk
     return sigma[sigma > 0.0]
 
@@ -300,7 +303,7 @@ def _pair_roots(lam: np.ndarray, beta: np.ndarray, lam_c: complex, beta_c: compl
     edges.append((0.0, -1.0 if light_like else 0.0))  # A < 0: no start
     z0 = (0.5 * theta - 0.25 * math.pi) % (0.5 * math.pi)
     zeros = (z0, z0 + 0.5 * math.pi)
-    starts = []  # (u, inward, far, sure) for ``_descend``
+    starts, ends = [], []  # (u, inward, far, sure) for ``_descend``; the cell end
     for (hi, Ahi), (lo, Alo) in zip(edges, edges[1:]):
         if _pole_bound(max(Alo, 0.0), Ahi, hi - lo) > 2.0 * mag:
             continue
@@ -316,9 +319,10 @@ def _pair_roots(lam: np.ndarray, beta: np.ndarray, lam_c: complex, beta_c: compl
                     continue
                 starts.append((end + s * math.sqrt(Ae / (2.0 * mag)), s, other,
                                Ae > 0.0 or not edge))
+                ends.append(end)
     phi = np.array([_descend(F, *start) for start in starts])
     if light_like:  # the root phi = 0 (sigma = inf), reached from the last pole
-        phi[phi <= 1e-12 * np.abs([start[0] for start in starts])] = np.nan
+        phi[phi <= 1e-12 * np.abs(ends)] = np.nan
     phi = phi[np.isfinite(phi) & (phi > 0.0)]
     sigma = gamma / np.tan(phi) - a
     return sigma[sigma > 0.0]

@@ -155,7 +155,7 @@ def solve_problem(
     return SolveReport(
         problem=p,
         solution=solution,
-        critical_points=points,
+        critical_points=list(points),  # a plain list, without the arrowhead
         residuals=residuals,
         oracle=oracle_result,
         warnings=warnings,

@@ -53,6 +53,14 @@ class TestSolveCommand:
         assert code == 4
         assert json.loads(out)["critical_points"] == []
 
+    @pytest.mark.parametrize("Q", ["[[-1e200, 0], [0, 1e200]]", "[[-1e155, 0], [0, -1e155]]"])
+    def test_large_q_exits_without_a_traceback(self, capsys, tmp_path, Q):
+        path = tmp_path / "large.json"
+        path.write_text(f'{{"n": 2, "Q": {Q}, "c": [1, 1]}}')
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 4 and err == ""
+        assert json.loads(out)["solution"] is None
+
     def test_output_file_written_atomically(self, capsys, tmp_path, problem_dir):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(

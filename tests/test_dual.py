@@ -23,8 +23,8 @@ from lorentzqp import (
     recover_primal,
     solve_problem,
 )
+from lorentzqp.arrowhead import Arrowhead
 from lorentzqp.fileio import as_dense, gen_instance
-from lorentzqp.linalg import lq_matrix
 from lorentzqp.model import lorentz_signs
 from conftest import random_orthogonal
 
@@ -467,8 +467,7 @@ def secular_reference_set():
 
 
 def secular_form(p: ProblemInstance):
-    w, V = np.linalg.eig(lq_matrix(p))
-    return pontryagin.secular_form(p, w, V, dual.DEFAULT_TOL_KKT)
+    return pontryagin.secular_form(Arrowhead(p), dual.DEFAULT_TOL_KKT)
 
 
 def light_like(p: ProblemInstance) -> bool:

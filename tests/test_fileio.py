@@ -14,7 +14,43 @@ from lorentzqp.fileio import (
     report_to_jsonable,
     sweep_csv,
 )
+from lorentzqp.fileio import _fmt_float
 from lorentzqp.solver import sweep_table
+
+
+def reference_dumps_json(value, indent: int = 0) -> str:
+    """``dumps_json`` before its float-array path: one recursive call and one
+    ``json.dumps`` per scalar.  The reference for byte equality."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _fmt_float(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [reference_dumps_json(v, indent + 1) for v in value]
+        if all(not isinstance(v, (list, tuple, dict, np.ndarray)) for v in value):
+            return "[" + ", ".join(items) + "]"
+        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {reference_dumps_json(v, indent + 1)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 class TestParse:
@@ -120,3 +156,41 @@ class TestReportSerialization:
         row = text.strip().split("\n")[2].split(",")
         assert row[1] == "" and row[2] == ""
         assert row[4] == "false"
+
+
+class TestDumpsJsonMatchesReference:
+    def reports(self, problem_dir):
+        for path in sorted(problem_dir.glob("*.json")):
+            yield solve_problem(as_dense(parse_problem(path.read_text())))
+        for kind in ("convex", "indefinite", "diagonal", "hardcase"):
+            for n in (2, 3, 5):
+                for seed in range(3):
+                    p = as_dense(gen_instance(kind, n, 60_000 + seed))
+                    yield solve_problem(p, oracle=n <= 3, oracle_resolution=16)
+
+    def test_reports_are_byte_identical(self, problem_dir):
+        oracles = 0
+        for rep in self.reports(problem_dir):
+            obj = report_to_jsonable(rep, "0.1.0")
+            oracles += obj["oracle"] is not None
+            assert dumps_json(obj) == reference_dumps_json(obj)
+            assert dumps_json(obj, 2) == reference_dumps_json(obj, 2)
+        assert oracles > 10
+
+    @pytest.mark.parametrize("value", [
+        np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)), np.array([-0.0, 1e-300, 3.5]),
+        np.arange(6.0).reshape(2, 3), np.float32([0.1, 2.5]), np.arange(8.0).reshape(2, 2, 2),
+        {"k\u00e9y \"q\"": ["a\nb", 1, True, None, 2.5, np.int64(3)]},
+    ])
+    def test_edge_values_are_byte_identical(self, value):
+        assert dumps_json(value, 1) == reference_dumps_json(value, 1)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1.0, np.nan]), np.array([[1.0, 2.0], [np.inf, -np.inf]]),
+    ])
+    def test_non_finite_values_raise_the_same_error(self, bad):
+        with pytest.raises(ValueError) as ref:
+            reference_dumps_json({"x": bad})
+        with pytest.raises(ValueError) as got:
+            dumps_json({"x": bad})
+        assert str(got.value) == str(ref.value)

@@ -99,16 +99,16 @@ def counted_factorize(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
-def test_window_costs_one_factorization(monkeypatch):
-    # three cells below the window: the scan factorized four midpoints
+def test_window_costs_no_factorization(monkeypatch):
+    # three cells below the window: the scan factorized four midpoints; the
+    # arrowhead decides the window from the inertia of its midpoint
     p = coercive(np.random.default_rng(0), 5)
     breaks, _ = dual._cells(p)
     assert len(breaks) >= 5
     seen = counted_factorize(monkeypatch)
     w = pd_interval(p)
     assert w is not None and w.lo == breaks[-2] and w.hi == breaks[-1]
-    assert len(seen) == 1
-    seen.clear()
+    assert seen == []
     # poles 1, 2, 3: the top cell [2, 3] starts above Q[0,0] = 1
     assert pd_interval(ProblemInstance(Q=np.diag([1.0, -2.0, -3.0]), c=[1, 1, 1])) is None
     assert seen == []
@@ -118,13 +118,15 @@ def test_window_costs_one_factorization(monkeypatch):
     (np.eye(2), [0.0, 1.0]),
     (np.diag([2.0, 1.0, 3.0]), [0.0, 1.0, 0.0]),
 ])
-def test_window_fallback_factorizes_the_midpoint_once(monkeypatch, Q, c):
-    # no multiplier inside the window: the hard-case sign g at the midpoint
-    # comes from the factorization that decided the window
+def test_window_fallback_factorizes_no_midpoint(monkeypatch, Q, c):
+    # no multiplier inside the window: the hard-case sign of g at the
+    # midpoint comes from an arrowhead solve there; only the hard case
+    # itself factorizes G, at the pole
     p = ProblemInstance(Q=Q, c=c)
     w = pd_interval(p)
     mid = shifted_hessian(p, 0.5 * (w.lo + w.hi))
     seen = counted_factorize(monkeypatch)
     rep = solve_problem(p)
     assert rep.exit_code == 3
-    assert sum(np.array_equal(G, mid) for G in seen) == 1
+    assert not any(np.array_equal(G, mid) for G in seen)
+    assert all(np.array_equal(G, shifted_hessian(p, w.hi)) for G in seen)

@@ -156,23 +156,25 @@ class TestSolveSelection:
             assert solve_problem(rotated).exit_code == solve_problem(p).exit_code, k
 
     def test_poles_computed_once_per_solve(self, monkeypatch, hardcase_2d, dense_2d, dense_3d):
-        # One eig(LQ) gives the poles, the window's cells and the secular
-        # form of the multipliers: exactly one nonsymmetric eigensolve per
-        # solve, also for the hard case and the window-less dense_3d, which
-        # select without a multiplier in the window.
-        calls = []
-        for name in ("eig", "eigvals"):
-            def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
-                calls.append(args[0])
+        # One eigh of the tail block gives the arrowhead: the poles, the
+        # window's cells, the secular form of the multipliers, and x and the
+        # inertia at every shift.  No nonsymmetric eigensolve, and exactly
+        # one eigh of size n-1 per solve, also for the hard case and the
+        # window-less dense_3d, which select without a multiplier in the
+        # window (the hard case factorizes G, of size n, at its pole).
+        calls = {"eig": [], "eigvals": [], "eigh": []}
+        for name in calls:
+            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name].append(np.shape(args[0])[0])
                 return _solve(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         for p in (hardcase_2d, dense_2d, dense_3d):
-            calls.clear()
-            solve_problem(p)
-            assert len(calls) == 1
-            calls.clear()
-            dual.maximize_dual(p)
-            assert len(calls) == 1
+            for run in (solve_problem, dual.maximize_dual):
+                for seen in calls.values():
+                    seen.clear()
+                run(p)
+                assert calls["eig"] == calls["eigvals"] == []
+                assert calls["eigh"].count(p.n - 1) == 1
 
     def test_oracle_block(self, dense_2d):
         rep = solve_problem(dense_2d, oracle=True, oracle_resolution=64)
@@ -222,6 +224,19 @@ def test_integer_census_solves_to_kkt_points():
             x = rep.solution.x
             assert x[0] >= -NAPPE_TOL * np.abs(x).max(), (Q, c, rep.solution.sigma)
     assert points > 8000
+
+
+@pytest.mark.parametrize("Q, unit", [
+    (np.diag([-1e200, 1e200]), np.diag([-1.0, 1.0])),
+    (-1e155 * np.eye(2), -np.eye(2)),
+])
+def test_large_q_exits_as_its_unit_scale_copy(Q, unit):
+    # the gate read x'Lx in units whose square underflowed (1e-200^2), and
+    # the pole terms of the secular form squared 1e155 on Python floats
+    big = solve_problem(ProblemInstance(Q=Q, c=[1.0, 1.0]))
+    small = solve_problem(ProblemInstance(Q=unit, c=[1.0, 1.0]))
+    assert big.exit_code == small.exit_code == EXIT_NO_SOLUTION
+    assert [cp.sigma for cp in big.critical_points] == [cp.sigma for cp in small.critical_points]
 
 
 def test_tolerances_are_the_two_that_define_a_verdict():
