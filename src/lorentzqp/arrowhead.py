@@ -68,9 +68,6 @@ _OFFSETS = (0.0, 0.382, -0.382, 0.618, -0.618, 1.618, -1.618)
 # be below rounding.
 _LAST_STEP = 1e-9
 _EMPTY = np.zeros(0)
-# Size of the bracket-by-pole matrix of sums up to which ``_pole_sums``
-# works on floats (the brackets of n <= 8).
-_SMALL_SUMS = 48
 # Newton steps on the bracket roots and in each polish of the other two.
 _MAX_STEPS = 100
 
@@ -414,25 +411,9 @@ def _bracket_roots(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.nda
 
 def _pole_sums(base: np.ndarray, d2: np.ndarray, tau: list) -> tuple[list, list]:
     """``sum_j d2_j / delta_kj`` and ``sum_j d2_j / delta_kj^2`` per bracket k,
-    with ``delta_kj = base_kj + tau_k``.  Below _SMALL_SUMS terms in all the
-    sums are formed on floats, where one numpy call costs more than the
-    arithmetic."""
-    if base.size > _SMALL_SUMS:
-        inv = 1.0 / (base + np.array(tau)[:, None])
-        return (inv @ d2).tolist(), ((inv * inv) @ d2).tolist()
-    s1, s2, d2s = [], [], d2.tolist()
-    for row, t in zip(base.tolist(), tau):
-        a = b = 0.0
-        for x, w in zip(row, d2s):
-            r = x + t
-            if r == 0.0:
-                a = b = math.inf
-                break
-            a += w / r
-            b += w / (r * r)
-        s1.append(a)
-        s2.append(b)
-    return s1, s2
+    with ``delta_kj = base_kj + tau_k``."""
+    inv = 1.0 / (base + np.array(tau)[:, None])
+    return (inv @ d2).tolist(), ((inv * inv) @ d2).tolist()
 
 
 def _deflated(alpha: float, nus: list, d2s: list, inner: list, s: float) -> tuple | None:

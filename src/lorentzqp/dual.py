@@ -132,7 +132,7 @@ class CriticalPoint:
 
 class _KKTPoints(list):
     """The points ``enumerate_kkt`` returns, with the arrowhead and the pole
-    cells (see ``_cells``) they were enumerated from, so that the selection
+    cells (see ``_pole_cells``) they were enumerated from, so that the selection
     from them does not compute the poles a second time."""
 
     def __init__(self, points, arrow: Arrowhead, cells: tuple[list[float], bool]):
@@ -183,14 +183,9 @@ def _g_and_slope(p: ProblemInstance, sigma: float) -> tuple[np.ndarray, float, f
 # positive-definite window
 
 
-def _cells(p: ProblemInstance) -> tuple[list[float], bool]:
-    """Left ends [0, p1, p2, ...] of the cells between merged poles, and
-    whether 0 is itself a pole."""
-    return _pole_cells(Arrowhead(p).poles)
-
-
 def _pole_cells(sigmas: list[float]) -> tuple[list[float], bool]:
-    """``_cells`` from the sorted singular shifts."""
+    """Left ends [0, p1, p2, ...] of the cells between the sorted singular
+    shifts ``sigmas``, merged, and whether 0 is itself a pole."""
     poles: list[float] = []
     for s in sigmas:
         if not poles or s - poles[-1] > 1e-9 * (1.0 + s):
@@ -223,7 +218,7 @@ def pd_interval(p: ProblemInstance) -> DualInterval | None:
 
 def _pd_window(p: ProblemInstance, arrow: Arrowhead, breaks: list[float],
                zero_singular: bool) -> tuple[DualInterval, float] | None:
-    """``pd_interval`` from pole cells already computed by ``_cells``, with
+    """``pd_interval`` from pole cells already computed by ``_pole_cells``, with
     the window's midpoint, where the window was decided."""
     if len(breaks) < 2 or breaks[-2] >= float(p.Q[0, 0]):
         return None
@@ -243,20 +238,12 @@ def _pd_window(p: ProblemInstance, arrow: Arrowhead, breaks: list[float],
 def build_critical_point(
     p: ProblemInstance,
     sigma: float,
-    tol_eig: float = DEFAULT_TOL_EIG,
+    x: np.ndarray,
+    inertia: tuple[int, int, int],
     certificate: str | None = None,
-    x: np.ndarray | None = None,
-    inertia: tuple[int, int, int] | None = None,
 ) -> CriticalPoint:
-    """Complete a dual candidate sigma into a classified CriticalPoint.
-
-    ``enumerate_kkt`` passes x and the inertia of G(sigma) from the
-    arrowhead; without ``inertia``, G(sigma) is factorized for both."""
-    if inertia is None:
-        f = factorize(shifted_hessian(p, sigma), tol_eig)
-        inertia = f.inertia
-        if x is None:
-            x = solve_linear(f, p.c)
+    """Complete a dual candidate sigma, with its recovered point x and the
+    inertia of G(sigma), into a classified CriticalPoint."""
     nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.max(np.abs(x))))
     if certificate is None:
         certificate = CERT_GLOBAL if (inertia[0] == p.n and nappe_ok) else CERT_KKT
@@ -525,8 +512,7 @@ def enumerate_kkt(
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
-        point = build_critical_point(p, sigma0, tol_eig, x=np.zeros(p.n),
-                                     inertia=arrow.inertia(sigma0, tol_eig))
+        point = build_critical_point(p, sigma0, np.zeros(p.n), arrow.inertia(sigma0, tol_eig))
         return _KKTPoints([point], arrow, cells)
 
     form = secular_form(arrow, tol)
@@ -545,7 +531,7 @@ def enumerate_kkt(
         candidates = [(s, x) for s, x in polished
                       if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
     if not zero_singular:
-        # A defective pole at 0 escapes ``_cells`` when round-off splits it
+        # A defective pole at 0 escapes ``_pole_cells`` when round-off splits it
         # into a pair of shifts around 0; then Q is singular and sigma = 0 is
         # no candidate, as the inertia filter below decides.
         x = arrow.x(0.0)
@@ -561,7 +547,7 @@ def enumerate_kkt(
         inertia = arrow.inertia(sigma, tol_eig)
         if inertia[1] == 0:  # within tol_eig of a pole: no point to recover
             points.append(build_critical_point(
-                p, sigma, tol_eig, x=arrow.x(sigma) if x is None else x, inertia=inertia))
+                p, sigma, arrow.x(sigma) if x is None else x, inertia))
     return _KKTPoints(points, arrow, cells)
 
 
@@ -640,5 +626,5 @@ def hard_case_solve(
         )
     t = min(admissible, key=abs)
     x = x_p + t * v
-    return build_critical_point(p, sigma_sing, tol_eig, certificate=CERT_HARD, x=x,
-                                inertia=f.with_tol(tol_eig).inertia)
+    return build_critical_point(p, sigma_sing, x, f.with_tol(tol_eig).inertia,
+                                certificate=CERT_HARD)

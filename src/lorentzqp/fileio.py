@@ -85,26 +85,22 @@ def dumps_json(value, indent: int = 0) -> str:
     ASCII strings escaped as ``json.dumps`` escapes them.  Float arrays of
     one or two dimensions, which hold nearly every number of a report, are
     checked for finiteness once and formatted row by row."""
-    if type(value) is float:
+    if isinstance(value, (float, np.floating)):
         return _fmt_float(value)
-    if type(value) is str:
+    if isinstance(value, str):
         return _encode_str(value)
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim in (1, 2):
-        return _float_array(value, indent)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if value is None:
         return "null"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, str):
-        return _encode_str(value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim in (1, 2):
+            return _float_array(value, indent)
         value = value.tolist()
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

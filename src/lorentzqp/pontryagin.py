@@ -217,9 +217,8 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
     lies before the nearest root); from sigma = 0 or sigma = inf, the end
     itself.  Poles down to ``floor`` below sigma = 0 bound the first cell in
     its place.  For a light-like c, sigma = inf (t = 0) is a root: no start
-    is made there, and a root within 1e-12 of t = 0, relative to the cell
-    end its start came from, is that one (the start itself can lie at t = 0
-    when no finite root follows the last pole).
+    is made there, and a root of the last cell that F cannot tell from it
+    is dropped (``_drop_infinity_images``).
     """
     lk, level = float(lam[k]), float(-beta[k])
     ell = level**-0.5
@@ -242,7 +241,7 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
     if not edges or edges[0][0] > 0.0:
         edges.insert(0, (0.0, 1.0 / lk, 0.0))
     edges.append((math.inf, 0.0, 0.0))
-    starts, ends = [], []  # (u, inward, far, sure) for ``_descend``; the cell end
+    starts, last = [], []  # (u, inward, far, sure) for ``_descend``; in the last cell
     for (sa, ta, Aa), (sb, tb, Ab) in zip(edges, edges[1:]):
         # t decreases with sigma: the cell is (t(sb), t(sa)) in t
         lo = -math.inf if Ab is None else tb
@@ -251,15 +250,33 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
             continue
         if Ab is not None and not (sb == math.inf and light_like):
             starts.append((lo + math.sqrt(Ab / level), 1.0, hi, Ab > 0.0))
-            ends.append(lo)
+            last.append(sb == math.inf)
         if Aa is not None:
             starts.append((hi - math.sqrt(Aa / level), -1.0, lo, Aa > 0.0))
-            ends.append(hi)
+            last.append(sb == math.inf)
     t = np.array([_descend(F, *start) for start in starts])
-    if light_like:  # the root t = 0 (sigma = inf), reached from the last pole
-        t[np.abs(t) <= 1e-12 * np.abs(ends)] = np.nan
+    if light_like:
+        _drop_infinity_images(F, t, last)
     sigma = 1.0 / t[np.isfinite(t) & (t != 0.0)] - lk
     return sigma[sigma > 0.0]
+
+
+def _drop_infinity_images(F, u: np.ndarray, last: list[bool]):
+    """Set to nan, in place, each root u of the last cell that F cannot
+    tell from the root u = 0 (sigma = inf) of a light-like c: F at u/2 is
+    within 8 eps times its size of 0, as _descend reads a root.
+
+    No pole lies between 0 and such a root, and F vanishes at both ends.
+    Where g vanishes at infinity to second order, rounding of the weights
+    splits that double root into u = 0 and a root of order sqrt(eps), whose
+    recovered point passes every KKT test within tolerance; F at u/2 then
+    stays at rounding, where a genuine root shows a dip above it.
+    """
+    for i in np.flatnonzero(last):
+        if math.isfinite(u[i]):
+            f, _, size = F(0.5 * float(u[i]))
+            if abs(f) <= 8.0 * EPS * size:
+                u[i] = math.nan
 
 
 def _pair_roots(lam: np.ndarray, beta: np.ndarray, lam_c: complex, beta_c: complex,
@@ -303,7 +320,7 @@ def _pair_roots(lam: np.ndarray, beta: np.ndarray, lam_c: complex, beta_c: compl
     edges.append((0.0, -1.0 if light_like else 0.0))  # A < 0: no start
     z0 = (0.5 * theta - 0.25 * math.pi) % (0.5 * math.pi)
     zeros = (z0, z0 + 0.5 * math.pi)
-    starts, ends = [], []  # (u, inward, far, sure) for ``_descend``; the cell end
+    starts, last = [], []  # (u, inward, far, sure) for ``_descend``; in the last cell
     for (hi, Ahi), (lo, Alo) in zip(edges, edges[1:]):
         if _pole_bound(max(Alo, 0.0), Ahi, hi - lo) > 2.0 * mag:
             continue
@@ -319,10 +336,10 @@ def _pair_roots(lam: np.ndarray, beta: np.ndarray, lam_c: complex, beta_c: compl
                     continue
                 starts.append((end + s * math.sqrt(Ae / (2.0 * mag)), s, other,
                                Ae > 0.0 or not edge))
-                ends.append(end)
+                last.append(lo == 0.0)
     phi = np.array([_descend(F, *start) for start in starts])
-    if light_like:  # the root phi = 0 (sigma = inf), reached from the last pole
-        phi[phi <= 1e-12 * np.abs(ends)] = np.nan
+    if light_like:
+        _drop_infinity_images(F, phi, last)
     phi = phi[np.isfinite(phi) & (phi > 0.0)]
     sigma = gamma / np.tan(phi) - a
     return sigma[sigma > 0.0]

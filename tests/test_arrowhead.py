@@ -171,6 +171,26 @@ def test_small_coupling_keeps_the_weights_next_to_a_pole(monkeypatch):
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("Q, c", [
+    ([[1, 1, -1], [1, 1, 0], [-1, 0, -1]], [1, 1, 0]),
+    ([[1, 1, -1], [1, 1, 0], [-1, 0, 1]], [1, 1, 0]),
+    ([[1, 1, 1], [1, 1, 0], [1, 0, -1]], [1, 1, 0]),
+    ([[1, 1, 1], [1, 1, 0], [1, 0, 1]], [1, 1, 0]),
+    ([[0, 1, 2], [1, -4, -2], [2, -2, -4]], [1, 0, -1]),
+    ([[2, 2, -2], [2, 0, -1], [-2, -1, 2]], [1, 0, -1]),
+    ([[0, 1, 2], [1, 4, 1], [2, 1, -4]], [1, 0, -1]),
+    ([[-4, -1, -3, 0, -4], [-1, 4, 2, -1, 1], [-3, 2, 4, -2, 3], [0, -1, -2, 4, -4],
+      [-4, 1, 3, -4, -4]], [1, 0, 0, 1, 0]),
+])
+def test_light_like_c_lists_no_image_of_the_root_at_infinity(Q, c):
+    # c'Lc = 0 and g vanishes at sigma = inf to second order, so rounding of
+    # the weights splits that double root and puts a finite root of order
+    # 1/sqrt(eps); g has none (it stays positive beyond sigma = 1e6 in
+    # 60-digit arithmetic), yet its near-vertex point passes the KKT gate
+    p = ProblemInstance(Q=np.array(Q, dtype=float), c=np.array(c, dtype=float))
+    assert [cp.sigma for cp in dual.enumerate_kkt(p) if cp.sigma > 1e6] == []
+
+
 def repeated_entry_instances():
     """Diagonal entries from {-2, -1, 0.5, 1, 2}, every second instance with
     a random tail rotation: repeated eigenvalues of L Q throughout."""

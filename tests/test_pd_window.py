@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lorentzqp import DualInterval, ProblemInstance, dual, pd_interval, solve_problem
+from lorentzqp.arrowhead import Arrowhead
 from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.linalg import factorize
 from lorentzqp.model import lorentz_signs, shifted_hessian
@@ -20,7 +21,7 @@ from lorentzqp.model import lorentz_signs, shifted_hessian
 
 def scan_window(p: ProblemInstance) -> DualInterval | None:
     """Every pole cell's midpoint, from sigma = 0 up to Q[0,0]."""
-    breaks, zero_singular = dual._cells(p)
+    breaks, zero_singular = dual._pole_cells(Arrowhead(p).poles)
     cap = float(p.Q[0, 0])
     if cap <= 0.0:
         return None
@@ -103,7 +104,7 @@ def test_window_costs_no_factorization(monkeypatch):
     # three cells below the window: the scan factorized four midpoints; the
     # arrowhead decides the window from the inertia of its midpoint
     p = coercive(np.random.default_rng(0), 5)
-    breaks, _ = dual._cells(p)
+    breaks, _ = dual._pole_cells(Arrowhead(p).poles)
     assert len(breaks) >= 5
     seen = counted_factorize(monkeypatch)
     w = pd_interval(p)
