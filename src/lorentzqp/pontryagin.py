@@ -269,8 +269,9 @@ def _drop_infinity_images(F, u: np.ndarray, last: list[bool]):
     No pole lies between 0 and such a root, and F vanishes at both ends.
     Where g vanishes at infinity to second order, rounding of the weights
     splits that double root into u = 0 and a root of order sqrt(eps), whose
-    recovered point passes every KKT test within tolerance; F at u/2 then
-    stays at rounding, where a genuine root shows a dip above it.
+    recovered point passes every KKT test within tolerance.  F at u/2 then
+    stays within rounding of 0, while between u = 0 and a genuine root F
+    moves further from it.
     """
     for i in np.flatnonzero(last):
         if math.isfinite(u[i]):
