@@ -70,6 +70,11 @@ _LAST_STEP = 1e-9
 _EMPTY = np.zeros(0)
 # Newton steps on the bracket roots and in each polish of the other two.
 _MAX_STEPS = 100
+# The floating-point error state of each public evaluation, entered once per
+# call as ``np.errstate(**_QUIET)`` (numpy 2 error states cannot be
+# re-entered, so each ``with`` makes its own): at an exact pole the private
+# helpers divide by zero, and the non-finite result says so.
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
 class Arrowhead:
@@ -102,14 +107,14 @@ class Arrowhead:
         self.coupled = d != 0.0
         self.nu, self.d, self.ct, self.U = nu, d, ct, U
         self.free_nu = self.free_c = _EMPTY
-        if np.count_nonzero(self.coupled) == d.size:
+        if self.coupled.all():
             self._k = None  # every tail coordinate coupled
             self._nuc, self._dc, ctc = nu, d, ct
         else:
             # c along a decoupled coordinate is 0 to rounding too: its pole
             # then carries no weight, as for c orthogonal to its null vector
             ct[~self.coupled & (np.abs(ct) <= DEFLATION * EPS * float(np.abs(c).max()))] = 0.0
-            k = self._k = np.flatnonzero(self.coupled)
+            k = self._k = self.coupled.nonzero()[0]
             self._nuc, self._dc, ctc = nu[k], d[k], ct[k]
             self.free_nu, self.free_c = nu[~self.coupled], ct[~self.coupled]
         self._d2c = self._dc * self._dc
@@ -120,16 +125,16 @@ class Arrowhead:
         self._offdiag = absQ.sum(axis=1) - np.abs(self._diag)
         self._signs = lorentz_signs(p.n)
         self._scale = 1.0 + float(absQ.max())
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(**_QUIET):
             self._roots(ctc)
-        self.poles = self._poles()
+            self.poles = self._poles()
 
     # -- per-shift quantities ------------------------------------------------
 
     def f(self, sigma: float, shift=0.0):
         """The Schur complement f of G(sigma) - shift*I, for one shift or an
         array of them."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET):
             t = (1.0 / (self._nuc + np.subtract(sigma, shift)[..., None])) @ self._d2c
         return self.alpha - sigma - shift - t
 
@@ -147,13 +152,12 @@ class Arrowhead:
         delta = self.nu + sigma
         if not self._d2c.size:
             return delta, None, None, self.alpha - sigma, None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self._k is None:
-                j = int(np.abs(delta).argmin())
-            else:
-                j = int(self._k[np.abs(delta[self._k]).argmin()])
-            r = self.d / delta
-            r[j] = 0.0
+        if self._k is None:
+            j = int(np.abs(delta).argmin())
+        else:
+            j = int(self._k[np.abs(delta[self._k]).argmin()])
+        r = self.d / delta
+        r[j] = 0.0
         a = self.alpha - sigma - float(r @ self.d)
         dj = float(self.d[j])
         return delta, j, r, a, dj * dj - a * float(delta[j])
@@ -162,44 +166,45 @@ class Arrowhead:
         """G(sigma) (x0, xt) = (b0, bt) in rotated coordinates, for the
         elimination ``piv = self._pivot(sigma)``."""
         delta, j, r, a, D = piv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if j is None:
-                return float(np.float64(b0) / a), bt / delta
-            b = b0 - float(r @ bt)
-            dj, ej, bj = float(self.d[j]), float(delta[j]), float(bt[j])
-            x0 = float(np.float64(bj * dj - ej * b) / D)
-            xt = (bt - self.d * x0) / delta
-            xt[j] = np.float64(b * dj - a * bj) / D
+        if j is None:
+            return float(np.float64(b0) / a), bt / delta
+        b = b0 - float(r @ bt)
+        dj, ej, bj = float(self.d[j]), float(delta[j]), float(bt[j])
+        x0 = float(np.float64(bj * dj - ej * b) / D)
+        xt = (bt - self.d * x0) / delta
+        xt[j] = np.float64(b * dj - a * bj) / D
         return x0, xt
 
     def _rotate_back(self, x0: float, xt: np.ndarray) -> np.ndarray:
         x = np.empty(self.n)
         x[0] = x0
-        with np.errstate(invalid="ignore"):
-            x[1:] = self.U @ xt
+        x[1:] = self.U @ xt
         return x
 
     def x(self, sigma: float) -> np.ndarray:
         """x(sigma) = G(sigma)^{-1} c; non-finite at an exact pole."""
-        return self._rotate_back(*self._solve(self._pivot(sigma), self.c0, self.ct))
+        with np.errstate(**_QUIET):
+            return self._rotate_back(*self._solve(self._pivot(sigma), self.c0, self.ct))
 
     def g(self, sigma: float) -> float:
         """The dual derivative g(sigma) = x'Lx / 2 at x = x(sigma)."""
-        x0, xt = self._solve(self._pivot(sigma), self.c0, self.ct)
+        with np.errstate(**_QUIET):
+            x0, xt = self._solve(self._pivot(sigma), self.c0, self.ct)
         return 0.5 * (float(xt @ xt) - x0 * x0)
 
     def newton_point(self, sigma: float) -> np.ndarray:
         """x(sigma) advanced to first order by the Newton step on g,
         ``x + (g/g') y`` with ``y = G^{-1} L x = -dx/dsigma`` and
         ``g' = -(Lx)'y``; x itself where g' = 0."""
-        piv = self._pivot(sigma)
-        x0, xt = self._solve(piv, self.c0, self.ct)
-        y0, yt = self._solve(piv, -x0, xt)
-        g = 0.5 * (float(xt @ xt) - x0 * x0)
-        gp = x0 * y0 - float(xt @ yt)
-        if gp != 0.0:
-            x0, xt = x0 + (g / gp) * y0, xt + (g / gp) * yt
-        return self._rotate_back(x0, xt)
+        with np.errstate(**_QUIET):
+            piv = self._pivot(sigma)
+            x0, xt = self._solve(piv, self.c0, self.ct)
+            y0, yt = self._solve(piv, -x0, xt)
+            g = 0.5 * (float(xt @ xt) - x0 * x0)
+            gp = x0 * y0 - float(xt @ yt)
+            if gp != 0.0:
+                x0, xt = x0 + (g / gp) * y0, xt + (g / gp) * yt
+            return self._rotate_back(x0, xt)
 
     def inertia(self, sigma: float, tol_eig: float = DEFAULT_TOL_EIG) -> tuple[int, int, int]:
         """(n_pos, n_zero, n_neg) of G(sigma) under the zero band
@@ -208,13 +213,17 @@ class Arrowhead:
         G - t*I is again an arrowhead, so the number of eigenvalues of G
         below t is the number of nu_i + sigma below t plus one if
         f(sigma, t) < 0 (Haynsworth inertia additivity); at t = -band and
-        t = +band this places every eigenvalue against the band.
+        t = +band this places every eigenvalue against the band, which is
+        closed as in ``factorize``: an eigenvalue at -band or +band is zero.
+        nu is ascending, so the nu_i + sigma below -band and up to +band are
+        counted by ``searchsorted``; a NaN bound (sigma NaN) counts none.
         """
         norm = max((self._offdiag + np.abs(self._diag + sigma * self._signs)).tolist())
         band = tol_eig * max(1.0, norm)
         f_neg, f_pos = self.f(sigma, np.array([-band, band])).tolist()
-        neg = int(np.count_nonzero(self.nu < -band - sigma)) + (f_neg < 0.0)
-        nonpos = int(np.count_nonzero(self.nu < band - sigma)) + (f_pos < 0.0)
+        lo, hi = -band - sigma, band - sigma
+        neg = (int(self.nu.searchsorted(lo)) if lo == lo else 0) + (f_neg < 0.0)
+        nonpos = (int(self.nu.searchsorted(hi, "right")) if hi == hi else 0) + (f_pos <= 0.0)
         return self.n - nonpos, nonpos - neg, neg
 
     # -- poles -----------------------------------------------------------------
@@ -244,7 +253,7 @@ class Arrowhead:
         t = inv * inv
         self.eta = t @ d2 - 1.0
         self.vc = self.c0 - inv @ (d * ct)
-        self.vv = np.abs(t) @ d2 + 1.0 if np.iscomplexobj(delta) else self.eta + 2.0
+        self.vv = np.abs(t) @ d2 + 1.0 if delta.dtype.kind == "c" else self.eta + 2.0
 
     def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray) -> tuple:
         """The two roots of f beyond the bracket roots ``inner``, as a real
@@ -329,10 +338,10 @@ def _deflate_repeated(nu, d, ct, U, tol):
         if i - start > 1:
             run = slice(start, i)
             v = d[run].copy()
-            norm = float(np.linalg.norm(v))
+            norm = math.sqrt(float(v @ v))
             if norm > 0.0:
                 v[0] += math.copysign(norm, v[0])
-                v /= float(np.linalg.norm(v))
+                v /= math.sqrt(float(v @ v))
                 d[run] -= 2.0 * v * float(v @ d[run])
                 ct[run] -= 2.0 * v * float(v @ ct[run])
                 U[:, run] -= 2.0 * np.outer(U[:, run] @ v, v)

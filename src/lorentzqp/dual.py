@@ -244,7 +244,7 @@ def build_critical_point(
 ) -> CriticalPoint:
     """Complete a dual candidate sigma, with its recovered point x and the
     inertia of G(sigma), into a classified CriticalPoint."""
-    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.max(np.abs(x))))
+    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.abs(x).max()))
     if certificate is None:
         certificate = CERT_GLOBAL if (inertia[0] == p.n and nappe_ok) else CERT_KKT
     return CriticalPoint(
@@ -330,9 +330,9 @@ def _pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
     scaled to unit max-norm and c to unit length, which makes s0 scale-free.
     """
     n, m = p.n, p.n - 1
-    scale = float(np.max(np.abs(p.Q))) or 1.0
+    scale = float(np.abs(p.Q).max()) or 1.0
     Q = p.Q / scale
-    u = p.c / float(np.linalg.norm(p.c))
+    u = p.c / math.sqrt(float(p.c @ p.c))
     signs = lorentz_signs(n)
     v = u.copy()
     v[0] += 1.0 if u[0] >= 0.0 else -1.0
@@ -349,7 +349,7 @@ def _pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
             X = np.linalg.solve(K0, np.hstack([K2, K1]))
         except np.linalg.LinAlgError:
             continue
-        size = float(np.max(np.abs(X)))
+        size = float(np.abs(X).max())
         if size < best[0]:
             best = (size, s0, X)
         if size <= SHIFT_LIMIT:
@@ -411,11 +411,12 @@ def _polish(p: ProblemInstance, sigma: float, pole: float,
     return best_s, best_x
 
 
-def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float) -> bool:
+def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float,
+                   units: tuple[float, float]) -> bool:
     """KKT gate for a candidate (sigma, x): the relative test
     |x'Lx| <= tol*||x||^2, and every KKT residual of the problem scaled to
-    max|Q| = ||c|| = 1 within tol, counting the round-off bound eps*||x||^2
-    of x'Lx.
+    max|Q| = ||c|| = 1 (``units`` = (max|Q| or 1, ||c||), computed once per
+    problem) within tol, counting the round-off bound eps*||x||^2 of x'Lx.
 
     Next to a defective pole (a light-like null vector) ||x|| outgrows x'Lx,
     so the relative gap tends to 0 where g does not vanish; the scaled
@@ -423,9 +424,8 @@ def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float) 
     where x'Lx cancels to below its own error.  At sigma = 0 complementarity
     holds identically and only x'Lx <= 0 (within the same bounds) is asked.
     """
-    s_unit = float(np.max(np.abs(p.Q))) or 1.0
-    c_norm = float(np.linalg.norm(p.c))
-    stationarity = float(np.max(np.abs(shifted_hessian(p, sigma) @ x - p.c))) / c_norm
+    s_unit, c_norm = units
+    stationarity = float(np.abs(shifted_hessian(p, sigma) @ x - p.c).max()) / c_norm
     # the gate reads x in units of its natural size c_norm / s_unit, so that
     # no square of that unit is formed (it under- or overflows for large Q)
     x = x * (s_unit / c_norm)
@@ -475,7 +475,7 @@ def _recovered(arrow: Arrowhead, sigma: float) -> np.ndarray | None:
     ``_polish`` returns it, from two arrowhead solves (None if G(sigma) is
     exactly singular)."""
     x = arrow.newton_point(sigma)
-    return x if np.all(np.isfinite(x)) else None
+    return x if np.isfinite(x).all() else None
 
 
 def enumerate_kkt(
@@ -508,34 +508,36 @@ def enumerate_kkt(
     arrow = Arrowhead(p)
     cells = _pole_cells(arrow.poles)
     breaks, zero_singular = cells
-    if float(np.max(np.abs(p.c))) == 0.0:
+    if float(np.abs(p.c).max()) == 0.0:
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
         point = build_critical_point(p, sigma0, np.zeros(p.n), arrow.inertia(sigma0, tol_eig))
         return _KKTPoints([point], arrow, cells)
 
+    c_norm = math.sqrt(float(p.c @ p.c))
+    units = (float(np.abs(p.Q).max()) or 1.0, c_norm)
     form = secular_form(arrow, tol)
     if form.vanishes if form is not None else _vanishes_at_probes(p, breaks[-1], tol):
         candidates = [(s, None) for s in _family_representatives(breaks, zero_singular)]
     elif form is not None:
-        u = p.c / float(np.linalg.norm(p.c))
+        u = p.c / c_norm
         sigmas = [form.polish(float(s)) for s in form.roots(abs(cone_quadratic(u)) <= p.n * EPS)]
         recovered = [(s, _recovered(arrow, s)) for s in sigmas]
         candidates = [(s, x) for s, x in recovered
-                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
+                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol, units)]
     else:
         poles = breaks if zero_singular else breaks[1:]
         starts = {st for s in _pencil_eigenvalues(p) for st in _starts(float(s), poles)}
         polished = [_polish(p, start, pole, poles) for start, pole in starts]
         candidates = [(s, x) for s, x in polished
-                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol)]
+                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol, units)]
     if not zero_singular:
         # A defective pole at 0 escapes ``_pole_cells`` when round-off splits it
         # into a pair of shifts around 0; then Q is singular and sigma = 0 is
         # no candidate, as the inertia filter below decides.
         x = arrow.x(0.0)
-        if np.all(np.isfinite(x)) and _is_multiplier(p, x, 0.0, tol):
+        if np.isfinite(x).all() and _is_multiplier(p, x, 0.0, tol, units):
             candidates.append((0.0, x))
 
     # Each point reports the x that passed the gate, so its KKT residuals
@@ -570,7 +572,8 @@ def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
             f"G(sigma) is not singular at sigma={sigma_sing!r} (no null space found)"
         )
     U0, U1 = f.U[:, f.null], f.U[:, ~f.null]
-    if float(np.linalg.norm(U0.T @ p.c)) > tol * (1.0 + float(np.linalg.norm(p.c))):
+    c0 = U0.T @ p.c
+    if math.sqrt(float(c0 @ c0)) > tol * (1.0 + math.sqrt(float(p.c @ p.c))):
         raise HardCaseError(
             "c has a component in the null space of G(sigma); the dual supremum "
             "is not attained"
@@ -595,8 +598,9 @@ def hard_case_solve(
 
     # Deterministic null direction: maximize the first component.
     first_row = U0[0, :]
-    if float(np.linalg.norm(first_row)) > 1e-12:
-        v = U0 @ (first_row / np.linalg.norm(first_row))
+    norm = math.sqrt(float(first_row @ first_row))
+    if norm > 1e-12:
+        v = U0 @ (first_row / norm)
     else:
         v = U0[:, 0]
 
@@ -618,7 +622,7 @@ def hard_case_solve(
             candidates.extend([(-lin_b - r) / quad_a, (-lin_b + r) / quad_a])
 
     admissible = [t for t in candidates if math.isfinite(t)
-                  and x_p[0] + t * v[0] >= -NAPPE_TOL * float(np.max(np.abs(x_p + t * v)))]
+                  and x_p[0] + t * v[0] >= -NAPPE_TOL * float(np.abs(x_p + t * v).max())]
     if not admissible:
         raise HardCaseError(
             "no boundary point with x[0] >= 0 along the null direction; the dual "

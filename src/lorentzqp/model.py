@@ -11,6 +11,7 @@ that the dual machinery works with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,10 +29,15 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 
 
+@lru_cache(maxsize=64)
 def lorentz_signs(n: int) -> np.ndarray:
-    """Diagonal of the cone signature matrix: (-1, 1, ..., 1). Never stored densely."""
+    """Diagonal of the cone signature matrix: (-1, 1, ..., 1). Never stored densely.
+
+    One read-only array per n, shared by every caller: copy it to modify it.
+    """
     s = np.ones(n)
     s[0] = -1.0
+    s.setflags(write=False)
     return s
 
 
@@ -64,10 +70,10 @@ class ProblemInstance:
             raise ValueError("dimension must be at least 2 (cone needs a tail block)")
         if c.shape != (n,):
             raise ValueError(f"c must have length {n}, got shape {c.shape}")
-        if not np.all(np.isfinite(Q)) or not np.all(np.isfinite(c)):
+        if not np.isfinite(Q).all() or not np.isfinite(c).all():
             raise ValueError("Q and c must be finite")
-        scale = max(1.0, float(np.max(np.abs(Q))))
-        if float(np.max(np.abs(Q - Q.T))) > SYMMETRY_RTOL * scale:
+        scale = max(1.0, float(np.abs(Q).max()))
+        if float(np.abs(Q - Q.T).max()) > SYMMETRY_RTOL * scale:
             raise ValueError("Q is not symmetric (relative asymmetry above 1e-12)")
         object.__setattr__(self, "Q", _frozen(0.5 * (Q + Q.T)))
         object.__setattr__(self, "c", _frozen(c))
@@ -105,8 +111,7 @@ def is_feasible(x, tol: float = 0.0) -> tuple[bool, float]:
 def shifted_hessian(p: ProblemInstance, sigma: float) -> np.ndarray:
     """Q shifted by sigma along the cone signature: subtracts sigma at (0,0), adds it elsewhere on the diagonal."""
     G = p.Q.copy()
-    d = np.arange(p.n)
-    G[d, d] += sigma * lorentz_signs(p.n)
+    G.flat[::p.n + 1] += sigma * lorentz_signs(p.n)
     return G
 
 

@@ -108,7 +108,7 @@ class SecularForm:
                     return np.zeros(0)  # g > 0
                 return _pair_roots(self.lam, self.beta, self.pair, self.pair_beta,
                                    floor, light_like)
-            k = np.flatnonzero(self.beta < 0.0)
+            k = (self.beta < 0.0).nonzero()[0]
             if k.size == 0:
                 return np.zeros(0)  # g > 0
             return _real_roots(self.lam, self.beta, int(k[0]), floor, light_like)
@@ -128,8 +128,8 @@ def secular_form(arrow: Arrowhead, tol: float) -> SecularForm | None:
     """
     roots, eta, vc, vv = arrow.roots, arrow.eta, arrow.vc, arrow.vv
     pair, pair_beta, sizes = 0j, 0j, 0.0
-    if np.iscomplexobj(roots):  # a complex pair; the other roots are real
-        j = int(np.argmin(roots.imag))  # lam = -root has positive imaginary part
+    if roots.dtype.kind == "c":  # a complex pair; the other roots are real
+        j = int(roots.imag.argmin())  # lam = -root has positive imaginary part
         if abs(eta[j]) <= _TYPE_TOL * vv[j].real:
             return None
         pair, pair_beta = complex(-roots[j]), complex(vc[j] * vc[j] / eta[j])
@@ -222,8 +222,8 @@ def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
     """
     lk, level = float(lam[k]), float(-beta[k])
     ell = level**-0.5
-    d = np.delete(lam, k) - lk
-    b = np.delete(beta, k)
+    d = np.concatenate((lam[:k], lam[k + 1:])) - lk
+    b = np.concatenate((beta[:k], beta[k + 1:]))
     bd = b * d
 
     def F(u):  # |beta_k|^(-1/2) - psi^(-1/2)

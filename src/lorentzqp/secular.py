@@ -27,7 +27,7 @@ from .dual import (
     CriticalPoint,
 )
 from .linalg import DEFAULT_TOL_EIG
-from .model import ProblemInstance
+from .model import ProblemInstance, lorentz_signs
 from .pontryagin import MAX_ITER, TOL_ROOT
 
 __all__ = [
@@ -110,7 +110,7 @@ def _slope(d: DiagonalInstance, sigma: float) -> float:
 def _poles(d: DiagonalInstance) -> list[float]:
     """Nonnegative singular shifts of diag(q) + sigma*diag(-1,1,...,1), merged."""
     raw = np.concatenate(([d.q[0]], -d.q[1:]))
-    scale = 1.0 + float(np.max(np.abs(d.q)))
+    scale = 1.0 + float(np.abs(d.q).max())
     raw = raw[raw >= -1e-9 * scale]
     merged: list[float] = []
     for s in sorted(float(max(v, 0.0)) for v in raw):
@@ -120,32 +120,40 @@ def _poles(d: DiagonalInstance) -> list[float]:
     return merged
 
 
-def _numerator(d: DiagonalInstance) -> np.ndarray:
-    """Coefficients, highest first, of 2*g(sigma) * prod_i (q_i + s_i*sigma)^2.
+def _numerator(d: DiagonalInstance) -> tuple[np.ndarray, float]:
+    """Coefficients, highest first, of 2*g * prod_i (q_i + s_i*sigma)^2 as a
+    polynomial in sigma / scale, and that scale, max|q| (1 for q = 0).
 
     Only components with c_i != 0 contribute a pole, so the degree is at
-    most 2(m-1) for m such components; c is scaled to unit length, which
-    leaves the roots unchanged.  Terms that cancel to round-off (a critical
-    family, g = 0 everywhere) give the zero polynomial.
+    most 2(m-1) for m such components.  q is scaled to unit max-norm and c
+    to unit length, which leaves the roots in sigma / scale unchanged and
+    keeps the coefficients finite for any finite q.  Terms that cancel to
+    round-off (a critical family, g = 0 everywhere) give the zero polynomial.
     """
-    signs = np.ones(d.n)
-    signs[0] = -1.0
-    c = d.c / float(np.linalg.norm(d.c))
+    signs = lorentz_signs(d.n)
+    scale = float(np.abs(d.q).max()) or 1.0
+    c = d.c / math.sqrt(float(d.c @ d.c))
     active = np.flatnonzero(c)
-    roots = -signs[active] * d.q[active]  # (q_i + s_i*sigma)^2 = (sigma - root_i)^2
+    roots = -signs[active] * (d.q[active] / scale)  # (q_i + s_i*sigma)^2 = (sigma - root_i)^2
     terms = [signs[i] * c[i] ** 2 * np.atleast_1d(np.poly(np.repeat(np.delete(roots, k), 2)))
              for k, i in enumerate(active)]
     num = np.sum(terms, axis=0)
-    size = max(float(np.max(np.abs(t))) for t in terms)
-    return np.zeros(1) if float(np.max(np.abs(num))) <= 1e-12 * size else num
+    size = max(float(np.abs(t).max()) for t in terms)
+    return (np.zeros(1) if float(np.abs(num).max()) <= 1e-12 * size else num), scale
 
 
 def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.ndarray | None]:
     """Newton on (sigma - pole)^2 times the secular derivative, with the
     dense path's stopping rules: the iterate with the smallest
-    |x'Lx| / ||x||^2, and its x advanced to first order by the last Newton
-    step on g (left as it is where g' = 0); a flat (sigma - pole)^2 g ends
-    the polish."""
+    |x'Lx| / ||x||^2, and its x at the last Newton step on g, sigma - g/g'
+    (x as it is where g' = 0); a flat (sigma - pole)^2 g ends the polish.
+
+    That step is below the rounding of sigma at a converged root, so x is
+    read from the shifted denominators ``q_i + s_i (sigma - g/g')``, each
+    correctly rounded, rather than from a first-order update of x: next to
+    two close poles x is large and its x'Lx cancels, and the update's own
+    rounding can push x'Lx past the gate (the root between the poles
+    1.04903 and 1.04968 of ``gen_instance("diagonal", 5, 1462066297)``)."""
     best_s, best_x, best_r = sigma, None, math.inf
     last, converged = math.inf, False
     for _ in range(MAX_ITER):
@@ -159,10 +167,11 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.n
         if not r < best_r:
             break
         gp = _slope(d, sigma)
-        y = x / den  # G^{-1} L x = -dx/dsigma
-        y[0] = -y[0]
         best_s, best_r = sigma, r
-        best_x = x + (g / gp) * y if gp != 0.0 else x
+        best_x = x
+        if gp != 0.0:  # x_i = 0 where c_i = 0, as in x
+            best_x = np.divide(d.c, den - (g / gp) * lorentz_signs(d.n),
+                               out=np.zeros(d.n), where=d.c != 0.0)
         h_slope = gp + 2.0 * g / (sigma - pole)
         if converged or h_slope == 0.0:
             break
@@ -178,15 +187,17 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.n
 def _is_multiplier(d: DiagonalInstance, x: np.ndarray, sigma: float, tol: float) -> bool:
     """The dense path's KKT gate: |x'Lx| <= tol*||x||^2, and every KKT
     residual of the instance scaled to max|q| = ||c|| = 1, with the round-off
-    bound eps*||x||^2 of x'Lx, within tol (x'Lx <= 0 only at sigma = 0)."""
+    bound eps*||x||^2 of x'Lx, within tol (x'Lx <= 0 only at sigma = 0).
+    x is read in its natural unit ||c|| / max|q|, so that no square of that
+    unit is formed (it under- or overflows for large q)."""
+    s_unit = float(np.abs(d.q).max()) or 1.0
+    c_norm = math.sqrt(float(d.c @ d.c))
+    stationarity = float(np.abs(_denominators(d, sigma) * x - d.c).max()) / c_norm
+    x = x * (s_unit / c_norm)
     q = 0.5 * (float(x[1:] @ x[1:]) - float(x[0]) ** 2)
     r = abs(q) if sigma > 0.0 else q
     xx = float(x @ x)
-    s_unit = float(np.max(np.abs(d.q))) or 1.0
-    c_norm = float(np.linalg.norm(d.c))
-    x_unit = c_norm / s_unit
-    stationarity = float(np.max(np.abs(_denominators(d, sigma) * x - d.c))) / c_norm
-    scaled = (r + EPS * xx) * max(1.0, sigma / s_unit) / x_unit**2
+    scaled = (r + EPS * xx) * max(1.0, sigma / s_unit)
     return r <= 0.5 * tol * xx and max(scaled, stationarity) <= tol
 
 
@@ -205,11 +216,11 @@ def _point(d: DiagonalInstance, sigma: float, tol_eig: float,
     den = _denominators(d, sigma)
     if x is None:
         x = d.c / den
-    band = tol_eig * max(1.0, float(np.max(np.abs(den))))
+    band = tol_eig * max(1.0, float(np.abs(den).max()))
     n_zero = int(np.sum(np.abs(den) <= band))
     n_pos = int(np.sum(den > band))
     inertia = (n_pos, n_zero, d.n - n_zero - n_pos)
-    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.max(np.abs(x))))
+    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.abs(x).max()))
     certificate = CERT_GLOBAL if (inertia == (d.n, 0, 0) and nappe_ok) else CERT_KKT
     dual = -0.5 * float(np.sum(d.c * x))
     primal = 0.5 * float(np.sum(d.q * x * x)) - float(np.sum(d.c * x))
@@ -239,14 +250,14 @@ def secular_enumerate(
     """
     poles = _poles(d)
     zero_singular = bool(poles) and poles[0] <= 1e-12
-    if float(np.max(np.abs(d.c))) == 0.0:
+    if float(np.abs(d.c).max()) == 0.0:
         sigma0 = 0.0
         if zero_singular:
             first = min((s for s in poles if s > 1e-12), default=1.0)
             sigma0 = 0.5 * first
         return [_point(d, sigma0, tol_eig)]
 
-    num = _numerator(d)
+    num, scale = _numerator(d)
     candidates: list[tuple[float, np.ndarray | None]] = []
     if not np.any(num):
         # Critical family: cell midpoints as on the dense path, the last
@@ -255,7 +266,7 @@ def secular_enumerate(
         sigmas = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:] + [3.0 * breaks[-1] + 2.0])]
         candidates = [(s, None) for s in (sigmas if zero_singular else sigmas[1:])]
     roots = np.roots(num)
-    real = roots[np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))].real
+    real = scale * roots[np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))].real
     for start, pole in {st for root in real[real > 0.0] for st in _starts(float(root), poles)}:
         sigma, x = _polish(d, start, pole)
         if sigma > 0.0 and x is not None and _is_multiplier(d, x, sigma, tol):

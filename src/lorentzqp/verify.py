@@ -72,7 +72,7 @@ def kkt_check(p: ProblemInstance, x, sigma: float) -> KKTResiduals:
     x = np.asarray(x, dtype=float)
     lam = cone_quadratic(x)
     return KKTResiduals(
-        stationarity=float(np.max(np.abs(shifted_hessian(p, sigma) @ x - p.c))),
+        stationarity=float(np.abs(shifted_hessian(p, sigma) @ x - p.c).max()),
         primal_feasibility=max(lam, 0.0),
         nappe_violation=max(-float(x[0]), 0.0),
         dual_feasibility=max(-sigma, 0.0),

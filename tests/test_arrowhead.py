@@ -124,6 +124,33 @@ class TestPerShift:
                 compared += 1
         assert compared > 200
 
+    @pytest.mark.parametrize("Q, sigma, tol_eig, inertia", [
+        # decoupled: the repeated nu = -0.5 (a tie in the count of nu) at
+        # -band, at +band, and the single nu = 0.125 at +band
+        (np.diag([0.25, -0.5, -0.5, 0.125]), 0.375, 0.125, (1, 3, 0)),
+        (np.diag([0.25, -0.5, -0.5, 0.125]), 0.625, 0.125, (1, 2, 1)),
+        (np.diag([0.25, -0.5, -0.5, 0.125]), 0.0, 0.125, (1, 1, 2)),
+        # coupled: G = [[0.75, 0.25], [0.25, 0.75]] has the eigenvalue 0.5 at
+        # +band, and G = [[-0.75, 0.25], [0.25, -0.75]] the eigenvalue -0.5
+        # at -band (||G||_inf = 1, so band = tol_eig), f = 0 there
+        ([[1.0, 0.25], [0.25, 0.5]], 0.25, 0.5, (1, 1, 0)),
+        ([[-0.5, 0.25], [0.25, -1.0]], 0.25, 0.5, (0, 1, 1)),
+    ])
+    def test_inertia_on_the_edges_of_the_band(self, Q, sigma, tol_eig, inertia):
+        # every entry is dyadic, so nu + sigma and f land exactly on the
+        # band; the band is closed on both sides, as in ``factorize``
+        p = ProblemInstance(Q=Q, c=np.linspace(1.0, 0.5, len(Q)))
+        f = factorize(shifted_hessian(p, sigma), tol_eig)
+        assert f.band == tol_eig
+        assert Arrowhead(p).inertia(sigma, tol_eig) == f.inertia == inertia
+
+    def test_inertia_at_a_nan_shift_counts_everything_positive(self):
+        # every comparison with NaN is false: no eigenvalue counts as below
+        # -band or up to +band
+        for p in (ProblemInstance(Q=np.diag([0.25, -0.5, -0.5, 0.125]), c=np.ones(4)),
+                  gen_instance("indefinite", 5, 3)):
+            assert Arrowhead(p).inertia(float("nan")) == (p.n, 0, 0)
+
 
 class TestDeflation:
     def test_zero_coupling_decouples(self):

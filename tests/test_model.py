@@ -9,6 +9,7 @@ from lorentzqp import (
     primal_objective,
     shifted_hessian,
 )
+from lorentzqp.model import lorentz_signs
 from conftest import random_orthogonal
 
 
@@ -85,6 +86,26 @@ class TestShiftedHessian:
             shifted_hessian(dense_3d, 0.4509),
             [[1.5491, -1.0, 2.0], [-1.0, -1.5491, 0.0], [2.0, 0.0, 1.4509]],
             atol=1e-15)
+
+    def test_equals_the_dense_shift_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 5, 20):
+            A = rng.standard_normal((n, n))
+            p = ProblemInstance(Q=A + A.T, c=np.ones(n))
+            for sigma in rng.uniform(-3.0, 3.0, 5):
+                dense = p.Q + sigma * np.diag(lorentz_signs(n))
+                np.testing.assert_array_equal(shifted_hessian(p, sigma), dense)
+        np.testing.assert_array_equal(p.Q, A + A.T)  # Q itself is not shifted
+
+
+def test_lorentz_signs_is_one_read_only_array_per_n():
+    s = lorentz_signs(3)
+    assert s is lorentz_signs(3)
+    np.testing.assert_array_equal(s, [-1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        s[0] = 1.0
+    with pytest.raises(ValueError):
+        s *= 2.0
 
 
 class TestLagrangian:

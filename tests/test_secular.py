@@ -147,6 +147,30 @@ class TestSecularEnumerate:
                 assert [i for _, i in sec] == [i for _, i in den], (q, c)
                 assert [s for s, _ in sec] == pytest.approx([s for s, _ in den], rel=1e-6), (q, c)
 
+    def test_root_between_two_close_poles(self):
+        # poles at 1.04903 and 1.04968 with a root of g between them: there
+        # x ~ 4e3 and x'Lx cancels to within the round-off term of the gate,
+        # so x must be read at the polished root to rounding; both paths
+        # list all seven points
+        d = gen_instance("diagonal", 5, 1462066297)
+        sec, den = secular_enumerate(d), enumerate_kkt(d.to_dense())
+        assert len(sec) == len(den) == 7
+        for a, b in zip(sec, den):
+            assert abs(a.sigma - b.sigma) <= 1e-8
+            assert (a.certificate, a.inertia) == (b.certificate, b.inertia)
+        assert any(abs(cp.sigma - 1.0494305894) <= 1e-9 for cp in sec)
+
+    @pytest.mark.parametrize("q, unit", [
+        ((-1e200, 1e200), (-1.0, 1.0)),  # the gate's unit ||c|| / max|q| squared underflows
+        ((-1e155, -1e155), (-1.0, -1.0)),  # the unscaled numerator overflows
+    ])
+    def test_large_q_lists_the_points_of_its_unit_scale_copy(self, q, unit):
+        big = secular_enumerate(DiagonalInstance(q=q, c=[1.0, 1.0]))
+        small = secular_enumerate(DiagonalInstance(q=unit, c=[1.0, 1.0]))
+        assert len(small) > 0
+        assert [cp.sigma / abs(q[0]) for cp in big] == [cp.sigma for cp in small]
+        assert [cp.inertia for cp in big] == [cp.inertia for cp in small]
+
     def test_agrees_with_dense_enumeration(self):
         for seed in range(40):
             d = gen_instance("diagonal", (2, 3, 4)[seed % 3], 1300 + seed)
