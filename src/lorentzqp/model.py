@@ -75,7 +75,9 @@ class ProblemInstance:
         scale = max(1.0, float(np.abs(Q).max()))
         if float(np.abs(Q - Q.T).max()) > SYMMETRY_RTOL * scale:
             raise ValueError("Q is not symmetric (relative asymmetry above 1e-12)")
-        object.__setattr__(self, "Q", _frozen(0.5 * (Q + Q.T)))
+        # Halving first gives the bits of 0.5 (Q + Q.T) without its overflow
+        # for entries above half the float maximum.
+        object.__setattr__(self, "Q", _frozen(0.5 * Q + 0.5 * Q.T))
         object.__setattr__(self, "c", _frozen(c))
         object.__setattr__(self, "n", n)
 

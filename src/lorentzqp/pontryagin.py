@@ -18,7 +18,7 @@ Sorensen's trust-region Newton (SIAM J. Sci. Stat. Comput. 4, 1983).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,12 @@ class SecularForm:
     every sigma: the weights, which can cancel only within a repeated
     eigenvalue, sum in magnitude to at most tol times the magnitudes of
     their terms.
+
+    ``unit`` is the power of two at or below the largest |eigenvalue|.  The
+    roots are isolated and polished with sigma and the eigenvalues in that
+    unit, so that no square of a pole or of 1/(lam + sigma) under- or
+    overflows where the poles are large or small; dividing by a power of
+    two is exact, so every other value is the same.
     """
 
     lam: np.ndarray
@@ -66,14 +72,20 @@ class SecularForm:
     pair: complex
     pair_beta: complex
     vanishes: bool
+    unit: float = field(init=False)
 
-    def g_and_slope(self, sigma: float) -> tuple[float, float]:
-        """g and g' at sigma, in O(n)."""
-        r = 1.0 / (self.lam + sigma)
+    def __post_init__(self):
+        top = max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
+        object.__setattr__(self, "unit", math.ldexp(0.5, math.frexp(top)[1]))
+
+    def g_and_slope(self, s: float) -> tuple[float, float]:
+        """g and g' at sigma = s * unit, in O(n), in that unit: g times
+        unit^2 and g' times unit^3."""
+        r = 1.0 / (self.lam / self.unit + s)
         w = self.beta * r * r
         g, gp = 0.5 * float(w.sum()), -float((w * r).sum())
         if self.pair:
-            rc = 1.0 / (self.pair + sigma)
+            rc = 1.0 / (self.pair / self.unit + s)
             wc = self.pair_beta * rc * rc
             g, gp = g + wc.real, gp - 2.0 * (wc * rc).real
         return g, gp
@@ -83,11 +95,11 @@ class SecularForm:
         TOL_ROOT*min(1+sigma, distance to the nearest pole) or stops
         shrinking.  A first step longer than half that distance is not
         taken: the start is already exact to rounding in its own variable."""
-        last = math.inf
+        unit, last = self.unit, math.inf
         for _ in range(MAX_ITER):
-            g, gp = self.g_and_slope(sigma)
+            g, gp = self.g_and_slope(sigma / unit)
             dist = float(np.abs(self.lam + sigma).min(initial=math.inf))
-            step = g / gp if gp != 0.0 else math.inf
+            step = unit * (g / gp) if gp != 0.0 else math.inf
             if not abs(step) < min(last, 0.5 * dist):
                 break
             sigma -= step
@@ -100,18 +112,19 @@ class SecularForm:
         """Every root sigma > 0 of g, isolated exactly (see ``_real_roots``
         and ``_pair_roots``); the root at sigma = inf of a light-like c is
         left out."""
+        unit = self.unit
         top = max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
-        floor = -ZERO_POLE_TOL * (1.0 + top)
+        floor = -ZERO_POLE_TOL * (1.0 + top) / unit
         with np.errstate(all="ignore"):
             if self.pair:
                 if self.pair_beta == 0.0:
                     return np.zeros(0)  # g > 0
-                return _pair_roots(self.lam, self.beta, self.pair, self.pair_beta,
-                                   floor, light_like)
+                return unit * _pair_roots(self.lam / unit, self.beta, self.pair / unit,
+                                          self.pair_beta, floor, light_like)
             k = (self.beta < 0.0).nonzero()[0]
             if k.size == 0:
                 return np.zeros(0)  # g > 0
-            return _real_roots(self.lam, self.beta, int(k[0]), floor, light_like)
+            return unit * _real_roots(self.lam / unit, self.beta, int(k[0]), floor, light_like)
 
 
 def secular_form(arrow: Arrowhead, tol: float) -> SecularForm | None:
@@ -192,11 +205,12 @@ def _descend(F, u: float, inward: float, far: float, sure: bool) -> float:
 
 def _pole_bound(a: float, b: float, width: float) -> float:
     """min over (0, w) of a/u^2 + b/(w-u)^2, which is (a^(1/3)+b^(1/3))^3/w^2
-    (0 for an unbounded interval)."""
+    (0 for an unbounded interval).  w^2 is never formed: it underflows where
+    the poles are large (w in t = 1/(sigma + lam_k) is then small)."""
     if width == math.inf:
         return 0.0
     top = (a ** (1.0 / 3.0) + b ** (1.0 / 3.0)) ** 3
-    return top / width**2 if width > 0.0 else math.inf
+    return top / width / width if width > 0.0 else math.inf
 
 
 def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,

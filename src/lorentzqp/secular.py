@@ -101,12 +101,6 @@ def secular_derivative(d: DiagonalInstance, sigma: float) -> float:
     return 0.5 * (float(np.sum(terms[1:])) - float(terms[0]))
 
 
-def _slope(d: DiagonalInstance, sigma: float) -> float:
-    """Second derivative of the secular dual."""
-    den = _denominators(d, sigma)
-    return -float(np.sum(d.c**2 / den**3))
-
-
 def _poles(d: DiagonalInstance) -> list[float]:
     """Nonnegative singular shifts of diag(q) + sigma*diag(-1,1,...,1), merged."""
     raw = np.concatenate(([d.q[0]], -d.q[1:]))
@@ -142,6 +136,11 @@ def _numerator(d: DiagonalInstance) -> tuple[np.ndarray, float]:
     return (np.zeros(1) if float(np.abs(num).max()) <= 1e-12 * size else num), scale
 
 
+def _unit(v: float) -> float:
+    """The largest power of two at or below v > 0 (0.5 for v = 0)."""
+    return math.ldexp(0.5, math.frexp(v)[1])
+
+
 def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.ndarray | None]:
     """Newton on (sigma - pole)^2 times the secular derivative, with the
     dense path's stopping rules: the iterate with the smallest
@@ -153,29 +152,44 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.n
     correctly rounded, rather than from a first-order update of x: next to
     two close poles x is large and its x'Lx cancels, and the update's own
     rounding can push x'Lx past the gate (the root between the poles
-    1.04903 and 1.04968 of ``gen_instance("diagonal", 5, 1462066297)``)."""
+    1.04903 and 1.04968 of ``gen_instance("diagonal", 5, 1462066297)``).
+
+    g, g' and ||x||^2 are read in natural units, as ``_numerator`` scales q:
+    the denominators q_i + s_i sigma divided by the power of two at or below
+    their largest magnitude, and c by the one at or below ||c||, since their
+    squares under- or overflow for large or small q.  Dividing by a power of
+    two is exact, so every other value is the same as in the instance's own
+    units."""
+    c_unit = _unit(math.sqrt(float(d.c @ d.c)))
+    c_scaled = d.c / c_unit
+    c2 = c_scaled**2
     best_s, best_x, best_r = sigma, None, math.inf
     last, converged = math.inf, False
     for _ in range(MAX_ITER):
+        den = _denominators(d, sigma)
         try:
-            g = secular_derivative(d, sigma)
+            _check_poles(d, sigma, den)
         except SecularPoleError:
             break
-        den = _denominators(d, sigma)
         x = d.c / den
-        r = abs(2.0 * g / float(x @ x))
+        s_unit = _unit(float(np.abs(den).max()))
+        den_scaled = den / s_unit
+        terms = c2 / den_scaled**2  # as in secular_derivative
+        g = 0.5 * (float(np.sum(terms[1:])) - float(terms[0]))
+        x_scaled = c_scaled / den_scaled
+        r = abs(2.0 * g / float(x_scaled @ x_scaled))
         if not r < best_r:
             break
-        gp = _slope(d, sigma)
+        gp = -float(np.sum(c2 / den_scaled**3))  # the secular dual's second derivative
         best_s, best_r = sigma, r
         best_x = x
         if gp != 0.0:  # x_i = 0 where c_i = 0, as in x
-            best_x = np.divide(d.c, den - (g / gp) * lorentz_signs(d.n),
+            best_x = np.divide(d.c, den - s_unit * (g / gp) * lorentz_signs(d.n),
                                out=np.zeros(d.n), where=d.c != 0.0)
-        h_slope = gp + 2.0 * g / (sigma - pole)
+        h_slope = gp + 2.0 * g / ((sigma - pole) / s_unit)
         if converged or h_slope == 0.0:
             break
-        step = g / h_slope
+        step = s_unit * (g / h_slope)
         if not abs(step) < last:
             break
         sigma -= step

@@ -12,6 +12,7 @@ carried separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,9 @@ POLISH_STEPS = 500
 POLISH_STOP = 1e-12
 CURVATURE_CUTOFF = -1e-10
 ORACLE_MAX_N = 4        # the largest dimension the exhaustive grid covers
+# Row 0 at or below cap times this bounds every entry of a projected column
+# by the cap: |y_i| <= y_0 (1 + u)^2 with u = eps / 2.
+_ROW0_MARGIN = 1.0 - 4.0 * float(np.finfo(float).eps)
 
 
 class OracleError(ValueError):
@@ -132,10 +136,10 @@ def _project_cols(Y: np.ndarray, work: tuple | None = None) -> np.ndarray:
     alpha *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, tail, out=tail)                    # the tail's scale
-    np.copyto(tail, 0.0, where=polar)
-    np.copyto(tail, 1.0, where=inside)
-    np.copyto(alpha, 0.0, where=polar)
-    np.copyto(alpha, x1, where=inside)
+    np.putmask(tail, polar, 0.0)
+    np.putmask(tail, inside, 1.0)
+    np.putmask(alpha, polar, 0.0)
+    np.putmask(alpha, inside, x1)
     Y[0] = alpha
     Y[1:] *= tail
     return Y
@@ -178,8 +182,13 @@ def _slice_grid(n: int, radius: float, resolution: int) -> np.ndarray:
     return pts
 
 
+@lru_cache(maxsize=64)
 def _direction_samples(n: int, resolution: int) -> np.ndarray:
-    """Unit feasible directions: the axis plus rings out to the boundary."""
+    """Unit feasible directions: the axis plus rings out to the boundary.
+
+    One read-only array per (n, resolution), shared by every caller: copy it
+    to modify it.
+    """
     fracs = np.linspace(0.0, 1.0, 5)                        # axis .. 45 degrees
     if n == 2:
         udirs = np.array([[-1.0], [1.0]])
@@ -200,7 +209,9 @@ def _direction_samples(n: int, resolution: int) -> np.ndarray:
         for u in udirs:
             d = np.concatenate(([np.cos(ang)], np.sin(ang) * u))
             out.append(d / np.linalg.norm(d))
-    return np.asarray(out)
+    dirs = np.asarray(out)
+    dirs.setflags(write=False)
+    return dirs
 
 
 @dataclass(frozen=True)
@@ -225,11 +236,30 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     grid point, so every per-point step, projection, rescale and
     displacement runs along contiguous rows of length N.  Each step writes
     into work arrays allocated once per call (the next iterate swaps with
-    the current one), and skips the projection when every column is inside
-    the cone and the rescale when no entry exceeds the cap.  Every value
-    comes from the same floating-point operations in the same order as in
-    the unbuffered loop kept in ``tests/test_verify.py`` as the reference,
-    so every iterate is bit-identical to that loop's.
+    the current one), subtracts c row by row, and skips the projection when
+    every column is inside the cone.  Every value comes from the same
+    floating-point operations in the same order as in the unbuffered loop
+    kept in ``tests/test_verify.py`` as the reference, so every iterate is
+    bit-identical to that loop's.
+
+    Two tests decide each step from less than the whole array, with the
+    reference loop's decisions:
+
+    - Stop test.  The loop watches the column that moved most at the last
+      full reduction.  While that column alone moves by POLISH_STOP or more
+      (or by NaN), so does the whole array, and the polish goes on; only
+      otherwise is the displacement of every column reduced, the loop stops
+      when that says so, and the column that moved most is watched next.
+    - Cap test.  After the projection every column lies in the cone.  An
+      inside column has |y_i| <= y_0 exactly (sqrt(fl(y_i^2)) = |y_i| and
+      the sum of squares rounds monotonically; an entry whose square
+      underflows is far below the cap), a projected column has
+      |y_i| <= y_0 (1 + u)^2, and a polar column is 0, or NaN where its tail
+      held an inf, which the rescale leaves as it is.  So when row 0 stays
+      below cap (1 - 4 eps), no rescale factor differs from 1.0 and the
+      rescale is skipped; in every other case, NaN included, the full test
+      over all n rows runs and rescales as before.
+
     Polish iterates are rescaled into a large ball so unbounded instances
     stay finite; escape shows up as a very negative best value alongside the
     reported unbounded direction.  A dimension above ORACLE_MAX_N, or a best
@@ -240,28 +270,35 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
     XT = _slice_grid(p.n, radius, resolution)
-    Q, cT = p.Q, p.c[:, None]
+    Q = p.Q
     step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
     cap = 1e6 * (1.0 + radius)
+    row0_cap = cap * _ROW0_MARGIN
     Y, G = np.empty_like(XT), np.empty_like(XT)
+    grad_rows = tuple(zip(G, p.c.tolist()))     # views of G, one per coordinate
     work = _project_work(XT.shape[1])
+    watch = 0                                   # the column the stop test reads
     for _ in range(POLISH_STEPS):
         np.matmul(Q, XT, out=G)
-        G -= cT
+        for row, ci in grad_rows:
+            row -= ci
         G *= step
         _project_cols(np.subtract(XT, G, out=Y), work)
-        if not max(Y.max(), -Y.min()) <= cap:      # also when Y holds a NaN
+        if not Y[0].max() <= row0_cap and not max(Y.max(), -Y.min()) <= cap:
             # Column j scales by cap / max(size_j, cap): exactly 1.0 unless
             # size_j > cap, and 1.0 when size_j is NaN (fmax drops a NaN).
             # work[0] is free once the projection has returned.
             scale = np.max(np.abs(Y, out=G), axis=0, out=work[0])
             np.divide(cap, np.fmax(scale, cap, out=scale), out=scale)
             Y *= scale
-        np.subtract(Y, XT, out=G)
-        disp = max(G.max(), -G.min())
         XT, Y = Y, XT
-        if disp < POLISH_STOP:
+        moved = (XT[:, watch] - Y[:, watch]).tolist()
+        if not all(abs(d) < POLISH_STOP for d in moved):
+            continue                            # also when the column holds a NaN
+        np.subtract(XT, Y, out=G)
+        if max(G.max(), -G.min()) < POLISH_STOP:
             break
+        watch = int(np.abs(G, out=G).argmax()) % G.shape[1]
 
     # One point per row: x'Qx and c'x are summed in the per-point order.
     X = np.ascontiguousarray(XT.T)
@@ -276,7 +313,7 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     dirs = _direction_samples(p.n, resolution)
     curv = np.einsum("ij,ij->i", dirs @ p.Q, dirs)
     k = int(np.argmin(curv))
-    unbounded = dirs[k] if curv[k] < CURVATURE_CUTOFF else None
+    unbounded = dirs[k].copy() if curv[k] < CURVATURE_CUTOFF else None
 
     return OracleResult(
         best_x=X[best].copy(),

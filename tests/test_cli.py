@@ -53,13 +53,19 @@ class TestSolveCommand:
         assert code == 4
         assert json.loads(out)["critical_points"] == []
 
-    @pytest.mark.parametrize("Q", ["[[-1e200, 0], [0, 1e200]]", "[[-1e155, 0], [0, -1e155]]"])
-    def test_large_q_exits_without_a_traceback(self, capsys, tmp_path, Q):
+    @pytest.mark.parametrize("Q, exit_code", [
+        pytest.param(Q, code, id=Q) for Q, code in [
+            ("[[-1e200, 0], [0, 1e200]]", 4),
+            ("[[-1e155, 0], [0, -1e155]]", 4),
+            ("[[1e308, 0], [0, 1e308]]", 0),   # 0.5 (Q + Q') overflowed to inf
+        ]])
+    def test_large_q_exits_without_a_traceback(self, capsys, tmp_path, Q, exit_code):
+        # each exits as its unit-scale copy, Q with entries +-1, does
         path = tmp_path / "large.json"
         path.write_text(f'{{"n": 2, "Q": {Q}, "c": [1, 1]}}')
         code, out, err = run_cli(capsys, "solve", str(path))
-        assert code == 4 and err == ""
-        assert json.loads(out)["solution"] is None
+        assert code == exit_code and err == ""
+        assert (json.loads(out)["solution"] is None) == (exit_code == 4)
 
     def test_output_file_written_atomically(self, capsys, tmp_path, problem_dir):
         target = tmp_path / "report.json"
@@ -256,7 +262,7 @@ class TestOracleCommand:
 
     def test_non_finite_oracle_value_exits_64(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
-        path.write_text('{"n": 2, "Q": [[1e308, 0], [0, 1e308]], "c": [1, 1]}')
+        path.write_text('{"n": 2, "Q": [[1, 0], [0, 1]], "c": [1e308, 1e308]}')
         with np.errstate(all="ignore"):
             code, out, err = run_cli(capsys, "oracle", str(path), "--radius", "3")
         assert code == 64 and out == ""
@@ -264,12 +270,11 @@ class TestOracleCommand:
 
     def test_solve_reports_a_non_finite_oracle_value_with_exit_64(
             self, capsys, monkeypatch, problem_dir):
-        # Q = 1e308 I stops the solve's own eigensolve first, so the solve's
-        # oracle step is handed that instance directly
+        # c = 1e308 (1, 1) overflows the solve's own KKT check first, so the
+        # solve's oracle step is handed that instance directly
         from lorentzqp import solver, verify
 
-        with np.errstate(over="ignore"):
-            huge = ProblemInstance(Q=1e308 * np.eye(2), c=[1.0, 1.0])
+        huge = ProblemInstance(Q=np.eye(2), c=[1e308, 1e308])
         monkeypatch.setattr(solver, "brute_force_min",
                             lambda p, radius, resolution:
                             verify.brute_force_min(huge, radius, resolution))

@@ -17,6 +17,9 @@ from lorentzqp import (
 )
 from lorentzqp.fileio import gen_instance
 
+# the diagonal instances of the large-Q check in test_solver.py
+LARGE_Q_SEEDS = (1, 3, 4, 10)
+
 
 class TestSecularValue:
     def test_trivial(self):
@@ -160,15 +163,20 @@ class TestSecularEnumerate:
             assert (a.certificate, a.inertia) == (b.certificate, b.inertia)
         assert any(abs(cp.sigma - 1.0494305894) <= 1e-9 for cp in sec)
 
-    @pytest.mark.parametrize("q, unit", [
-        ((-1e200, 1e200), (-1.0, 1.0)),  # the gate's unit ||c|| / max|q| squared underflows
-        ((-1e155, -1e155), (-1.0, -1.0)),  # the unscaled numerator overflows
-    ])
-    def test_large_q_lists_the_points_of_its_unit_scale_copy(self, q, unit):
-        big = secular_enumerate(DiagonalInstance(q=q, c=[1.0, 1.0]))
-        small = secular_enumerate(DiagonalInstance(q=unit, c=[1.0, 1.0]))
+    @pytest.mark.parametrize("q, unit, c", [
+        ((-1e200, 1e200), (-1.0, 1.0), (1.0, 1.0)),  # the gate's unit ||c|| / max|q| squared underflows
+        ((-1e155, -1e155), (-1.0, -1.0), (1.0, 1.0)),  # the unscaled numerator overflows
+        # the polish divided g by ||x||^2, both underflowed to 0
+        *[(1e200 * d.q, d.q, d.c) for d in
+          (gen_instance("diagonal", 2 + k % 4, 777000 + k) for k in LARGE_Q_SEEDS)],
+    ], ids=["q0-unit0", "q1-unit1"] + [f"diagonal-{777000 + k}" for k in LARGE_Q_SEEDS])
+    def test_large_q_lists_the_points_of_its_unit_scale_copy(self, q, unit, c):
+        big = secular_enumerate(DiagonalInstance(q=q, c=c))
+        small = secular_enumerate(DiagonalInstance(q=unit, c=c))
         assert len(small) > 0
-        assert [cp.sigma / abs(q[0]) for cp in big] == [cp.sigma for cp in small]
+        scale = abs(q[0]) / abs(unit[0])
+        np.testing.assert_allclose([cp.sigma for cp in big],
+                                   [scale * cp.sigma for cp in small], rtol=1e-12)
         assert [cp.inertia for cp in big] == [cp.inertia for cp in small]
 
     def test_agrees_with_dense_enumeration(self):

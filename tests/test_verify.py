@@ -241,10 +241,11 @@ class TestBruteForce:
             brute_force_min(dense_2d, radius, 64)
 
     def test_non_finite_best_value_is_rejected(self):
-        # 0.5 (Q + Q') overflows to inf, so every polished column is NaN,
-        # and a NaN value would pass every comparison against a certificate
+        # the first step moves every column by about 5e307, whose tail norm
+        # overflows, the projection turns every column NaN, and a NaN value
+        # would pass every comparison against a certificate
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="best value is nan"):
-            brute_force_min(ProblemInstance(Q=1e308 * np.eye(2), c=[1.0, 1.0]), 3.0, 64)
+            brute_force_min(ProblemInstance(Q=np.eye(2), c=[1e308, 1e308]), 3.0, 64)
 
     def test_deterministic(self, dense_2d):
         a = brute_force_min(dense_2d, 3.0, 64)
@@ -274,15 +275,19 @@ def _unbuffered_oracle(p, radius, resolution):
     """``brute_force_min`` with a fresh array for every intermediate of every
     step.  Returns (best_x, best_value, unbounded_direction) and the paths the
     polish took: steps run, steps with a cap rescale, steps whose
-    pre-projection iterate lay inside the cone, and whether a column entered
+    pre-projection iterate lay inside the cone, whether a column entered
     the projection in the polar cone off the axis (tail > 0) or on the
-    negative axis (tail == 0, x1 < 0)."""
+    negative axis (tail == 0, x1 < 0), how often the column that moved
+    most at the last step without a stop (column 0 at first) settled below
+    POLISH_STOP while another column still moved, and how many columns end
+    with an entry that is not finite."""
     XT = _slice_grid(p.n, radius, resolution)
     Q, cT = p.Q, p.c[:, None]
     step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
     cap = 1e6 * (1.0 + radius)
     paths = {"steps": 0, "capped": 0, "all_inside": 0, "polar": False,
-             "negative_axis": False}
+             "negative_axis": False, "rewatched": 0}
+    watch = 0
     for _ in range(POLISH_STEPS):
         Z = XT - step * (Q @ XT - cT)
         tail = np.linalg.norm(Z[1:], axis=0)
@@ -296,10 +301,15 @@ def _unbuffered_oracle(p, radius, resolution):
         if np.any(big):
             paths["capped"] += 1
             Y[:, big] *= cap / size[big]
+        moved = np.abs(Y - XT).max(axis=0)
         disp = float(np.max(np.abs(Y - XT)))
         XT = Y
         if disp < POLISH_STOP:
             break
+        if moved[watch] < POLISH_STOP:
+            paths["rewatched"] += 1
+            watch = int(np.argmax(moved))
+    paths["non_finite"] = int(np.sum(~np.isfinite(XT).all(axis=0)))
     X = np.ascontiguousarray(XT.T)
     vals = 0.5 * np.einsum("ij,ij->i", X @ Q, X) - X @ p.c
     order = np.lexsort(tuple(X[:, k] for k in range(p.n - 1, -1, -1)) + (vals,))
@@ -364,3 +374,51 @@ class TestBufferedPolish:
         assert axis["negative_axis"]
         c = np.concatenate(([-1.0], np.full(n - 1, 0.5)))
         assert _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=c), 3.0, 32)["polar"]
+
+    @pytest.mark.parametrize("kind, n, seed", [
+        ("diagonal", 2, 52_000), ("indefinite", 3, 52_000), ("indefinite", 4, 52_004)])
+    def test_watched_column_settles_first(self, kind, n, seed):
+        # the column watched by the stop test settles while another still
+        # moves: the full reduction runs, does not stop, and watches anew
+        p = as_dense(gen_instance(kind, n, seed))
+        assert _assert_bit_identical(p, 3.0, 32 if n < 4 else 16)["rewatched"] >= 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_non_finite_columns_run_the_step_budget(self, n):
+        # Q[1, 1] = 1e308 overflows the gradient of every column with
+        # |x[1]| > 1.8 to inf; the projection makes those columns NaN for
+        # good, so no step has a finite displacement, while the other
+        # columns polish to a finite best value
+        Q = np.eye(n)
+        Q[1, 1] = 1e308
+        with np.errstate(all="ignore"):
+            paths = _assert_bit_identical(ProblemInstance(Q=Q, c=np.ones(n)), 3.0, 32)
+        assert paths["steps"] == POLISH_STEPS and paths["non_finite"] > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ulps", [-2, 0, 2])
+    def test_iterates_within_ulps_of_the_cap(self, n, ulps):
+        # the minimizer c lies within a few ulps of the cap on the axis: the
+        # last iterates have x1 above cap (1 - 4 eps), where row 0 alone
+        # cannot rule out an entry above the cap, and the full test decides
+        radius = 3.0
+        cap = 1e6 * (1.0 + radius)
+        eps = np.finfo(float).eps
+        c = np.zeros(n)
+        c[0] = cap * (1.0 + ulps * eps)
+        p = ProblemInstance(Q=np.eye(n), c=c)
+        paths = _assert_bit_identical(p, radius, 32)
+        x1 = brute_force_min(p, radius, 32).best_x[0]
+        assert cap * (1.0 - 4.0 * eps) < x1 <= cap
+        assert (paths["capped"] > 0) == (ulps > 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_direction_samples_are_shared_and_the_result_owns_a_copy(self, n):
+        dirs = _direction_samples(n, 32)
+        assert dirs is _direction_samples(n, 32) and not dirs.flags.writeable
+        reference = dirs.copy()
+        p = ProblemInstance(Q=np.diag([-1.0] + [0.0] * (n - 1)), c=np.zeros(n))
+        direction = brute_force_min(p, 3.0, 32).unbounded_direction
+        assert direction.flags.writeable and not np.shares_memory(direction, dirs)
+        direction[:] = 0.0
+        np.testing.assert_array_equal(_direction_samples(n, 32), reference)
