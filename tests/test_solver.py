@@ -230,26 +230,26 @@ def test_integer_census_solves_to_kkt_points():
 # raised ZeroDivisionError in both enumerations: the pole bound squared a
 # cell width in t = 1/(sigma + lam) that underflowed, and the secular polish
 # divided two underflowed squares
-LARGE_Q_SEEDS = (1, 3, 4, 10)
+LARGE_Q_SEEDS = {1: EXIT_CERTIFIED, 3: EXIT_UNCERTIFIED, 4: EXIT_NO_SOLUTION, 10: EXIT_UNCERTIFIED}
 
 
 def _large_q_cases():
-    cases = [(np.diag([-1e200, 1e200]), np.diag([-1.0, 1.0]), [1.0, 1.0]),
-             (-1e155 * np.eye(2), -np.eye(2), [1.0, 1.0])]
-    for k in LARGE_Q_SEEDS:
+    cases = [(np.diag([-1e200, 1e200]), np.diag([-1.0, 1.0]), [1.0, 1.0], EXIT_NO_SOLUTION),
+             (-1e155 * np.eye(2), -np.eye(2), [1.0, 1.0], EXIT_NO_SOLUTION)]
+    for k, exit_code in LARGE_Q_SEEDS.items():
         d = gen_instance("diagonal", 2 + k % 4, 777000 + k)
-        cases.append((np.diag(1e200 * d.q), np.diag(d.q), d.c))
+        cases.append((np.diag(1e200 * d.q), np.diag(d.q), d.c, exit_code))
     return cases
 
 
-@pytest.mark.parametrize("Q, unit, c", _large_q_cases(),
+@pytest.mark.parametrize("Q, unit, c, exit_code", _large_q_cases(),
                          ids=["Q0-unit0", "Q1-unit1"] + [f"diagonal-{777000 + k}" for k in LARGE_Q_SEEDS])
-def test_large_q_exits_as_its_unit_scale_copy(Q, unit, c):
+def test_large_q_exits_as_its_unit_scale_copy(Q, unit, c, exit_code):
     # the gate read x'Lx in units whose square underflowed (1e-200^2), and
     # the pole terms of the secular form squared 1e155 on Python floats
     big = solve_problem(ProblemInstance(Q=Q, c=c))
     small = solve_problem(ProblemInstance(Q=unit, c=c))
-    assert big.exit_code == small.exit_code
+    assert big.exit_code == small.exit_code == exit_code
     scale = float(np.abs(Q).max() / np.abs(unit).max())
     np.testing.assert_allclose([cp.sigma for cp in big.critical_points],
                                [scale * cp.sigma for cp in small.critical_points], rtol=1e-12)
