@@ -293,7 +293,7 @@ class Arrowhead:
         if isinstance(pair[0], complex):
             z = _polish(self.alpha, nus, d2s, pair[0]) if len(nus) > 1 else pair[0]
             return np.array([z, z.conjugate()]), None
-        near = sorted((_polish_real(self.alpha, nus, d2s, z) for z in pair),
+        near = sorted((_polish_real(self.alpha, nus, d2s, z, inner.tolist()) for z in pair),
                       key=lambda to: to[0] - nus[to[1]])
         return np.array([t - nus[o] for t, o in near]), near
 
@@ -466,12 +466,15 @@ def _critical(alpha: float, nus: list, d2s: list, z: float) -> float:
     return z
 
 
-def _polish_real(alpha: float, nus: list, d2s: list, z: float) -> tuple[float, int]:
+def _polish_real(alpha: float, nus: list, d2s: list, z: float,
+                 others: list) -> tuple[float, int]:
     """A real root z of f as (tau, o), ``z = -nu_o + tau`` for the nearest
     pole -nu_o, polished by Newton on ``tau f``, which is smooth there: a
     root closer to the pole than rounding of z resolves (as for a small
     coupling d_o) keeps its distance tau exactly.  Steps stop as in
-    ``_polish``, measured to the other poles."""
+    ``_polish``, measured to the other poles.  z is kept where the polish
+    ends nearer to one of the roots ``others`` than to z, as it can from a
+    nearly double root, where f' is nearly 0."""
     o = min(range(len(nus)), key=lambda j: abs(nus[j] + z))
     no, do = nus[o], d2s[o]
     tau, last = z + no, math.inf
@@ -493,6 +496,9 @@ def _polish_real(alpha: float, nus: list, d2s: list, z: float) -> tuple[float, i
         if abs(step) <= _LAST_STEP * abs(tau):
             break
         last = abs(step)
+    root = tau - no
+    if any(abs(root - x) < abs(root - z) for x in others):
+        return z + no, o
     return tau, o
 
 

@@ -94,6 +94,17 @@ def _emit(text: str, output: str | None):
         write_text_atomic(output, text)
 
 
+def _emit_json(obj, output: str | None) -> bool:
+    """``_emit`` of obj as JSON; False, after a one-line error, where a value is not finite."""
+    try:
+        text = dumps_json(obj) + "\n"
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    _emit(text, output)
+    return True
+
+
 def _load(path):
     try:
         return load_problem(path)
@@ -121,7 +132,8 @@ def cmd_solve(args) -> int:
     except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    _emit(dumps_json(report_to_jsonable(report, __version__)) + "\n", args.output)
+    if not _emit_json(report_to_jsonable(report, __version__), args.output):
+        return EXIT_BAD_INPUT
     return report.exit_code
 
 
@@ -134,8 +146,7 @@ def cmd_enumerate(args) -> int:
         "problem": problem_to_jsonable(p),
         "critical_points": [point_to_jsonable(cp) for cp in points],
     }
-    _emit(dumps_json(out) + "\n", args.output)
-    return 0
+    return 0 if _emit_json(out, args.output) else EXIT_BAD_INPUT
 
 
 def cmd_sweep(args) -> int:

@@ -37,7 +37,7 @@ multiplier inside the window, or the singular-boundary hard case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .model import (
     ProblemInstance,
     cone_quadratic,
     lorentz_signs,
+    natural_units,
     primal_objective,
     shifted_hessian,
 )
@@ -129,16 +130,27 @@ class CriticalPoint:
     def certified(self) -> bool:
         return self.certificate == CERT_GLOBAL
 
+    def scaled(self, s: float, t: float) -> CriticalPoint:
+        """This point of the problem (s*Q, t*c): sigma*s, x*t/s, values*t^2/s."""
+        v = t / s * t
+        return CriticalPoint(self.sigma * s, self.x * (t / s), self.dual_value * v,
+                             self.primal_value * v, self.inertia, self.certificate, self.nappe_ok)
+
 
 class _KKTPoints(list):
     """The points ``enumerate_kkt`` returns, with the arrowhead and the pole
     cells (see ``_pole_cells``) they were enumerated from, so that the selection
-    from them does not compute the poles a second time."""
+    from them does not compute the poles a second time.  Those are in natural
+    units, sigma divided by ``unit``, and the points are mapped from there
+    by ``CriticalPoint.scaled(unit, c_unit)``."""
 
-    def __init__(self, points, arrow: Arrowhead, cells: tuple[list[float], bool]):
-        super().__init__(points)
+    def __init__(self, points, arrow: Arrowhead, cells: tuple[list[float], bool],
+                 unit: float, c_unit: float):
+        super().__init__(points if unit == c_unit == 1.0 else
+                         [cp.scaled(unit, c_unit) for cp in points])
         self.arrow = arrow
         self.cells = cells
+        self.unit = unit
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +158,12 @@ class _KKTPoints(list):
 
 
 def recover_primal(p: ProblemInstance, sigma: float) -> np.ndarray:
-    """Solve the stationarity system G(sigma) x = c."""
-    f = factorize(shifted_hessian(p, sigma))
+    """Solve the stationarity system G(sigma) x = c, in natural units."""
+    q, s, t = natural_units(p)
+    f = factorize(shifted_hessian(q, sigma / s))
     if f.singular:
         raise SingularMatrixError(f"G(sigma) is singular at sigma={sigma!r}", sigma=sigma)
-    return solve_linear(f, p.c)
+    return solve_linear(f, q.c) * (t / s)
 
 
 def dual_value(p: ProblemInstance, sigma: float) -> float:
@@ -211,20 +224,21 @@ def pd_interval(p: ProblemInstance) -> DualInterval | None:
     ``factorize``: a bare sign test of f can pass at the singular PSD
     matrix at the center of the sliver that a defective pole splits into.
     """
-    arrow = Arrowhead(p)
-    window = _pd_window(p, arrow, *_pole_cells(arrow.poles))
-    return None if window is None else window[0]
+    q, s, _ = natural_units(p)
+    arrow = Arrowhead(q)
+    window = _pd_window(arrow, *_pole_cells(arrow.poles))
+    return None if window is None else replace(window[0], lo=s * window[0].lo, hi=s * window[0].hi)
 
 
-def _pd_window(p: ProblemInstance, arrow: Arrowhead, breaks: list[float],
+def _pd_window(arrow: Arrowhead, breaks: list[float],
                zero_singular: bool) -> tuple[DualInterval, float] | None:
     """``pd_interval`` from pole cells already computed by ``_pole_cells``, with
     the window's midpoint, where the window was decided."""
-    if len(breaks) < 2 or breaks[-2] >= float(p.Q[0, 0]):
+    if len(breaks) < 2 or breaks[-2] >= arrow.alpha:
         return None
     lo, hi = breaks[-2], breaks[-1]
     mid = 0.5 * (lo + hi)
-    if arrow.inertia(mid)[0] < p.n:
+    if arrow.inertia(mid)[0] < arrow.n:
         return None
     window = DualInterval(lo=lo, hi=hi, lo_singular=len(breaks) > 2 or zero_singular,
                           hi_singular=True)
@@ -296,13 +310,13 @@ def _maximize_with_notes(
     if inside:
         return inside[0], []
 
-    window = _pd_window(p, points.arrow, *points.cells)
+    window = _pd_window(points.arrow, *points.cells)
     if window is None:
         return None, ["no positive-definite dual window; certificate unavailable"]
     interval, mid = window
     if points.arrow.g(mid) > 0.0:
         try:
-            point = hard_case_solve(p, interval.hi, tol=tol, tol_eig=tol_eig)
+            point = hard_case_solve(p, points.unit * interval.hi, tol=tol, tol_eig=tol_eig)
         except HardCaseError as exc:
             return None, [f"hard case without boundary solution: {exc}; no certificate, see oracle"]
         return point, ["dual supremum attained only at the singular boundary (hard case)"]
@@ -426,8 +440,6 @@ def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float,
     """
     s_unit, c_norm = units
     stationarity = float(np.abs(shifted_hessian(p, sigma) @ x - p.c).max()) / c_norm
-    # the gate reads x in units of its natural size c_norm / s_unit, so that
-    # no square of that unit is formed (it under- or overflows for large Q)
     x = x * (s_unit / c_norm)
     q = cone_quadratic(x)
     r = abs(q) if sigma > 0.0 else q
@@ -503,8 +515,10 @@ def enumerate_kkt(
     ``_is_multiplier``); survivors within 1e-9 relative are merged.
     sigma = 0 is admitted under the same gate with x'Lx <= 0 in place of
     x'Lx = 0, since complementarity holds there identically.  Each point
-    reports the x the gate accepted.
+    reports the x the gate accepted.  All of it runs on the problem in
+    natural units (``model.natural_units``), and the points are mapped back.
     """
+    p, unit, c_unit = natural_units(p)
     arrow = Arrowhead(p)
     cells = _pole_cells(arrow.poles)
     breaks, zero_singular = cells
@@ -513,7 +527,7 @@ def enumerate_kkt(
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
         point = build_critical_point(p, sigma0, np.zeros(p.n), arrow.inertia(sigma0, tol_eig))
-        return _KKTPoints([point], arrow, cells)
+        return _KKTPoints([point], arrow, cells, unit, c_unit)
 
     c_norm = math.sqrt(float(p.c @ p.c))
     units = (float(np.abs(p.Q).max()) or 1.0, c_norm)
@@ -550,7 +564,7 @@ def enumerate_kkt(
         if inertia[1] == 0:  # within tol_eig of a pole: no point to recover
             points.append(build_critical_point(
                 p, sigma, arrow.x(sigma) if x is None else x, inertia))
-    return _KKTPoints(points, arrow, cells)
+    return _KKTPoints(points, arrow, cells, unit, c_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -560,25 +574,27 @@ def enumerate_kkt(
 def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
                   tol: float) -> tuple[np.ndarray, np.ndarray, Factorization]:
     """Minimum-norm solution of G(sigma_sing) x = c, a null-space basis, and
-    the factorization of G(sigma_sing) they come from.
+    the factorization of G(sigma_sing) they come from, all read on the
+    problem in natural units (the basis and the factorization are its own).
 
     The dual's limit value at the singular shift is ``-0.5 * c' x``.  Raises
     HardCaseError unless G is singular there and c is orthogonal (within
     tol*(1+||c||)) to its null space.
     """
-    f = factorize(shifted_hessian(p, sigma_sing), HARD_CASE_TOL_EIG)
+    q, s, t = natural_units(p)
+    f = factorize(shifted_hessian(q, sigma_sing / s), HARD_CASE_TOL_EIG)
     if not f.singular:
         raise HardCaseError(
             f"G(sigma) is not singular at sigma={sigma_sing!r} (no null space found)"
         )
     U0, U1 = f.U[:, f.null], f.U[:, ~f.null]
-    c0 = U0.T @ p.c
-    if math.sqrt(float(c0 @ c0)) > tol * (1.0 + math.sqrt(float(p.c @ p.c))):
+    c0 = U0.T @ q.c
+    if math.sqrt(float(c0 @ c0)) > tol * (1.0 + math.sqrt(float(q.c @ q.c))):
         raise HardCaseError(
             "c has a component in the null space of G(sigma); the dual supremum "
             "is not attained"
         )
-    return U1 @ ((U1.T @ p.c) / f.w[~f.null]), U0, f
+    return U1 @ ((U1.T @ q.c) / f.w[~f.null]) * (t / s), U0, f
 
 
 def hard_case_solve(
@@ -592,9 +608,10 @@ def hard_case_solve(
     Requires c orthogonal (within tol*(1+||c||)) to the null space of
     G(sigma_sing); the pseudo-solution is then completed with a null-space
     step chosen so the result lies exactly on the cone boundary, mirroring
-    the trust-region hard case.
+    the trust-region hard case.  It runs on the problem in natural units.
     """
-    x_p, U0, f = _pseudo_solve(p, sigma_sing, tol)
+    q, s, t = natural_units(p)
+    x_p, U0, f = _pseudo_solve(q, sigma_sing / s, tol)
 
     # Deterministic null direction: maximize the first component.
     first_row = U0[0, :]
@@ -604,7 +621,7 @@ def hard_case_solve(
     else:
         v = U0[:, 0]
 
-    # cone_quadratic(x_p + t v) is quadratic in t.
+    # cone_quadratic(x_p + tau v) is quadratic in tau.
     signs = lorentz_signs(p.n)
     quad_a = float((v * signs) @ v)
     lin_b = float((v * signs) @ x_p)
@@ -621,14 +638,14 @@ def hard_case_solve(
             r = math.sqrt(disc)
             candidates.extend([(-lin_b - r) / quad_a, (-lin_b + r) / quad_a])
 
-    admissible = [t for t in candidates if math.isfinite(t)
-                  and x_p[0] + t * v[0] >= -NAPPE_TOL * float(np.abs(x_p + t * v).max())]
+    admissible = [tau for tau in candidates if math.isfinite(tau)
+                  and x_p[0] + tau * v[0] >= -NAPPE_TOL * float(np.abs(x_p + tau * v).max())]
     if not admissible:
         raise HardCaseError(
             "no boundary point with x[0] >= 0 along the null direction; the dual "
             "supremum is not attained"
         )
-    t = min(admissible, key=abs)
-    x = x_p + t * v
-    return build_critical_point(p, sigma_sing, x, f.with_tol(tol_eig).inertia,
-                                certificate=CERT_HARD)
+    tau = min(admissible, key=abs)
+    point = build_critical_point(q, sigma_sing / s, x_p + tau * v, f.with_tol(tol_eig).inertia,
+                                 certificate=CERT_HARD)
+    return point if q is p else point.scaled(s, t)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrowhead import DEFAULT_TOL_EIG, Arrowhead
-from .model import ProblemInstance
+from .model import ProblemInstance, natural_units
 
 __all__ = [
     "SingularMatrixError",
@@ -114,7 +114,9 @@ def min_eigenvalue(G: np.ndarray) -> float:
 def pencil_singular_sigmas(p: ProblemInstance) -> list[float]:
     """All real sigma >= 0 with det(Q + sigma * diag(-1,1,...,1)) = 0, sorted.
 
-    Multiplicities are kept.  The poles of ``Arrowhead(p)``: the roots of
-    its secular function f and the shifts of its decoupled coordinates.
+    Multiplicities are kept.  The poles of the arrowhead of p in natural
+    units: the roots of its secular function f and the shifts of its
+    decoupled coordinates.
     """
-    return Arrowhead(p).poles
+    q, s, _ = natural_units(p)
+    return [s * pole for pole in Arrowhead(q).poles]

@@ -10,6 +10,7 @@ that the dual machinery works with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,6 +24,8 @@ __all__ = [
     "shifted_hessian",
     "lagrangian",
     "lorentz_signs",
+    "natural_scales",
+    "natural_units",
 ]
 
 # Relative asymmetry above this is treated as corrupt input rather than noise.
@@ -85,7 +88,7 @@ class ProblemInstance:
 def cone_quadratic(x) -> float:
     """0.5 * (||x[1:]||^2 - x[0]^2); nonpositive exactly on the two cone nappes."""
     x = np.asarray(x, dtype=float)
-    return 0.5 * (float(x[1:] @ x[1:]) - float(x[0]) ** 2)
+    return 0.5 * (float(x[1:] @ x[1:]) - float(x[0] * x[0]))
 
 
 def primal_objective(p: ProblemInstance, x) -> float:
@@ -127,3 +130,21 @@ def lagrangian(p: ProblemInstance, x, sigma: float) -> float:
         raise ValueError("lagrangian is only defined for sigma >= 0")
     x = np.asarray(x, dtype=float)
     return primal_objective(p, x) + sigma * cone_quadratic(x)
+
+
+def natural_scales(Q, c) -> tuple[float, float]:
+    """The powers of two s <= max|Q| and t <= max|c| (1 for a zero Q or c)."""
+    q_max, c_max = float(np.abs(Q).max()), float(np.abs(c).max())
+    return (math.ldexp(0.5, math.frexp(q_max)[1]) if q_max else 1.0,
+            math.ldexp(0.5, math.frexp(c_max)[1]) if c_max else 1.0)
+
+
+def natural_units(p: ProblemInstance) -> tuple[ProblemInstance, float, float]:
+    """The copy (Q/s, c/t) of p, exact and so not validated again, and the
+    scales s, t of ``natural_scales`` (p itself where s = t = 1)."""
+    s, t = natural_scales(p.Q, p.c)
+    if s == t == 1.0:
+        return p, s, t
+    q = object.__new__(ProblemInstance)
+    q.__dict__.update(p.__dict__, Q=_frozen(p.Q / s), c=_frozen(p.c / t))
+    return q, s, t

@@ -18,7 +18,7 @@ Sorensen's trust-region Newton (SIAM J. Sci. Stat. Comput. 4, 1983).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class SecularForm:
     every sigma: the weights, which can cancel only within a repeated
     eigenvalue, sum in magnitude to at most tol times the magnitudes of
     their terms.
-
-    ``unit`` is the power of two at or below the largest |eigenvalue|.  The
-    roots are isolated and polished with sigma and the eigenvalues in that
-    unit, so that no square of a pole or of 1/(lam + sigma) under- or
-    overflows where the poles are large or small; dividing by a power of
-    two is exact, so every other value is the same.
     """
 
     lam: np.ndarray
@@ -72,20 +66,14 @@ class SecularForm:
     pair: complex
     pair_beta: complex
     vanishes: bool
-    unit: float = field(init=False)
 
-    def __post_init__(self):
-        top = max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
-        object.__setattr__(self, "unit", math.ldexp(0.5, math.frexp(top)[1]))
-
-    def g_and_slope(self, s: float) -> tuple[float, float]:
-        """g and g' at sigma = s * unit, in O(n), in that unit: g times
-        unit^2 and g' times unit^3."""
-        r = 1.0 / (self.lam / self.unit + s)
+    def g_and_slope(self, sigma: float) -> tuple[float, float]:
+        """g and g' at sigma, in O(n)."""
+        r = 1.0 / (self.lam + sigma)
         w = self.beta * r * r
         g, gp = 0.5 * float(w.sum()), -float((w * r).sum())
         if self.pair:
-            rc = 1.0 / (self.pair / self.unit + s)
+            rc = 1.0 / (self.pair + sigma)
             wc = self.pair_beta * rc * rc
             g, gp = g + wc.real, gp - 2.0 * (wc * rc).real
         return g, gp
@@ -95,11 +83,11 @@ class SecularForm:
         TOL_ROOT*min(1+sigma, distance to the nearest pole) or stops
         shrinking.  A first step longer than half that distance is not
         taken: the start is already exact to rounding in its own variable."""
-        unit, last = self.unit, math.inf
+        last = math.inf
         for _ in range(MAX_ITER):
-            g, gp = self.g_and_slope(sigma / unit)
+            g, gp = self.g_and_slope(sigma)
             dist = float(np.abs(self.lam + sigma).min(initial=math.inf))
-            step = unit * (g / gp) if gp != 0.0 else math.inf
+            step = g / gp if gp != 0.0 else math.inf
             if not abs(step) < min(last, 0.5 * dist):
                 break
             sigma -= step
@@ -112,19 +100,18 @@ class SecularForm:
         """Every root sigma > 0 of g, isolated exactly (see ``_real_roots``
         and ``_pair_roots``); the root at sigma = inf of a light-like c is
         left out."""
-        unit = self.unit
         top = max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
-        floor = -ZERO_POLE_TOL * (1.0 + top) / unit
+        floor = -ZERO_POLE_TOL * (1.0 + top)
         with np.errstate(all="ignore"):
             if self.pair:
                 if self.pair_beta == 0.0:
                     return np.zeros(0)  # g > 0
-                return unit * _pair_roots(self.lam / unit, self.beta, self.pair / unit,
-                                          self.pair_beta, floor, light_like)
+                return _pair_roots(self.lam, self.beta, self.pair, self.pair_beta, floor,
+                                   light_like)
             k = (self.beta < 0.0).nonzero()[0]
             if k.size == 0:
                 return np.zeros(0)  # g > 0
-            return unit * _real_roots(self.lam / unit, self.beta, int(k[0]), floor, light_like)
+            return _real_roots(self.lam, self.beta, int(k[0]), floor, light_like)
 
 
 def secular_form(arrow: Arrowhead, tol: float) -> SecularForm | None:

@@ -27,7 +27,7 @@ from .dual import (
     CriticalPoint,
 )
 from .linalg import DEFAULT_TOL_EIG
-from .model import ProblemInstance, lorentz_signs
+from .model import ProblemInstance, lorentz_signs, natural_scales
 from .pontryagin import MAX_ITER, TOL_ROOT
 
 __all__ = [
@@ -114,31 +114,22 @@ def _poles(d: DiagonalInstance) -> list[float]:
     return merged
 
 
-def _numerator(d: DiagonalInstance) -> tuple[np.ndarray, float]:
+def _numerator(d: DiagonalInstance) -> np.ndarray:
     """Coefficients, highest first, of 2*g * prod_i (q_i + s_i*sigma)^2 as a
-    polynomial in sigma / scale, and that scale, max|q| (1 for q = 0).
+    polynomial in sigma.
 
     Only components with c_i != 0 contribute a pole, so the degree is at
-    most 2(m-1) for m such components.  q is scaled to unit max-norm and c
-    to unit length, which leaves the roots in sigma / scale unchanged and
-    keeps the coefficients finite for any finite q.  Terms that cancel to
-    round-off (a critical family, g = 0 everywhere) give the zero polynomial.
+    most 2(m-1) for m such components.  Terms that cancel to round-off (a
+    critical family, g = 0 everywhere) give the zero polynomial.
     """
     signs = lorentz_signs(d.n)
-    scale = float(np.abs(d.q).max()) or 1.0
-    c = d.c / math.sqrt(float(d.c @ d.c))
-    active = np.flatnonzero(c)
-    roots = -signs[active] * (d.q[active] / scale)  # (q_i + s_i*sigma)^2 = (sigma - root_i)^2
-    terms = [signs[i] * c[i] ** 2 * np.atleast_1d(np.poly(np.repeat(np.delete(roots, k), 2)))
+    active = np.flatnonzero(d.c)
+    roots = -signs[active] * d.q[active]  # (q_i + s_i*sigma)^2 = (sigma - root_i)^2
+    terms = [signs[i] * d.c[i] ** 2 * np.atleast_1d(np.poly(np.repeat(np.delete(roots, k), 2)))
              for k, i in enumerate(active)]
     num = np.sum(terms, axis=0)
     size = max(float(np.abs(t).max()) for t in terms)
-    return (np.zeros(1) if float(np.abs(num).max()) <= 1e-12 * size else num), scale
-
-
-def _unit(v: float) -> float:
-    """The largest power of two at or below v > 0 (0.5 for v = 0)."""
-    return math.ldexp(0.5, math.frexp(v)[1])
+    return np.zeros(1) if float(np.abs(num).max()) <= 1e-12 * size else num
 
 
 def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.ndarray | None]:
@@ -152,17 +143,8 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.n
     correctly rounded, rather than from a first-order update of x: next to
     two close poles x is large and its x'Lx cancels, and the update's own
     rounding can push x'Lx past the gate (the root between the poles
-    1.04903 and 1.04968 of ``gen_instance("diagonal", 5, 1462066297)``).
-
-    g, g' and ||x||^2 are read in natural units, as ``_numerator`` scales q:
-    the denominators q_i + s_i sigma divided by the power of two at or below
-    their largest magnitude, and c by the one at or below ||c||, since their
-    squares under- or overflow for large or small q.  Dividing by a power of
-    two is exact, so every other value is the same as in the instance's own
-    units."""
-    c_unit = _unit(math.sqrt(float(d.c @ d.c)))
-    c_scaled = d.c / c_unit
-    c2 = c_scaled**2
+    1.04903 and 1.04968 of ``gen_instance("diagonal", 5, 1462066297)``)."""
+    c2 = d.c**2
     best_s, best_x, best_r = sigma, None, math.inf
     last, converged = math.inf, False
     for _ in range(MAX_ITER):
@@ -172,24 +154,21 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.n
         except SecularPoleError:
             break
         x = d.c / den
-        s_unit = _unit(float(np.abs(den).max()))
-        den_scaled = den / s_unit
-        terms = c2 / den_scaled**2  # as in secular_derivative
+        terms = c2 / den**2  # as in secular_derivative
         g = 0.5 * (float(np.sum(terms[1:])) - float(terms[0]))
-        x_scaled = c_scaled / den_scaled
-        r = abs(2.0 * g / float(x_scaled @ x_scaled))
+        r = abs(2.0 * g / float(x @ x))
         if not r < best_r:
             break
-        gp = -float(np.sum(c2 / den_scaled**3))  # the secular dual's second derivative
+        gp = -float(np.sum(c2 / den**3))  # the secular dual's second derivative
         best_s, best_r = sigma, r
         best_x = x
         if gp != 0.0:  # x_i = 0 where c_i = 0, as in x
-            best_x = np.divide(d.c, den - s_unit * (g / gp) * lorentz_signs(d.n),
+            best_x = np.divide(d.c, den - (g / gp) * lorentz_signs(d.n),
                                out=np.zeros(d.n), where=d.c != 0.0)
-        h_slope = gp + 2.0 * g / ((sigma - pole) / s_unit)
+        h_slope = gp + 2.0 * g / (sigma - pole)
         if converged or h_slope == 0.0:
             break
-        step = s_unit * (g / h_slope)
+        step = g / h_slope
         if not abs(step) < last:
             break
         sigma -= step
@@ -201,9 +180,7 @@ def _polish(d: DiagonalInstance, sigma: float, pole: float) -> tuple[float, np.n
 def _is_multiplier(d: DiagonalInstance, x: np.ndarray, sigma: float, tol: float) -> bool:
     """The dense path's KKT gate: |x'Lx| <= tol*||x||^2, and every KKT
     residual of the instance scaled to max|q| = ||c|| = 1, with the round-off
-    bound eps*||x||^2 of x'Lx, within tol (x'Lx <= 0 only at sigma = 0).
-    x is read in its natural unit ||c|| / max|q|, so that no square of that
-    unit is formed (it under- or overflows for large q)."""
+    bound eps*||x||^2 of x'Lx, within tol (x'Lx <= 0 only at sigma = 0)."""
     s_unit = float(np.abs(d.q).max()) or 1.0
     c_norm = math.sqrt(float(d.c @ d.c))
     stationarity = float(np.abs(_denominators(d, sigma) * x - d.c).max()) / c_norm
@@ -260,8 +237,12 @@ def secular_enumerate(
     x'Lx = 0, and a root within tol_eig of a pole, where no point can be
     recovered, dropped).  When the derivative vanishes identically (its
     numerator cancels) every sigma is critical, and one per pole cell is
-    reported.
+    reported.  All of it runs on the instance in natural units
+    (``model.natural_scales``), and the points are mapped back.
     """
+    unit, c_unit = natural_scales(d.q, d.c)
+    if unit != 1.0 or c_unit != 1.0:
+        d = DiagonalInstance(q=d.q / unit, c=d.c / c_unit, name=d.name)
     poles = _poles(d)
     zero_singular = bool(poles) and poles[0] <= 1e-12
     if float(np.abs(d.c).max()) == 0.0:
@@ -269,9 +250,9 @@ def secular_enumerate(
         if zero_singular:
             first = min((s for s in poles if s > 1e-12), default=1.0)
             sigma0 = 0.5 * first
-        return [_point(d, sigma0, tol_eig)]
+        return [_point(d, sigma0, tol_eig).scaled(unit, c_unit)]
 
-    num, scale = _numerator(d)
+    num = _numerator(d)
     candidates: list[tuple[float, np.ndarray | None]] = []
     if not np.any(num):
         # Critical family: cell midpoints as on the dense path, the last
@@ -280,7 +261,7 @@ def secular_enumerate(
         sigmas = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:] + [3.0 * breaks[-1] + 2.0])]
         candidates = [(s, None) for s in (sigmas if zero_singular else sigmas[1:])]
     roots = np.roots(num)
-    real = scale * roots[np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))].real
+    real = roots[np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))].real
     for start, pole in {st for root in real[real > 0.0] for st in _starts(float(root), poles)}:
         sigma, x = _polish(d, start, pole)
         if sigma > 0.0 and x is not None and _is_multiplier(d, x, sigma, tol):
@@ -297,4 +278,4 @@ def secular_enumerate(
         cp = _point(d, sigma, tol_eig, x)
         if cp.inertia[1] == 0:  # within tol_eig of a pole: no point to recover
             points.append(cp)
-    return points
+    return points if unit == c_unit == 1.0 else [cp.scaled(unit, c_unit) for cp in points]

@@ -67,6 +67,33 @@ class TestSolveCommand:
         assert code == exit_code and err == ""
         assert (json.loads(out)["solution"] is None) == (exit_code == 4)
 
+    @pytest.mark.parametrize("command", ["solve", "enumerate"])
+    def test_non_finite_report_value_exits_64(self, capsys, tmp_path, command):
+        # x = c = 1e308 (1, 1): the squares of the solve's KKT check raised
+        # OverflowError, and the objective overflows to -inf
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 2, "Q": [[1, 0], [0, 1]], "c": [1e308, 1e308]}')
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, command, str(path))
+        assert code == 64 and out == ""
+        assert err.count("\n") == 1 and "non-finite value" in err
+
+    @pytest.mark.parametrize("name, exit_code", [
+        ("dense_2d_certified", 0), ("dense_3d_uncertified", 2), ("diagonal_2d_certified", 0),
+        ("diagonal_2d_saddle", 2), ("hardcase_2d", 3)])
+    def test_small_q_solves_and_checks_as_its_unit_scale_copy(
+            self, capsys, tmp_path, problem_dir, name, exit_code):
+        # Q * 1e-12 met the absolute floors of the solve (exit 4 on every
+        # fixture) and the zero band of check's hard-case limit value
+        data = json.loads((problem_dir / f"{name}.json").read_text())
+        key = "q" if data.get("diagonal") else "Q"
+        data[key] = (1e-12 * np.array(data[key])).tolist()
+        problem, report = tmp_path / "small.json", tmp_path / "report.json"
+        problem.write_text(json.dumps(data))
+        assert run_cli(capsys, "solve", str(problem), "-o", str(report))[0] == exit_code
+        code, out, _ = run_cli(capsys, "check", str(problem), str(report))
+        assert code == 0 and "FAIL" not in out
+
     def test_output_file_written_atomically(self, capsys, tmp_path, problem_dir):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(

@@ -16,7 +16,7 @@ from lorentzqp import DualInterval, ProblemInstance, dual, pd_interval, solve_pr
 from lorentzqp.arrowhead import Arrowhead
 from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.linalg import factorize
-from lorentzqp.model import lorentz_signs, shifted_hessian
+from lorentzqp.model import lorentz_signs, natural_units, shifted_hessian
 
 
 def scan_window(p: ProblemInstance) -> DualInterval | None:
@@ -122,12 +122,13 @@ def test_window_costs_no_factorization(monkeypatch):
 def test_window_fallback_factorizes_no_midpoint(monkeypatch, Q, c):
     # no multiplier inside the window: the hard-case sign of g at the
     # midpoint comes from an arrowhead solve there; only the hard case
-    # itself factorizes G, at the pole
+    # itself factorizes G, at the pole, of the problem in natural units
     p = ProblemInstance(Q=Q, c=c)
     w = pd_interval(p)
-    mid = shifted_hessian(p, 0.5 * (w.lo + w.hi))
+    q, s, _ = natural_units(p)
+    mid = shifted_hessian(q, 0.5 * (w.lo + w.hi) / s)
     seen = counted_factorize(monkeypatch)
     rep = solve_problem(p)
     assert rep.exit_code == 3
-    assert not any(np.array_equal(G, mid) for G in seen)
-    assert all(np.array_equal(G, shifted_hessian(p, w.hi)) for G in seen)
+    assert seen and not any(np.array_equal(G, mid) for G in seen)
+    assert all(np.array_equal(G, shifted_hessian(q, w.hi / s)) for G in seen)

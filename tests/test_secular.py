@@ -166,10 +166,12 @@ class TestSecularEnumerate:
     @pytest.mark.parametrize("q, unit, c", [
         ((-1e200, 1e200), (-1.0, 1.0), (1.0, 1.0)),  # the gate's unit ||c|| / max|q| squared underflows
         ((-1e155, -1e155), (-1.0, -1.0), (1.0, 1.0)),  # the unscaled numerator overflows
-        # the polish divided g by ||x||^2, both underflowed to 0
-        *[(1e200 * d.q, d.q, d.c) for d in
+        # the polish divided g by ||x||^2, both underflowed to 0; at 1e-200
+        # the absolute floors of the pole merge and the starts swamped sigma
+        *[(scale * d.q, d.q, d.c) for scale in (1e200, 1e-200) for d in
           (gen_instance("diagonal", 2 + k % 4, 777000 + k) for k in LARGE_Q_SEEDS)],
-    ], ids=["q0-unit0", "q1-unit1"] + [f"diagonal-{777000 + k}" for k in LARGE_Q_SEEDS])
+    ], ids=["q0-unit0", "q1-unit1"]
+        + [f"diagonal-{777000 + k}{tag}" for tag in ("", "-small") for k in LARGE_Q_SEEDS])
     def test_large_q_lists_the_points_of_its_unit_scale_copy(self, q, unit, c):
         big = secular_enumerate(DiagonalInstance(q=q, c=c))
         small = secular_enumerate(DiagonalInstance(q=unit, c=c))
@@ -192,3 +194,31 @@ class TestSecularEnumerate:
                 np.testing.assert_allclose(a.x, b.x, atol=1e-7)
                 assert abs(a.dual_value - b.dual_value) <= 1e-7
                 assert abs(a.primal_value - b.primal_value) <= 1e-7
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+@pytest.mark.parametrize("q, first_pole, inertia, exit_code", [
+    ((1.0, 2.0), None, (2, 0, 0), 0),            # Q positive definite: certified vertex
+    ((-1.0, 1.0), None, (1, 0, 1), 2),           # Q indefinite
+    ((0.0, -1.0), 1.0, (0, 0, 2), 2),            # 0 is a pole: half the first pole above it
+    ((0.0, 1.0), np.inf, (1, 0, 1), 2),          # 0 is the only pole
+], ids=["definite", "indefinite", "zero-pole", "zero-only-pole"])
+def test_zero_c_lists_the_vertex(q, first_pole, inertia, exit_code, scale):
+    # c = 0: x(sigma) = 0 at every nonsingular shift, and both paths list the
+    # one stationary point, the vertex, at sigma = 0 or, where 0 is a pole,
+    # inside the first cell; the same at Q * 1e-12, where a pole at 1e-12
+    # fell below the absolute merge floor and the zero band swallowed G
+    d = DiagonalInstance(q=scale * np.array(q), c=(0.0, 0.0))
+    sec, den = secular_enumerate(d), enumerate_kkt(d.to_dense())
+    assert len(sec) == len(den) == 1
+    for cp in (sec[0], den[0]):
+        assert not cp.x.any() and cp.inertia == inertia
+        if first_pole is None:
+            assert cp.sigma == 0.0
+        elif first_pole == np.inf:
+            assert cp.sigma > 0.0
+        else:
+            assert cp.sigma == pytest.approx(0.5 * scale * first_pole, rel=1e-12)
+    assert sec[0].sigma == pytest.approx(den[0].sigma, rel=1e-12)
+    assert sec[0].certificate == den[0].certificate
+    assert solve_problem(d.to_dense()).exit_code == exit_code

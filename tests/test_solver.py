@@ -115,10 +115,12 @@ class TestSolveSelection:
             scaled = solve_problem(ProblemInstance(Q=alpha * p.Q, c=alpha * p.c))
             _assert_same_verdict(rep, scaled, case, alpha, 1.0)
 
-    @pytest.mark.parametrize("alpha", [1e8, 1e12])
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-12, 1e-8, 1e8, 1e12])
     def test_scaling_q_scales_sigma_and_x(self, alpha):
         # G(alpha*sigma) = alpha*(Q + sigma*L) for alpha*Q, so the solution
-        # moves to (alpha*sigma, x/alpha); the nappe test is relative to max|x|
+        # moves to (alpha*sigma, x/alpha); the nappe test is relative to max|x|,
+        # and every solve runs in natural units, so that a small Q meets no
+        # absolute floor
         for case, p in _metamorphic_corpus():
             rep = solve_problem(p)
             scaled = solve_problem(ProblemInstance(Q=alpha * p.Q, c=p.c))
@@ -229,21 +231,25 @@ def test_integer_census_solves_to_kkt_points():
 # gen_instance("diagonal", 2 + k % 4, 777000 + k) for these k, with q * 1e200,
 # raised ZeroDivisionError in both enumerations: the pole bound squared a
 # cell width in t = 1/(sigma + lam) that underflowed, and the secular polish
-# divided two underflowed squares
+# divided two underflowed squares; with q * 1e-200 both listed fewer points,
+# as the absolute floors of the pole merge and the Newton starts swamped
+# sigma ~ 1e-200
 LARGE_Q_SEEDS = {1: EXIT_CERTIFIED, 3: EXIT_UNCERTIFIED, 4: EXIT_NO_SOLUTION, 10: EXIT_UNCERTIFIED}
 
 
 def _large_q_cases():
     cases = [(np.diag([-1e200, 1e200]), np.diag([-1.0, 1.0]), [1.0, 1.0], EXIT_NO_SOLUTION),
              (-1e155 * np.eye(2), -np.eye(2), [1.0, 1.0], EXIT_NO_SOLUTION)]
-    for k, exit_code in LARGE_Q_SEEDS.items():
-        d = gen_instance("diagonal", 2 + k % 4, 777000 + k)
-        cases.append((np.diag(1e200 * d.q), np.diag(d.q), d.c, exit_code))
+    for scale in (1e200, 1e-200):
+        for k, exit_code in LARGE_Q_SEEDS.items():
+            d = gen_instance("diagonal", 2 + k % 4, 777000 + k)
+            cases.append((np.diag(scale * d.q), np.diag(d.q), d.c, exit_code))
     return cases
 
 
 @pytest.mark.parametrize("Q, unit, c, exit_code", _large_q_cases(),
-                         ids=["Q0-unit0", "Q1-unit1"] + [f"diagonal-{777000 + k}" for k in LARGE_Q_SEEDS])
+                         ids=["Q0-unit0", "Q1-unit1"]
+                         + [f"diagonal-{777000 + k}{tag}" for tag in ("", "-small") for k in LARGE_Q_SEEDS])
 def test_large_q_exits_as_its_unit_scale_copy(Q, unit, c, exit_code):
     # the gate read x'Lx in units whose square underflowed (1e-200^2), and
     # the pole terms of the secular form squared 1e155 on Python floats
