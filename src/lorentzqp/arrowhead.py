@@ -49,9 +49,11 @@ from .model import ProblemInstance, lorentz_signs
 __all__ = ["Arrowhead"]
 
 EPS = float(np.finfo(float).eps)
-# Zero band of the inertia, relative to max(1, ||G||_inf) (``linalg.factorize``
-# and ``Arrowhead.inertia``).
-DEFAULT_TOL_EIG = 1e-10
+# The zero band: an eigenvalue of G with |lambda| <= TOL_EIG * max(1, ||G||_inf)
+# is zero.  Every inertia and singularity test applies it to the problem in
+# natural units (``model.natural_units``): ``Arrowhead.inertia``,
+# ``linalg.factorize`` and the diagonal route's ``secular._point``.
+TOL_EIG = 1e-10
 # Singular shifts down to -ZERO_POLE_TOL * (1 + max|Q|) are poles at 0.
 ZERO_POLE_TOL = 1e-9
 # A pair of roots of f closer than twice this times 1 + max|Q| (a complex
@@ -206,9 +208,9 @@ class Arrowhead:
                 x0, xt = x0 + (g / gp) * y0, xt + (g / gp) * yt
             return self._rotate_back(x0, xt)
 
-    def inertia(self, sigma: float, tol_eig: float = DEFAULT_TOL_EIG) -> tuple[int, int, int]:
+    def inertia(self, sigma: float) -> tuple[int, int, int]:
         """(n_pos, n_zero, n_neg) of G(sigma) under the zero band
-        ``tol_eig * max(1, ||G(sigma)||_inf)`` of ``linalg.factorize``.
+        ``TOL_EIG * max(1, ||G(sigma)||_inf)`` of ``linalg.factorize``.
 
         G - t*I is again an arrowhead, so the number of eigenvalues of G
         below t is the number of nu_i + sigma below t plus one if
@@ -219,7 +221,7 @@ class Arrowhead:
         counted by ``searchsorted``; a NaN bound (sigma NaN) counts none.
         """
         norm = max((self._offdiag + np.abs(self._diag + sigma * self._signs)).tolist())
-        band = tol_eig * max(1.0, norm)
+        band = TOL_EIG * max(1.0, norm)
         f_neg, f_pos = self.f(sigma, np.array([-band, band])).tolist()
         lo, hi = -band - sigma, band - sigma
         neg = (int(self.nu.searchsorted(lo)) if lo == lo else 0) + (f_neg < 0.0)

@@ -50,14 +50,12 @@ from .verify import (
 )
 
 
-def _add_tolerance_flags(sp):
+def _add_tolerance_flag(sp):
     d = Tolerances()
     sp.add_argument("--tol-kkt", type=float, default=d.tol_kkt,
                     help="KKT gate: a multiplier is kept when |x'Lx| <= tol*||x||^2 "
                          "and its KKT residuals, scaled to max|Q| = ||c|| = 1, are "
                          f"within tol (default {d.tol_kkt:g})")
-    sp.add_argument("--tol-eig", type=float, default=d.tol_eig,
-                    help=f"scale-free singularity band for inertia (default {d.tol_eig:g})")
 
 
 def _finite_positive(value) -> bool:
@@ -68,7 +66,6 @@ def _finite_positive(value) -> bool:
 # is malformed input.  A flag a subcommand lacks, or left at None, is skipped.
 _FLAG_RULES = {
     "tol_kkt": (_finite_positive, "finite and > 0"),
-    "tol_eig": (_finite_positive, "finite and > 0"),
     "oracle_radius": (_finite_positive, "finite and > 0"),
     "oracle_resolution": (lambda v: v >= 16, "at least 16"),
     "radius": (_finite_positive, "finite and > 0"),
@@ -116,17 +113,13 @@ def _load(path):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(tol_kkt=args.tol_kkt, tol_eig=args.tol_eig)
-
-
 def cmd_solve(args) -> int:
     p = as_dense(_load(args.problem))
     try:
         if args.oracle:
             check_oracle_dimension(p.n)
         report = solve_problem(
-            p, _tolerances(args), oracle=args.oracle,
+            p, Tolerances(tol_kkt=args.tol_kkt), oracle=args.oracle,
             oracle_radius=args.oracle_radius, oracle_resolution=args.oracle_resolution,
         )
     except OracleError as exc:
@@ -139,8 +132,7 @@ def cmd_solve(args) -> int:
 
 def cmd_enumerate(args) -> int:
     p = as_dense(_load(args.problem))
-    tol = _tolerances(args)
-    points = enumerate_kkt(p, tol.tol_kkt, tol_eig=tol.tol_eig)
+    points = enumerate_kkt(p, args.tol_kkt)
     out = {
         "tool": {"name": "lorentzqp", "version": __version__},
         "problem": problem_to_jsonable(p),
@@ -151,7 +143,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_sweep(args) -> int:
     p = as_dense(_load(args.problem))
-    rows = sweep_table(p, args.sigma_min, args.sigma_max, args.steps, args.tol_eig)
+    rows = sweep_table(p, args.sigma_min, args.sigma_max, args.steps)
     _emit(sweep_csv(rows), args.output)
     return 0
 
@@ -260,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the brute-force oracle and compare")
     sp.add_argument("--oracle-radius", type=float, default=None)
     sp.add_argument("--oracle-resolution", type=int, default=128)
-    _add_tolerance_flags(sp)
+    _add_tolerance_flag(sp)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("enumerate", help="report every dual KKT point")
     sp.add_argument("problem")
     sp.add_argument("-o", "--output")
-    _add_tolerance_flags(sp)
+    _add_tolerance_flag(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("sweep", help="CSV of the dual curve over a sigma range")
@@ -274,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma-min", type=float, default=0.0)
     sp.add_argument("--sigma-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--tol-eig", type=float, default=Tolerances().tol_eig)
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_sweep)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrowhead import Arrowhead
-from .linalg import DEFAULT_TOL_EIG, Factorization, SingularMatrixError, factorize, solve_linear
+from .linalg import Factorization, SingularMatrixError, factorize, solve_linear
 from .model import (
     ProblemInstance,
     cone_quadratic,
@@ -75,9 +75,6 @@ CERT_HARD = "boundary_hard_case"
 
 DEFAULT_TOL_KKT = 1e-8
 
-# Tolerance for the nappe test x[0] >= -NAPPE_TOL * max|x|, relative to the
-# point's own size, so that scaling Q or c does not change it.
-NAPPE_TOL = 1e-8
 # Eigenvalues mu = 1/(sigma - s0) of the pencil with |imag mu| up to this
 # count as real: double roots of g split into nearly-real pairs, and Newton
 # plus the KKT gate decide what a kept value is worth.
@@ -94,10 +91,14 @@ SHIFT_LIMIT = 1e8
 # sqrt(eps) (relative); an eigenvalue this close to a pole is polished from
 # one start on each side of it instead.
 POLE_RESOLUTION = 1e-7
-# Zero band (tol_eig) of G at a hard-case shift, looser than DEFAULT_TOL_EIG:
-# the shift comes from an eigensolve, so G is singular there only to within
-# the round-off of that shift.
-HARD_CASE_TOL_EIG = 1e-8
+# Tolerance for the nappe test x[0] >= -NAPPE_TOL * max|x|, relative to the
+# point's own size, so that scaling Q or c does not change it.
+NAPPE_TOL = 1e-8
+
+
+def positive_nappe(x: np.ndarray) -> bool:
+    """x[0] >= 0 to within NAPPE_TOL of the point's own size."""
+    return bool(x[0] >= -NAPPE_TOL * float(np.abs(x).max()))
 
 
 class HardCaseError(RuntimeError):
@@ -258,7 +259,7 @@ def build_critical_point(
 ) -> CriticalPoint:
     """Complete a dual candidate sigma, with its recovered point x and the
     inertia of G(sigma), into a classified CriticalPoint."""
-    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.abs(x).max()))
+    nappe_ok = positive_nappe(x)
     if certificate is None:
         certificate = CERT_GLOBAL if (inertia[0] == p.n and nappe_ok) else CERT_KKT
     return CriticalPoint(
@@ -285,7 +286,7 @@ def maximize_dual(p: ProblemInstance) -> CriticalPoint | None:
     (hard case).  Windows where the dual decreases throughout and that
     start above 0 carry no certified point and yield None.
     """
-    point, _ = _maximize_with_notes(p, enumerate_kkt(p), DEFAULT_TOL_KKT, DEFAULT_TOL_EIG)
+    point, _ = _maximize_with_notes(p, enumerate_kkt(p), DEFAULT_TOL_KKT)
     return point
 
 
@@ -293,7 +294,6 @@ def _maximize_with_notes(
     p: ProblemInstance,
     points: _KKTPoints,
     tol: float,
-    tol_eig: float,
 ) -> tuple[CriticalPoint | None, list[str]]:
     """Select the dual maximum from the enumerated multipliers.
 
@@ -316,7 +316,7 @@ def _maximize_with_notes(
     interval, mid = window
     if points.arrow.g(mid) > 0.0:
         try:
-            point = hard_case_solve(p, points.unit * interval.hi, tol=tol, tol_eig=tol_eig)
+            point = hard_case_solve(p, points.unit * interval.hi, tol=tol)
         except HardCaseError as exc:
             return None, [f"hard case without boundary solution: {exc}; no certificate, see oracle"]
         return point, ["dual supremum attained only at the singular boundary (hard case)"]
@@ -493,8 +493,6 @@ def _recovered(arrow: Arrowhead, sigma: float) -> np.ndarray | None:
 def enumerate_kkt(
     p: ProblemInstance,
     tol: float = DEFAULT_TOL_KKT,
-    *,
-    tol_eig: float = DEFAULT_TOL_EIG,
 ) -> list[CriticalPoint]:
     """All dual KKT points sigma >= 0, classified by inertia.
 
@@ -526,7 +524,7 @@ def enumerate_kkt(
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
-        point = build_critical_point(p, sigma0, np.zeros(p.n), arrow.inertia(sigma0, tol_eig))
+        point = build_critical_point(p, sigma0, np.zeros(p.n), arrow.inertia(sigma0))
         return _KKTPoints([point], arrow, cells, unit, c_unit)
 
     c_norm = math.sqrt(float(p.c @ p.c))
@@ -560,8 +558,8 @@ def enumerate_kkt(
     for sigma, x in sorted(candidates, key=lambda sx: sx[0]):
         if points and sigma - points[-1].sigma <= 1e-9 * (1.0 + sigma):
             continue
-        inertia = arrow.inertia(sigma, tol_eig)
-        if inertia[1] == 0:  # within tol_eig of a pole: no point to recover
+        inertia = arrow.inertia(sigma)
+        if inertia[1] == 0:  # in the zero band at a pole: no point to recover
             points.append(build_critical_point(
                 p, sigma, arrow.x(sigma) if x is None else x, inertia))
     return _KKTPoints(points, arrow, cells, unit, c_unit)
@@ -578,11 +576,12 @@ def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
     problem in natural units (the basis and the factorization are its own).
 
     The dual's limit value at the singular shift is ``-0.5 * c' x``.  Raises
-    HardCaseError unless G is singular there and c is orthogonal (within
-    tol*(1+||c||)) to its null space.
+    HardCaseError unless G is singular there (under the zero band of
+    ``factorize``) and c is orthogonal (within tol*(1+||c||)) to its null
+    space.
     """
     q, s, t = natural_units(p)
-    f = factorize(shifted_hessian(q, sigma_sing / s), HARD_CASE_TOL_EIG)
+    f = factorize(shifted_hessian(q, sigma_sing / s))
     if not f.singular:
         raise HardCaseError(
             f"G(sigma) is not singular at sigma={sigma_sing!r} (no null space found)"
@@ -601,7 +600,6 @@ def hard_case_solve(
     p: ProblemInstance,
     sigma_sing: float,
     tol: float = DEFAULT_TOL_KKT,
-    tol_eig: float = DEFAULT_TOL_EIG,
 ) -> CriticalPoint:
     """Boundary solution when the dual supremum sits at a singular shift.
 
@@ -638,14 +636,14 @@ def hard_case_solve(
             r = math.sqrt(disc)
             candidates.extend([(-lin_b - r) / quad_a, (-lin_b + r) / quad_a])
 
-    admissible = [tau for tau in candidates if math.isfinite(tau)
-                  and x_p[0] + tau * v[0] >= -NAPPE_TOL * float(np.abs(x_p + tau * v).max())]
+    admissible = [tau for tau in candidates
+                  if math.isfinite(tau) and positive_nappe(x_p + tau * v)]
     if not admissible:
         raise HardCaseError(
             "no boundary point with x[0] >= 0 along the null direction; the dual "
             "supremum is not attained"
         )
     tau = min(admissible, key=abs)
-    point = build_critical_point(q, sigma_sing / s, x_p + tau * v, f.with_tol(tol_eig).inertia,
+    point = build_critical_point(q, sigma_sing / s, x_p + tau * v, f.inertia,
                                  certificate=CERT_HARD)
     return point if q is p else point.scaled(s, t)

@@ -220,14 +220,10 @@ def point_to_jsonable(cp) -> dict:
 
 
 def report_to_jsonable(report: SolveReport, version: str) -> dict:
-    tol = report.tolerances
     out: dict = {
         "tool": {"name": "lorentzqp", "version": version},
         "problem": problem_to_jsonable(report.problem),
-        "tolerances": {
-            "tol_kkt": tol.tol_kkt,
-            "tol_eig": tol.tol_eig,
-        },
+        "tolerances": {"tol_kkt": report.tolerances.tol_kkt},
         "solution": None,
         "critical_points": [point_to_jsonable(cp) for cp in report.critical_points],
         "kkt_residuals": None,

@@ -3,8 +3,9 @@ Hessian, and the singular shifts of det(Q + sigma*L) = 0.
 
 Desk scale only (n up to a few hundred), backed by LAPACK through numpy.
 ``factorize`` computes G = U diag(w) U' once; its inertia, singularity,
-solves and null space are all read from that decomposition under one
-scale-free zero band.  The solve path uses it only at a hard-case pole and
+solves and null space are all read from that decomposition under the zero
+band ``arrowhead.TOL_EIG``, and every caller hands it G in natural units
+(``model.natural_units``).  The solve path uses it only at a hard-case pole and
 in the sweep table: the poles, and the inertia and solves at every other
 shift, come from the arrowhead form of the pencil (``arrowhead``), whose
 inertia keeps the same zero band.
@@ -12,11 +13,11 @@ inertia keeps the same zero band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arrowhead import DEFAULT_TOL_EIG, Arrowhead
+from .arrowhead import TOL_EIG, Arrowhead
 from .model import ProblemInstance, natural_units
 
 __all__ = [
@@ -42,7 +43,7 @@ class Factorization:
     """Symmetric eigendecomposition G = U diag(w) U', eigenvalues ascending.
 
     Eigenvalues with |w| <= band count as zero, where
-    ``band = tol_eig * max(1, ||G||_inf)``.
+    ``band = TOL_EIG * max(1, ||G||_inf)``.
     """
 
     G: np.ndarray
@@ -74,23 +75,16 @@ class Factorization:
     def positive_definite(self) -> bool:
         return bool(self.w[0] > self.band)
 
-    def with_tol(self, tol_eig: float) -> Factorization:
-        """The same decomposition under the zero band of ``tol_eig``."""
-        return replace(self, band=_band(self.G, tol_eig))
 
-
-def factorize(G: np.ndarray, tol_eig: float = DEFAULT_TOL_EIG) -> Factorization:
-    """Eigendecomposition of a symmetric matrix with a scale-free zero band
-    ``|lambda| <= tol_eig * max(1, ||G||_inf)``.  Singularity is reported,
+def factorize(G: np.ndarray) -> Factorization:
+    """Eigendecomposition of a symmetric matrix with the zero band
+    ``|lambda| <= TOL_EIG * max(1, ||G||_inf)``.  Singularity is reported,
     not raised; only subsequent solves raise.
     """
     G = np.asarray(G, dtype=float)
     w, U = np.linalg.eigh(G)
-    return Factorization(G=G, w=w, U=U, band=_band(G, tol_eig))
-
-
-def _band(G: np.ndarray, tol_eig: float) -> float:
-    return tol_eig * max(1.0, float(np.abs(G).sum(axis=1).max()))
+    band = TOL_EIG * max(1.0, float(np.abs(G).sum(axis=1).max()))
+    return Factorization(G=G, w=w, U=U, band=band)
 
 
 def solve_linear(f: Factorization, rhs) -> np.ndarray:

@@ -16,17 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrowhead import TOL_EIG
 from .dual import (
     CERT_GLOBAL,
     CERT_KKT,
     DEFAULT_TOL_KKT,
     EPS,
-    NAPPE_TOL,
     POLE_RESOLUTION,
     REALNESS_TOL,
     CriticalPoint,
+    positive_nappe,
 )
-from .linalg import DEFAULT_TOL_EIG
 from .model import ProblemInstance, lorentz_signs, natural_scales
 from .pontryagin import MAX_ITER, TOL_ROOT
 
@@ -202,16 +202,15 @@ def _starts(sigma: float, poles: list[float]) -> list[tuple[float, float]]:
     return [(sigma, math.inf)]
 
 
-def _point(d: DiagonalInstance, sigma: float, tol_eig: float,
-           x: np.ndarray | None = None) -> CriticalPoint:
+def _point(d: DiagonalInstance, sigma: float, x: np.ndarray | None = None) -> CriticalPoint:
     den = _denominators(d, sigma)
     if x is None:
         x = d.c / den
-    band = tol_eig * max(1.0, float(np.abs(den).max()))
+    band = TOL_EIG * max(1.0, float(np.abs(den).max()))
     n_zero = int(np.sum(np.abs(den) <= band))
     n_pos = int(np.sum(den > band))
     inertia = (n_pos, n_zero, d.n - n_zero - n_pos)
-    nappe_ok = bool(x[0] >= -NAPPE_TOL * float(np.abs(x).max()))
+    nappe_ok = positive_nappe(x)
     certificate = CERT_GLOBAL if (inertia == (d.n, 0, 0) and nappe_ok) else CERT_KKT
     dual = -0.5 * float(np.sum(d.c * x))
     primal = 0.5 * float(np.sum(d.q * x * x)) - float(np.sum(d.c * x))
@@ -224,8 +223,6 @@ def _point(d: DiagonalInstance, sigma: float, tol_eig: float,
 def secular_enumerate(
     d: DiagonalInstance,
     tol: float = DEFAULT_TOL_KKT,
-    *,
-    tol_eig: float = DEFAULT_TOL_EIG,
 ) -> list[CriticalPoint]:
     """All dual KKT points of the diagonal instance, in closed form.
 
@@ -234,10 +231,10 @@ def secular_enumerate(
     under the dense path's acceptance rules (relative gate
     |x'Lx| <= tol*||x||^2 plus scaled KKT residuals within tol, 1e-9
     relative merging, sigma = 0 admitted with x'Lx <= 0 in place of
-    x'Lx = 0, and a root within tol_eig of a pole, where no point can be
-    recovered, dropped).  When the derivative vanishes identically (its
-    numerator cancels) every sigma is critical, and one per pole cell is
-    reported.  All of it runs on the instance in natural units
+    x'Lx = 0, and a root in the zero band ``TOL_EIG`` at a pole, where no
+    point can be recovered, dropped).  When the derivative vanishes
+    identically (its numerator cancels) every sigma is critical, and one per
+    pole cell is reported.  All of it runs on the instance in natural units
     (``model.natural_scales``), and the points are mapped back.
     """
     unit, c_unit = natural_scales(d.q, d.c)
@@ -250,7 +247,7 @@ def secular_enumerate(
         if zero_singular:
             first = min((s for s in poles if s > 1e-12), default=1.0)
             sigma0 = 0.5 * first
-        return [_point(d, sigma0, tol_eig).scaled(unit, c_unit)]
+        return [_point(d, sigma0).scaled(unit, c_unit)]
 
     num = _numerator(d)
     candidates: list[tuple[float, np.ndarray | None]] = []
@@ -275,7 +272,7 @@ def secular_enumerate(
     for sigma, x in sorted(candidates, key=lambda sx: sx[0]):
         if points and sigma - points[-1].sigma <= 1e-9 * (1.0 + sigma):
             continue
-        cp = _point(d, sigma, tol_eig, x)
-        if cp.inertia[1] == 0:  # within tol_eig of a pole: no point to recover
+        cp = _point(d, sigma, x)
+        if cp.inertia[1] == 0:  # in the zero band at a pole: no point to recover
             points.append(cp)
     return points if unit == c_unit == 1.0 else [cp.scaled(unit, c_unit) for cp in points]

@@ -19,8 +19,8 @@ from .dual import (
     _maximize_with_notes,
     enumerate_kkt,
 )
-from .linalg import DEFAULT_TOL_EIG, factorize, solve_linear
-from .model import ProblemInstance, shifted_hessian
+from .linalg import factorize, solve_linear
+from .model import ProblemInstance, cone_quadratic, natural_units, shifted_hessian
 from .verify import (
     KKTResiduals,
     OracleResult,
@@ -57,11 +57,11 @@ DEFAULT_TOL_GAP = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The two tolerances that define a verdict: the KKT gate of a
-    multiplier (``tol_kkt``) and the zero band of the inertia (``tol_eig``)."""
+    """The tolerance that defines a verdict: the KKT gate of a multiplier
+    (``tol_kkt``).  The zero band of the inertia is the constant
+    ``arrowhead.TOL_EIG``, applied in natural units."""
 
     tol_kkt: float = DEFAULT_TOL_KKT
-    tol_eig: float = DEFAULT_TOL_EIG
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ def solve_problem(
     """
     if oracle:
         check_oracle_dimension(p.n)
-    points = enumerate_kkt(p, tol.tol_kkt, tol_eig=tol.tol_eig)
-    best, warnings = _maximize_with_notes(p, points, tol.tol_kkt, tol.tol_eig)
+    points = enumerate_kkt(p, tol.tol_kkt)
+    best, warnings = _maximize_with_notes(p, points, tol.tol_kkt)
     if best is not None and best.certificate == CERT_HARD:
         # The boundary point sits at a pole, outside the enumeration; its
         # limit value weakly dominates every cone-feasible KKT point.
@@ -168,27 +168,29 @@ def sweep_table(
     sigma_min: float,
     sigma_max: float,
     steps: int,
-    tol_eig: float = DEFAULT_TOL_EIG,
 ) -> list[tuple[float, float | None, float | None, float, bool]]:
     """Rows (sigma, dual_value, dual_derivative, min_eigenvalue, is_pd).
 
-    Every field of a row comes from one ``factorize`` of G(sigma).  Value
+    Every field of a row comes from one ``factorize`` of G(sigma) on the
+    problem in natural units (``model.natural_units``), mapped back.  Value
     fields are None exactly where the shifted Hessian is singular under the
-    scale-free tolerance; those rows serialize as empty CSV cells.
+    zero band, or where a value overflows in the problem's own units; those
+    rows serialize as empty CSV cells.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    q, s, t = natural_units(p)
     rows = []
     for sigma in np.linspace(sigma_min, sigma_max, steps):
         sigma = float(sigma)
-        f = factorize(shifted_hessian(p, sigma), tol_eig)
-        lam = float(f.w[0])
+        f = factorize(shifted_hessian(q, sigma / s))
+        lam = s * float(f.w[0])
         if f.singular:
             rows.append((sigma, None, None, lam, False))
             continue
-        x = solve_linear(f, p.c)
-        dv = -0.5 * float(p.c @ x)
-        dd = 0.5 * (float(x[1:] @ x[1:]) - float(x[0]) ** 2)
+        x = solve_linear(f, q.c)
+        dv = -0.5 * float(q.c @ x) * (t / s) * t
+        dd = cone_quadratic(x) * (t / s) * (t / s)
         if not (math.isfinite(dv) and math.isfinite(dd)):
             rows.append((sigma, None, None, lam, False))
             continue

@@ -6,7 +6,8 @@ tail coordinates."""
 import numpy as np
 import pytest
 
-from lorentzqp import ProblemInstance, cone_quadratic, dual, pontryagin, solve_problem
+from lorentzqp import (ProblemInstance, arrowhead, cone_quadratic, dual, linalg, pontryagin,
+                       solve_problem)
 from lorentzqp.arrowhead import Arrowhead
 from lorentzqp.fileio import as_dense, gen_instance
 from lorentzqp.linalg import factorize
@@ -136,13 +137,16 @@ class TestPerShift:
         ([[1.0, 0.25], [0.25, 0.5]], 0.25, 0.5, (1, 1, 0)),
         ([[-0.5, 0.25], [0.25, -1.0]], 0.25, 0.5, (0, 1, 1)),
     ])
-    def test_inertia_on_the_edges_of_the_band(self, Q, sigma, tol_eig, inertia):
+    def test_inertia_on_the_edges_of_the_band(self, monkeypatch, Q, sigma, tol_eig, inertia):
         # every entry is dyadic, so nu + sigma and f land exactly on the
-        # band; the band is closed on both sides, as in ``factorize``
+        # band; the band is closed on both sides, as in ``factorize``.  The
+        # band is widened to tol_eig in each module that reads TOL_EIG.
+        monkeypatch.setattr(arrowhead, "TOL_EIG", tol_eig)
+        monkeypatch.setattr(linalg, "TOL_EIG", tol_eig)
         p = ProblemInstance(Q=Q, c=np.linspace(1.0, 0.5, len(Q)))
-        f = factorize(shifted_hessian(p, sigma), tol_eig)
+        f = factorize(shifted_hessian(p, sigma))
         assert f.band == tol_eig
-        assert Arrowhead(p).inertia(sigma, tol_eig) == f.inertia == inertia
+        assert Arrowhead(p).inertia(sigma) == f.inertia == inertia
 
     def test_inertia_at_a_nan_shift_counts_everything_positive(self):
         # every comparison with NaN is false: no eigenvalue counts as below

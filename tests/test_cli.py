@@ -36,15 +36,6 @@ class TestSolveCommand:
         rep = json.loads(out)
         assert rep["solution"]["x"] == [0.5, 0.5]
 
-    def test_hard_case_with_a_wide_eigenvalue_band(self, capsys, problem_dir):
-        # the window and the sign of g at its midpoint come from one
-        # factorization under the default band, not from a second solve
-        # under --tol-eig
-        code, out, _ = run_cli(
-            capsys, "solve", str(problem_dir / "hardcase_2d.json"), "--tol-eig", "0.5")
-        assert code == 3
-        assert json.loads(out)["solution"]["x"] == [0.5, 0.5]
-
     def test_zero_matrix_exit_four(self, capsys, tmp_path):
         # G(sigma) = sigma*L: the pole-deflated Newton slope is exactly 0
         bad = tmp_path / "zero.json"
@@ -111,11 +102,9 @@ class TestSolveCommand:
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve", "--tol-eig", "nan"],
     ["solve", "--tol-kkt", "-1"],
     ["solve", "--oracle", "--oracle-resolution", "8"],
     ["solve", "--oracle", "--oracle-radius", "-1"],
-    ["sweep", "--sigma-max", "2", "--steps", "3", "--tol-eig", "-1"],
     ["sweep", "--steps", "3", "--sigma-max", "inf"],
     ["oracle", "--radius", "nan"],
 ], ids=lambda argv: " ".join(argv))
@@ -146,6 +135,20 @@ def test_newton_flags_are_usage_errors(capsys, problem_dir, argv):
     assert err.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and argv[1] in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol-eig", "0.5"],
+    ["enumerate", "--tol-eig", "0.5"],
+    ["sweep", "--sigma-max", "2", "--steps", "3", "--tol-eig", "0.5"],
+], ids=lambda argv: " ".join(argv))
+def test_tol_eig_flag_is_a_usage_error(capsys, problem_dir, argv):
+    # the zero band is the constant arrowhead.TOL_EIG, applied in natural units
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], str(problem_dir / "dense_2d_certified.json"), *argv[1:]])
+    assert err.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--tol-eig" in out.err
 
 
 def test_every_flag_rule_has_its_flag():
@@ -212,9 +215,9 @@ class TestCheckCommand:
         report = tmp_path / "report.json"
         assert run_cli(capsys, "solve", str(problem), "-o", str(report))[0] == 0
         obj = json.loads(report.read_text())
-        assert set(obj["tolerances"]) == {"tol_kkt", "tol_eig"}
+        assert set(obj["tolerances"]) == {"tol_kkt"}
         obj["tolerances"].update(samples_per_interval=64, tol_root=1e-10, max_iter=200,
-                                 tol_gap=1e-6)
+                                 tol_gap=1e-6, tol_eig=1e-10)
         report.write_text(json.dumps(obj))
         code, out, _ = run_cli(capsys, "check", str(problem), str(report))
         assert code == 0 and "FAIL" not in out
@@ -229,6 +232,42 @@ class TestCheckCommand:
             capsys, "check", str(problem_dir / "dense_2d_certified.json"), str(report))
         assert code == 65
         assert "dimension mismatch" in err
+
+    def test_report_without_solution_has_nothing_to_verify(self, capsys, tmp_path, problem_dir):
+        report = tmp_path / "none.json"
+        report.write_text(json.dumps({"solution": None}))
+        code, out, _ = run_cli(
+            capsys, "check", str(problem_dir / "dense_2d_certified.json"), str(report))
+        assert code == 0 and "nothing to verify" in out
+
+    @pytest.mark.parametrize("text", ["{not json", None], ids=["malformed", "missing"])
+    def test_unreadable_report_exit_64(self, capsys, tmp_path, problem_dir, text):
+        report = tmp_path / "report.json"
+        if text is not None:
+            report.write_text(text)
+        code, out, err = run_cli(
+            capsys, "check", str(problem_dir / "dense_2d_certified.json"), str(report))
+        assert code == 64 and out == ""
+        assert "cannot read report file" in err
+
+    def test_non_numeric_sigma_exit_64(self, capsys, tmp_path, problem_dir):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"solution": {"sigma": "x", "x": [0.5, 0.5]}}))
+        code, out, err = run_cli(
+            capsys, "check", str(problem_dir / "dense_2d_certified.json"), str(report))
+        assert code == 64 and out == ""
+        assert "malformed solution block" in err
+
+    def test_singular_shift_with_c_in_the_null_space_has_an_infinite_gap(self, capsys,
+                                                                           tmp_path):
+        # G(1) = diag(0, 2) for Q = I, and c = (1, 1) is not orthogonal to its
+        # null vector e0: the dual has no limit value at sigma = 1
+        problem, report = tmp_path / "p.json", tmp_path / "report.json"
+        problem.write_text('{"n": 2, "Q": [[1, 0], [0, 1]], "c": [1, 1]}')
+        report.write_text(json.dumps({"solution": {"sigma": 1.0, "x": [0.5, 0.5]}}))
+        code, out, _ = run_cli(capsys, "check", str(problem), str(report))
+        assert code == 1
+        assert "check: duality_gap = inf (FAIL" in out
 
 
 class TestEnumerateCommand:
@@ -258,6 +297,18 @@ class TestSweepCommand:
             "--sigma-max", "2", "--steps", "3")
         row = out.strip().split("\n")[2].split(",")
         assert row[1] == "" and row[2] == "" and row[4] == "false"
+
+    def test_overflowing_values_are_empty_cells(self, capsys, tmp_path):
+        # x = c = 1e308 (1, 1) scale: c'x and x'Lx overflow in the problem's
+        # own units, and the derivative squared x[0] on a Python float
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 2, "Q": [[1, 0], [0, 1]], "c": [1e308, 1e308]}')
+        code, out, err = run_cli(
+            capsys, "sweep", str(path), "--sigma-max", "1", "--steps", "3")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        assert all(row[1] == "" and row[2] == "" for row in rows)
 
 
 class TestOracleCommand:
@@ -337,6 +388,11 @@ class TestGenCommand:
         with pytest.raises(SystemExit) as err:
             main(["gen", "sparse", "2"])
         assert err.value.code == 2
+
+    def test_dimension_one_exit_64(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "convex", "1")
+        assert code == 64 and out == ""
+        assert "n must be at least 2" in err
 
     def test_generated_file_solves(self, capsys, tmp_path):
         path = tmp_path / "gen.json"

@@ -334,6 +334,24 @@ class TestHardCase:
             assert dual_value(hardcase_2d, 1.0 - eps) == pytest.approx(cp.dual_value, abs=1e-3)
         assert cone_quadratic(cp.x) == pytest.approx(0.0, abs=1e-12)
 
+    def test_boundary_only_on_the_mirror_nappe_raises(self):
+        # G(2) = diag(-3, 0): c is orthogonal to the null vector e1, but both
+        # boundary points x_p +- e1/3 = (-1/3, +-1/3) lie on the mirror nappe
+        p = ProblemInstance(Q=np.diag([-1.0, -2.0]), c=[1.0, 0.0])
+        with pytest.raises(HardCaseError, match=r"no boundary point with x\[0\] >= 0"):
+            hard_case_solve(p, 2.0)
+
+    def test_selection_notes_a_hard_case_without_boundary_solution(self, hardcase_2d,
+                                                                     monkeypatch):
+        def no_boundary(*args, **kwargs):
+            raise HardCaseError("no boundary point")
+
+        monkeypatch.setattr(dual, "hard_case_solve", no_boundary)
+        point, notes = dual._maximize_with_notes(hardcase_2d, enumerate_kkt(hardcase_2d), 1e-8)
+        assert point is None
+        assert notes == ["hard case without boundary solution: no boundary point; "
+                         "no certificate, see oracle"]
+
 
 def qz_pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
     """Real positive eigenvalues of B(sigma) = [[G L G, c], [c', 0]] from

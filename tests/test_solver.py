@@ -19,7 +19,7 @@ from lorentzqp import (
 )
 from lorentzqp import dual
 from lorentzqp.dual import NAPPE_TOL
-from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
+from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance, load_problem
 from lorentzqp.linalg import pencil_singular_sigmas
 from lorentzqp.model import shifted_hessian
 
@@ -261,8 +261,8 @@ def test_large_q_exits_as_its_unit_scale_copy(Q, unit, c, exit_code):
                                [scale * cp.sigma for cp in small.critical_points], rtol=1e-12)
 
 
-def test_tolerances_are_the_two_that_define_a_verdict():
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["tol_kkt", "tol_eig"]
+def test_tolerances_are_the_one_that_defines_a_verdict():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["tol_kkt"]
 
 
 class TestSweepTable:
@@ -289,6 +289,27 @@ class TestSweepTable:
     def test_step_validation(self, dense_2d):
         with pytest.raises(ValueError):
             sweep_table(dense_2d, 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    @pytest.mark.parametrize("name", ["dense_2d_certified", "dense_3d_uncertified",
+                                      "diagonal_2d_certified", "diagonal_2d_saddle",
+                                      "hardcase_2d"])
+    def test_scaling_q_scales_the_rows(self, problem_dir, name, scale):
+        # the zero band applies to the problem in natural units: Q * 1e-12
+        # blanked every row under a band that did not scale with Q
+        p = as_dense(load_problem(problem_dir / f"{name}.json"))
+        unit = sweep_table(p, 0.0, 2.0, 11)
+        scaled = sweep_table(ProblemInstance(Q=scale * p.Q, c=p.c), 0.0, 2.0 * scale, 11)
+        assert [(r[1] is None, r[4]) for r in scaled] == [(r[1] is None, r[4]) for r in unit]
+        assert sum(r[1] is not None for r in unit) >= 9
+        # sigma, dual_value, dual_derivative, min_eigenvalue, each to 1e-12
+        # of its column's largest entry (a root of g reads as round-off)
+        for col, power in enumerate((1, -1, -2, 1)):
+            want = np.array([np.nan if r[col] is None else r[col] for r in unit])
+            got = np.array([np.nan if r[col] is None else r[col] for r in scaled])
+            want = want * scale**power
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.nanmax(np.abs(want)))
 
     def test_columns_match_an_independent_eigensolver(self):
         # random rows, plus rows placed exactly at the poles
