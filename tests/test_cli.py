@@ -299,8 +299,8 @@ class TestSweepCommand:
         assert row[1] == "" and row[2] == "" and row[4] == "false"
 
     def test_overflowing_values_are_empty_cells(self, capsys, tmp_path):
-        # x = c = 1e308 (1, 1) scale: c'x and x'Lx overflow in the problem's
-        # own units, and the derivative squared x[0] on a Python float
+        # x ~ c ~ 1e308: c'x and x'Lx overflow in the problem's own units,
+        # which leaves blank value cells rather than a traceback
         path = tmp_path / "huge.json"
         path.write_text('{"n": 2, "Q": [[1, 0], [0, 1]], "c": [1e308, 1e308]}')
         code, out, err = run_cli(

@@ -295,8 +295,9 @@ class TestSweepTable:
                                       "diagonal_2d_certified", "diagonal_2d_saddle",
                                       "hardcase_2d"])
     def test_scaling_q_scales_the_rows(self, problem_dir, name, scale):
-        # the zero band applies to the problem in natural units: Q * 1e-12
-        # blanked every row under a band that did not scale with Q
+        # the zero band applies to the problem in natural units, so it scales
+        # with Q: a band fixed in the problem's own units blanks every row at
+        # Q * 1e-12
         p = as_dense(load_problem(problem_dir / f"{name}.json"))
         unit = sweep_table(p, 0.0, 2.0, 11)
         scaled = sweep_table(ProblemInstance(Q=scale * p.Q, c=p.c), 0.0, 2.0 * scale, 11)
