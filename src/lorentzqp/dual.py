@@ -139,19 +139,22 @@ class CriticalPoint:
 
 
 class _KKTPoints(list):
-    """The points ``enumerate_kkt`` returns, with the arrowhead and the pole
-    cells (see ``_pole_cells``) they were enumerated from, so that the selection
-    from them does not compute the poles a second time.  Those are in natural
-    units, sigma divided by ``unit``, and the points are mapped from there
-    by ``CriticalPoint.scaled(unit, c_unit)``."""
+    """The points ``enumerate_kkt`` returns, with the problem in natural
+    units, the arrowhead and the pole cells (see ``_pole_cells``) they were
+    enumerated from, so that the selection from them neither computes the
+    poles nor copies the problem a second time.  Those are in natural units,
+    sigma divided by ``unit``, and the points are mapped from there by
+    ``CriticalPoint.scaled(unit, c_unit)``."""
 
-    def __init__(self, points, arrow: Arrowhead, cells: tuple[list[float], bool],
-                 unit: float, c_unit: float):
+    def __init__(self, points, natural: ProblemInstance, arrow: Arrowhead,
+                 cells: tuple[list[float], bool], unit: float, c_unit: float):
         super().__init__(points if unit == c_unit == 1.0 else
                          [cp.scaled(unit, c_unit) for cp in points])
+        self.natural = natural
         self.arrow = arrow
         self.cells = cells
         self.unit = unit
+        self.c_unit = c_unit
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,8 @@ def _maximize_with_notes(
     supremum sits at the singular upper end (hard case).  The window comes
     from the arrowhead and the pole cells the enumeration already computed,
     and the sign of the derivative from an arrowhead solve at the midpoint
-    that decided the window.
+    that decided the window.  The hard case runs on the enumeration's
+    problem in natural units.
     """
     inside = [cp for cp in points if cp.inertia == (p.n, 0, 0)]
     if inside:
@@ -316,7 +320,8 @@ def _maximize_with_notes(
     interval, mid = window
     if points.arrow.g(mid) > 0.0:
         try:
-            point = hard_case_solve(p, points.unit * interval.hi, tol=tol)
+            point = hard_case_solve(p, points.unit * interval.hi, tol=tol,
+                                    natural=(points.natural, points.unit, points.c_unit))
         except HardCaseError as exc:
             return None, [f"hard case without boundary solution: {exc}; no certificate, see oracle"]
         return point, ["dual supremum attained only at the singular boundary (hard case)"]
@@ -525,7 +530,7 @@ def enumerate_kkt(
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
         point = build_critical_point(p, sigma0, np.zeros(p.n), arrow.inertia(sigma0))
-        return _KKTPoints([point], arrow, cells, unit, c_unit)
+        return _KKTPoints([point], p, arrow, cells, unit, c_unit)
 
     c_norm = math.sqrt(float(p.c @ p.c))
     units = (float(np.abs(p.Q).max()) or 1.0, c_norm)
@@ -562,7 +567,7 @@ def enumerate_kkt(
         if inertia[1] == 0:  # in the zero band at a pole: no point to recover
             points.append(build_critical_point(
                 p, sigma, arrow.x(sigma) if x is None else x, inertia))
-    return _KKTPoints(points, arrow, cells, unit, c_unit)
+    return _KKTPoints(points, p, arrow, cells, unit, c_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +586,14 @@ def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
     space.
     """
     q, s, t = natural_units(p)
-    f = factorize(shifted_hessian(q, sigma_sing / s))
+    x, U0, f = _natural_pseudo_solve(q, sigma_sing / s, tol)
+    return x * (t / s), U0, f
+
+
+def _natural_pseudo_solve(q: ProblemInstance, sigma_sing: float,
+                          tol: float) -> tuple[np.ndarray, np.ndarray, Factorization]:
+    """``_pseudo_solve`` on a problem already in natural units."""
+    f = factorize(shifted_hessian(q, sigma_sing))
     if not f.singular:
         raise HardCaseError(
             f"G(sigma) is not singular at sigma={sigma_sing!r} (no null space found)"
@@ -593,23 +605,25 @@ def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
             "c has a component in the null space of G(sigma); the dual supremum "
             "is not attained"
         )
-    return U1 @ ((U1.T @ q.c) / f.w[~f.null]) * (t / s), U0, f
+    return U1 @ ((U1.T @ q.c) / f.w[~f.null]), U0, f
 
 
 def hard_case_solve(
     p: ProblemInstance,
     sigma_sing: float,
     tol: float = DEFAULT_TOL_KKT,
+    natural: tuple[ProblemInstance, float, float] | None = None,
 ) -> CriticalPoint:
     """Boundary solution when the dual supremum sits at a singular shift.
 
     Requires c orthogonal (within tol*(1+||c||)) to the null space of
     G(sigma_sing); the pseudo-solution is then completed with a null-space
     step chosen so the result lies exactly on the cone boundary, mirroring
-    the trust-region hard case.  It runs on the problem in natural units.
+    the trust-region hard case.  It runs on the problem in natural units:
+    ``natural`` is ``model.natural_units(p)`` where the caller has it.
     """
-    q, s, t = natural_units(p)
-    x_p, U0, f = _pseudo_solve(q, sigma_sing / s, tol)
+    q, s, t = natural or natural_units(p)
+    x_p, U0, f = _natural_pseudo_solve(q, sigma_sing / s, tol)
 
     # Deterministic null direction: maximize the first component.
     first_row = U0[0, :]

@@ -82,18 +82,21 @@ class SecularForm:
         """Newton on g from an isolated root, until a step falls below
         TOL_ROOT*min(1+sigma, distance to the nearest pole) or stops
         shrinking.  A first step longer than half that distance is not
-        taken: the start is already exact to rounding in its own variable."""
+        taken: the start is already exact to rounding in its own variable.
+        A start exactly at a pole, where g is not finite, is returned as it
+        is, silently."""
         last = math.inf
-        for _ in range(MAX_ITER):
-            g, gp = self.g_and_slope(sigma)
-            dist = float(np.abs(self.lam + sigma).min(initial=math.inf))
-            step = g / gp if gp != 0.0 else math.inf
-            if not abs(step) < min(last, 0.5 * dist):
-                break
-            sigma -= step
-            last = abs(step)
-            if last <= TOL_ROOT * min(1.0 + abs(sigma), dist):
-                break
+        with np.errstate(all="ignore"):
+            for _ in range(MAX_ITER):
+                g, gp = self.g_and_slope(sigma)
+                dist = float(np.abs(self.lam + sigma).min(initial=math.inf))
+                step = g / gp if gp != 0.0 else math.inf
+                if not abs(step) < min(last, 0.5 * dist):
+                    break
+                sigma -= step
+                last = abs(step)
+                if last <= TOL_ROOT * min(1.0 + abs(sigma), dist):
+                    break
         return sigma
 
     def roots(self, light_like: bool) -> np.ndarray:

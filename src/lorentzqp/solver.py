@@ -175,7 +175,7 @@ def sweep_table(
     problem in natural units (``model.natural_units``), mapped back.  Value
     fields are None exactly where the shifted Hessian is singular under the
     zero band, or where a value overflows in the problem's own units; those
-    rows serialize as empty CSV cells.
+    rows serialize as empty CSV cells.  is_pd comes from the inertia alone.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -192,7 +192,7 @@ def sweep_table(
         dv = -0.5 * float(q.c @ x) * (t / s) * t
         dd = cone_quadratic(x) * (t / s) * (t / s)
         if not (math.isfinite(dv) and math.isfinite(dd)):
-            rows.append((sigma, None, None, lam, False))
+            rows.append((sigma, None, None, lam, f.positive_definite))
             continue
         rows.append((sigma, dv, dd, lam, f.positive_definite))
     return rows

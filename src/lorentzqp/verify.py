@@ -74,12 +74,13 @@ class KKTResiduals:
 def kkt_check(p: ProblemInstance, x, sigma: float) -> KKTResiduals:
     """Compute all residuals for (x, sigma)."""
     x = np.asarray(x, dtype=float)
-    lam = cone_quadratic(x)
+    lam, x1 = cone_quadratic(x), float(x[0])
+    # 0.0 rather than -0.0 at x1 = 0 or sigma = 0; a NaN stays NaN
     return KKTResiduals(
         stationarity=float(np.abs(shifted_hessian(p, sigma) @ x - p.c).max()),
         primal_feasibility=max(lam, 0.0),
-        nappe_violation=max(-float(x[0]), 0.0),
-        dual_feasibility=max(-sigma, 0.0),
+        nappe_violation=0.0 if x1 >= 0.0 else -x1,
+        dual_feasibility=0.0 if sigma >= 0.0 else -sigma,
         complementarity=abs(sigma * lam),
     )
 
@@ -114,19 +115,27 @@ def _project_work(N: int) -> tuple:
     return np.empty(N), np.empty(N), np.empty(N, dtype=bool), np.empty(N, dtype=bool)
 
 
-def _project_cols(Y: np.ndarray, work: tuple | None = None) -> np.ndarray:
+def _row_views(Y: np.ndarray) -> tuple:
+    """The views of Y that ``_project_cols`` reads: row 0, row 1, the rows
+    from 2 on (one view each) and rows 1, 2, ... as one array."""
+    return Y[0], Y[1], tuple(Y[2:]), Y[1:]
+
+
+def _project_cols(Y: np.ndarray, work: tuple | None = None,
+                  rows: tuple | None = None) -> np.ndarray:
     """Cone projection of every column of the component-major array Y, in
     place: the closed form of ``projection_lorentz``, column by column.
 
-    ``work`` (from ``_project_work``) lets a caller reuse the work arrays
-    across calls.  The tail norm is the square root of the sum of squares
-    over rows 1, 2, ... in that order, as ``np.linalg.norm(Y[1:], axis=0)``
-    sums them.
+    ``work`` (from ``_project_work``) and ``rows`` (``_row_views(Y)``) let a
+    caller reuse the work arrays and the row views across calls.  The tail
+    norm is the square root of the sum of squares over rows 1, 2, ... in that
+    order, as ``np.linalg.norm(Y[1:], axis=0)`` sums them.  The polar and the
+    inside columns are written only when there are some.
     """
     tail, alpha, inside, polar = work or _project_work(Y.shape[1])
-    x1 = Y[0]
-    np.multiply(Y[1], Y[1], out=tail)
-    for row in Y[2:]:
+    x1, y1, rest, tail_rows = rows or _row_views(Y)
+    np.multiply(y1, y1, out=tail)
+    for row in rest:
         tail += np.multiply(row, row, out=alpha)
     np.sqrt(tail, out=tail)
     if np.less_equal(tail, x1, out=inside).all():
@@ -136,12 +145,14 @@ def _project_cols(Y: np.ndarray, work: tuple | None = None) -> np.ndarray:
     alpha *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, tail, out=tail)                    # the tail's scale
-    np.putmask(tail, polar, 0.0)
-    np.putmask(tail, inside, 1.0)
-    np.putmask(alpha, polar, 0.0)
-    np.putmask(alpha, inside, x1)
-    Y[0] = alpha
-    Y[1:] *= tail
+    if polar.any():
+        np.putmask(tail, polar, 0.0)
+        np.putmask(alpha, polar, 0.0)
+    if inside.any():                # after the polar pair: the apex is both
+        np.putmask(tail, inside, 1.0)
+        np.putmask(alpha, inside, x1)
+    x1[...] = alpha
+    tail_rows *= tail
     return Y
 
 
@@ -236,8 +247,10 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     grid point, so every per-point step, projection, rescale and
     displacement runs along contiguous rows of length N.  Each step writes
     into work arrays allocated once per call (the next iterate swaps with
-    the current one), subtracts c row by row, and skips the projection when
-    every column is inside the cone.  Every value comes from the same
+    the current one, and so do the row views the projection and the cap test
+    read), subtracts c row by row, and skips the projection when every column
+    is inside the cone; otherwise it writes the polar columns only when there
+    are some, and likewise the inside columns.  Every value comes from the same
     floating-point operations in the same order as in the unbuffered loop
     kept in ``tests/test_verify.py`` as the reference, so every iterate is
     bit-identical to that loop's.
@@ -257,8 +270,10 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
       |y_i| <= y_0 (1 + u)^2, and a polar column is 0, or NaN where its tail
       held an inf, which the rescale leaves as it is.  So when row 0 stays
       below cap (1 - 4 eps), no rescale factor differs from 1.0 and the
-      rescale is skipped; in every other case, NaN included, the full test
-      over all n rows runs and rescales as before.
+      rescale is skipped.  In every other case, NaN included, row 0 alone
+      decides: the rescale runs with no test over the other rows, and a
+      column within the cap keeps the factor cap / cap = 1.0 exactly, as a
+      NaN column keeps 1.0.
 
     Polish iterates are rescaled into a large ball so unbounded instances
     stay finite; escape shows up as a very negative best value alongside the
@@ -277,14 +292,15 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     Y, G = np.empty_like(XT), np.empty_like(XT)
     grad_rows = tuple(zip(G, p.c.tolist()))     # views of G, one per coordinate
     work = _project_work(XT.shape[1])
+    x_rows, y_rows = _row_views(XT), _row_views(Y)  # swapped with their arrays
     watch = 0                                   # the column the stop test reads
     for _ in range(POLISH_STEPS):
         np.matmul(Q, XT, out=G)
         for row, ci in grad_rows:
             row -= ci
         G *= step
-        _project_cols(np.subtract(XT, G, out=Y), work)
-        if not Y[0].max() <= row0_cap and not max(Y.max(), -Y.min()) <= cap:
+        _project_cols(np.subtract(XT, G, out=Y), work, y_rows)
+        if not y_rows[0].max() <= row0_cap:
             # Column j scales by cap / max(size_j, cap): exactly 1.0 unless
             # size_j > cap, and 1.0 when size_j is NaN (fmax drops a NaN).
             # work[0] is free once the projection has returned.
@@ -292,6 +308,7 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
             np.divide(cap, np.fmax(scale, cap, out=scale), out=scale)
             Y *= scale
         XT, Y = Y, XT
+        x_rows, y_rows = y_rows, x_rows
         moved = (XT[:, watch] - Y[:, watch]).tolist()
         if not all(abs(d) < POLISH_STOP for d in moved):
             continue                            # also when the column holds a NaN

@@ -309,6 +309,8 @@ class TestSweepCommand:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert len(rows) == 3
         assert all(row[1] == "" and row[2] == "" for row in rows)
+        # G(0) and G(0.5) are positive definite, G(1) = diag(0, 2) is singular
+        assert [row[4] for row in rows] == ["true", "true", "false"]
 
 
 class TestOracleCommand:

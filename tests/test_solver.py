@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,42 @@ class TestSolveSelection:
                 run(p)
                 assert calls["eig"] == calls["eigvals"] == []
                 assert calls["eigh"].count(p.n - 1) == 1
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_natural_units_once_per_hard_case_solve(self, monkeypatch, hardcase_2d, scale):
+        # the selection's hard case runs on the enumeration's problem in
+        # natural units: a copy at scale 3, the problem itself at scale 1
+        from lorentzqp import linalg, model, solver
+        calls = []
+
+        def counted(p, _natural_units=model.natural_units):
+            calls.append(p)
+            return _natural_units(p)
+
+        for module in (model, dual, linalg, solver):
+            monkeypatch.setattr(module, "natural_units", counted)
+        rep = solve_problem(ProblemInstance(Q=scale * hardcase_2d.Q, c=scale * hardcase_2d.c))
+        assert rep.exit_code == EXIT_HARD_CASE
+        assert len(calls) == 1
+        np.testing.assert_allclose(rep.solution.x, [0.5, 0.5], atol=1e-12)
+
+    def test_boosted_hard_case_polishes_without_warnings(self):
+        # the secular form returns a root exactly at the hard-case pole of
+        # this Lorentz-boosted instance; its polish divides by zero there,
+        # silently
+        p = ProblemInstance(Q=[[1.7325916096809704, 0.39747457759220184],
+                               [0.39747457759220184, 0.5661926142018127]],
+                            c=[0.29026432991588413, 1.6269503731403128])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = solve_problem(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_problem(p)
+        assert rep.exit_code == EXIT_HARD_CASE
+        assert rep.solution.x.tobytes() == quiet.solution.x.tobytes()
+        np.testing.assert_allclose(rep.solution.x, [0.6197090919432331, 0.6197090919432333],
+                                   rtol=1e-12)
 
     def test_oracle_block(self, dense_2d):
         rep = solve_problem(dense_2d, oracle=True, oracle_resolution=64)

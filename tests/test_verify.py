@@ -8,11 +8,13 @@ from lorentzqp import (
     kkt_check,
     primal_objective,
     projection_lorentz,
+    solve_problem,
 )
 from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.model import lorentz_signs
 from lorentzqp.verify import (
     CURVATURE_CUTOFF,
+    default_oracle_radius,
     POLISH_STEPS,
     POLISH_STOP,
     _direction_samples,
@@ -36,6 +38,17 @@ class TestKKTCheck:
     def test_dense_3d_at_printed_precision(self, dense_3d):
         res = kkt_check(dense_3d, [0.4355, 0.0416, 0.4335], 0.4509)
         assert res.stationarity <= 2e-3
+
+    def test_zero_defects_are_positive_zeros(self):
+        # at sigma = 0 and x[0] = 0 the defects are 0.0, not -0.0, which a
+        # report prints as -0.0000000000000000e+00; a NaN stays NaN
+        p = as_dense(gen_instance("convex", 5, 3))
+        sol = solve_problem(p).solution
+        res = kkt_check(p, sol.x, sol.sigma)
+        assert sol.sigma == 0.0 and not np.signbit(res.dual_feasibility)
+        res = kkt_check(p, np.concatenate(([0.0], np.ones(4))), 0.0)
+        assert not np.signbit(res.nappe_violation) and not np.signbit(res.dual_feasibility)
+        assert np.isnan(kkt_check(p, sol.x, float("nan")).dual_feasibility)
 
     def test_saddle_fixture_claim_fails_stationarity(self, diag_saddle):
         # the claimed pair (x=(2,-2), sigma=0.45) does not solve this instance
@@ -280,13 +293,18 @@ def _unbuffered_oracle(p, radius, resolution):
     negative axis (tail == 0, x1 < 0), how often the column that moved
     most at the last step without a stop (column 0 at first) settled below
     POLISH_STOP while another column still moved, and how many columns end
-    with an entry that is not finite."""
+    with an entry that is not finite.  Among the steps whose projection
+    does not find every column inside, it counts those with a polar column
+    (x1 <= -tail) and those with an inside column; and it counts the steps
+    whose row 0 exceeds cap (1 - 4 eps) while no entry exceeds the cap."""
     XT = _slice_grid(p.n, radius, resolution)
     Q, cT = p.Q, p.c[:, None]
     step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
     cap = 1e6 * (1.0 + radius)
+    row0_cap = cap * (1.0 - 4.0 * np.finfo(float).eps)
     paths = {"steps": 0, "capped": 0, "all_inside": 0, "polar": False,
-             "negative_axis": False, "rewatched": 0}
+             "negative_axis": False, "rewatched": 0, "polar_projections": 0,
+             "inside_projections": 0, "row0_only": 0}
     watch = 0
     for _ in range(POLISH_STEPS):
         Z = XT - step * (Q @ XT - cT)
@@ -295,9 +313,13 @@ def _unbuffered_oracle(p, radius, resolution):
         paths["all_inside"] += bool(np.all(tail <= Z[0]))
         paths["polar"] |= bool(np.any((Z[0] <= -tail) & (tail > 0.0)))
         paths["negative_axis"] |= bool(np.any((tail == 0.0) & (Z[0] < 0.0)))
+        if not np.all(tail <= Z[0]):
+            paths["polar_projections"] += bool(np.any(Z[0] <= -tail))
+            paths["inside_projections"] += bool(np.any(tail <= Z[0]))
         Y = _unbuffered_project_cols(Z)
         size = np.abs(Y).max(axis=0)
         big = size > cap
+        paths["row0_only"] += bool(not Y[0].max() <= row0_cap and not np.any(big))
         if np.any(big):
             paths["capped"] += 1
             Y[:, big] *= cap / size[big]
@@ -373,7 +395,10 @@ class TestBufferedPolish:
         axis = _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=-np.eye(n)[0]), 3.0, 32)
         assert axis["negative_axis"]
         c = np.concatenate(([-1.0], np.full(n - 1, 0.5)))
-        assert _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=c), 3.0, 32)["polar"]
+        paths = _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=c), 3.0, 32)
+        assert paths["polar"]
+        # projections with polar and with inside columns write their masks
+        assert paths["polar_projections"] > 0 and paths["inside_projections"] > 0
 
     @pytest.mark.parametrize("kind, n, seed", [
         ("diagonal", 2, 52_000), ("indefinite", 3, 52_000), ("indefinite", 4, 52_004)])
@@ -400,7 +425,8 @@ class TestBufferedPolish:
     def test_iterates_within_ulps_of_the_cap(self, n, ulps):
         # the minimizer c lies within a few ulps of the cap on the axis: the
         # last iterates have x1 above cap (1 - 4 eps), where row 0 alone
-        # cannot rule out an entry above the cap, and the full test decides
+        # cannot rule out an entry above the cap, so the rescale runs, and
+        # on some steps no entry is above the cap and every factor is 1.0
         radius = 3.0
         cap = 1e6 * (1.0 + radius)
         eps = np.finfo(float).eps
@@ -411,6 +437,23 @@ class TestBufferedPolish:
         x1 = brute_force_min(p, radius, 32).best_x[0]
         assert cap * (1.0 - 4.0 * eps) < x1 <= cap
         assert (paths["capped"] > 0) == (ulps > 0)
+        assert paths["row0_only"] > 0
+
+    @pytest.mark.parametrize("i, budget, capped", [
+        (0, False, False), (1, False, True), (3, False, False), (4, True, False),
+        (9, False, True), (25, False, True), (31, True, True), (36, True, False)])
+    def test_criterion_5_traffic(self, i, budget, capped):
+        # the oracle workload's traffic: criterion 5's instances at resolution
+        # 64 and the default radius, runs that stop early or use the whole
+        # step budget, with and without a cap rescale
+        kind = "convex" if i % 2 == 0 else "indefinite"
+        n = 2 if i % 4 < 2 else 3
+        p = as_dense(gen_instance(kind, n, 30_000 + i))
+        sol = solve_problem(p).solution
+        radius = default_oracle_radius(p, sol if sol is not None and sol.certified else None)
+        paths = _assert_bit_identical(p, radius, 64)
+        assert (paths["steps"] == POLISH_STEPS) == budget
+        assert (paths["capped"] > 0) == capped
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_direction_samples_are_shared_and_the_result_owns_a_copy(self, n):
