@@ -192,7 +192,6 @@ def sweep_table(
         dv = -0.5 * float(q.c @ x) * (t / s) * t
         dd = cone_quadratic(x) * (t / s) * (t / s)
         if not (math.isfinite(dv) and math.isfinite(dd)):
-            rows.append((sigma, None, None, lam, f.positive_definite))
-            continue
+            dv = dd = None
         rows.append((sigma, dv, dd, lam, f.positive_definite))
     return rows
