@@ -14,12 +14,12 @@ from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.model import lorentz_signs
 from lorentzqp.verify import (
     CURVATURE_CUTOFF,
-    default_oracle_radius,
     POLISH_STEPS,
     POLISH_STOP,
     _direction_samples,
     _project_cols,
     _slice_grid,
+    default_oracle_radius,
 )
 
 
@@ -310,12 +310,13 @@ def _unbuffered_oracle(p, radius, resolution):
         Z = XT - step * (Q @ XT - cT)
         tail = np.linalg.norm(Z[1:], axis=0)
         paths["steps"] += 1
-        paths["all_inside"] += bool(np.all(tail <= Z[0]))
-        paths["polar"] |= bool(np.any((Z[0] <= -tail) & (tail > 0.0)))
+        inside, polar = tail <= Z[0], Z[0] <= -tail
+        paths["all_inside"] += bool(np.all(inside))
+        paths["polar"] |= bool(np.any(polar & (tail > 0.0)))
         paths["negative_axis"] |= bool(np.any((tail == 0.0) & (Z[0] < 0.0)))
-        if not np.all(tail <= Z[0]):
-            paths["polar_projections"] += bool(np.any(Z[0] <= -tail))
-            paths["inside_projections"] += bool(np.any(tail <= Z[0]))
+        if not np.all(inside):
+            paths["polar_projections"] += bool(np.any(polar))
+            paths["inside_projections"] += bool(np.any(inside))
         Y = _unbuffered_project_cols(Z)
         size = np.abs(Y).max(axis=0)
         big = size > cap
