@@ -33,6 +33,7 @@ __all__ = [
 
 POLISH_STEPS = 500
 POLISH_STOP = 1e-12
+POLISH_MOMENTUM = 0.75  # the polish extrapolates each column by this share of its last step
 CURVATURE_CUTOFF = -1e-10
 ORACLE_MAX_N = 4        # the largest dimension the exhaustive grid covers
 # Row 0 at or below cap times this bounds every entry of a projected column
@@ -138,17 +139,17 @@ def _project_cols(Y: np.ndarray, work: tuple | None = None,
     for row in rest:
         tail += np.multiply(row, row, out=alpha)
     np.sqrt(tail, out=tail)
-    if np.less_equal(tail, x1, out=inside).all():
+    if np.logical_and.reduce(np.less_equal(tail, x1, out=inside)):
         return Y
     np.less_equal(x1, np.negative(tail, out=alpha), out=polar)
     np.add(x1, tail, out=alpha)
     alpha *= 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(alpha, tail, out=tail)                    # the tail's scale
-    if polar.any():
+    if np.logical_or.reduce(polar):
         np.putmask(tail, polar, 0.0)
         np.putmask(alpha, polar, 0.0)
-    if inside.any():                # after the polar pair: the apex is both
+    if np.logical_or.reduce(inside):    # after the polar pair: the apex is both
         np.putmask(tail, inside, 1.0)
         np.putmask(alpha, inside, x1)
     x1[...] = alpha
@@ -237,23 +238,39 @@ class OracleResult:
 
 
 def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) -> OracleResult:
-    """Grid the cone slice, polish every point by projected gradient descent,
-    and scan feasible directions for negative curvature.
+    """Grid the cone slice, polish every point by projected gradient descent
+    with momentum, and scan feasible directions for negative curvature.
 
     Deterministic and bit-reproducible: fixed grid, fixed step
     1/(||Q||_inf + 1), at most POLISH_STEPS iterations with a global
     displacement stop, value ties broken lexicographically by coordinates.
+    Each step first extrapolates every column by a constant share of its
+    last displacement, v = x_k + beta (x_k - x_{k-1}) with
+    beta = POLISH_MOMENTUM (no extrapolation before the first step), then
+    takes the projected
+    gradient step from v, x_{k+1} = P_K(v - step (Qv - c)), rescaled into
+    the cap ball.  Inside the cone, along an eigenvector of Q with
+    h = step * lambda in (0, 1], the error obeys
+    z^2 - (1 + beta)(1 - h) z + beta (1 - h) = 0, whose roots lie inside the
+    unit disk for every 0 <= beta < 1: convex columns contract to the fixed
+    points of the plain projected gradient step, which do not depend on
+    beta, in fewer steps, and columns of negative curvature still escape to
+    the cap.  The stop test and the rescale act on the iterates, and the
+    stop test reads the iterate displacement x_{k+1} - x_k.
+
     The iterates are held component-major, shape (n, N) with one column per
     grid point, so every per-point step, projection, rescale and
     displacement runs along contiguous rows of length N.  Each step writes
-    into work arrays allocated once per call (the next iterate swaps with
-    the current one, and so do the row views the projection and the cap test
-    read), subtracts c row by row, and skips the projection when every column
-    is inside the cone; otherwise it writes the polar columns only when there
-    are some, and likewise the inside columns.  Every value comes from the same
-    floating-point operations in the same order as in the unbuffered loop
-    kept in ``tests/test_verify.py`` as the reference, so every iterate is
-    bit-identical to that loop's.
+    into work arrays allocated once per call (the extrapolated point becomes
+    the next iterate in place and then swaps with the current one, and so do
+    the row views the projection and the cap test read; the displacement
+    array serves the stop test and, scaled, the next extrapolation),
+    subtracts c row by row, and skips the projection when every column is
+    inside the cone; otherwise it writes the polar columns only when there
+    are some, and likewise the inside columns.  Every value comes from the
+    same floating-point operations in the same order as in the unbuffered
+    loop kept in ``tests/test_verify.py`` as the reference, so every iterate
+    is bit-identical to that loop's.
 
     Two tests decide each step from less than the whole array, with the
     reference loop's decisions:
@@ -277,7 +294,9 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
 
     Polish iterates are rescaled into a large ball so unbounded instances
     stay finite; escape shows up as a very negative best value alongside the
-    reported unbounded direction.  A dimension above ORACLE_MAX_N, or a best
+    reported unbounded direction, which the scan reports when some sampled
+    direction d has d'Qd below CURVATURE_CUTOFF times max |Q_ij|, a cutoff
+    that scales with Q.  A dimension above ORACLE_MAX_N, or a best
     value that is not finite (Q near the float maximum), raises OracleError.
     """
     if not 0.0 < radius < np.inf:
@@ -289,33 +308,36 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
     cap = 1e6 * (1.0 + radius)
     row0_cap = cap * _ROW0_MARGIN
-    Y, G = np.empty_like(XT), np.empty_like(XT)
+    # V: the extrapolated point, then the next iterate; D: the displacement
+    # of the last step, x_k - x_{k-1}, zero before the first
+    V, G, D = np.empty_like(XT), np.empty_like(XT), np.zeros_like(XT)
     grad_rows = tuple(zip(G, p.c.tolist()))     # views of G, one per coordinate
     work = _project_work(XT.shape[1])
-    x_rows, y_rows = _row_views(XT), _row_views(Y)  # swapped with their arrays
+    v_rows, x_rows = _row_views(V), _row_views(XT)  # swapped with their arrays
     watch = 0                                   # the column the stop test reads
     for _ in range(POLISH_STEPS):
-        np.matmul(Q, XT, out=G)
+        D *= POLISH_MOMENTUM
+        np.add(XT, D, out=V)
+        np.matmul(Q, V, out=G)
         for row, ci in grad_rows:
             row -= ci
         G *= step
-        _project_cols(np.subtract(XT, G, out=Y), work, y_rows)
-        if not y_rows[0].max() <= row0_cap:
+        _project_cols(np.subtract(V, G, out=V), work, v_rows)
+        if not np.maximum.reduce(v_rows[0]) <= row0_cap:
             # Column j scales by cap / max(size_j, cap): exactly 1.0 unless
             # size_j > cap, and 1.0 when size_j is NaN (fmax drops a NaN).
             # work[0] is free once the projection has returned.
-            scale = np.max(np.abs(Y, out=G), axis=0, out=work[0])
+            scale = np.maximum.reduce(np.abs(V, out=G), axis=0, out=work[0])
             np.divide(cap, np.fmax(scale, cap, out=scale), out=scale)
-            Y *= scale
-        XT, Y = Y, XT
-        x_rows, y_rows = y_rows, x_rows
-        moved = (XT[:, watch] - Y[:, watch]).tolist()
-        if not all(abs(d) < POLISH_STOP for d in moved):
+            V *= scale
+        np.subtract(V, XT, out=D)
+        XT, V = V, XT
+        x_rows, v_rows = v_rows, x_rows
+        if not all(abs(d) < POLISH_STOP for d in D[:, watch].tolist()):
             continue                            # also when the column holds a NaN
-        np.subtract(XT, Y, out=G)
-        if max(G.max(), -G.min()) < POLISH_STOP:
+        if np.maximum.reduce(np.abs(D, out=G), axis=None) < POLISH_STOP:
             break
-        watch = int(np.abs(G, out=G).argmax()) % G.shape[1]
+        watch = int(G.argmax()) % G.shape[1]
 
     # One point per row: x'Qx and c'x are summed in the per-point order.
     X = np.ascontiguousarray(XT.T)
@@ -330,7 +352,8 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     dirs = _direction_samples(p.n, resolution)
     curv = np.einsum("ij,ij->i", dirs @ p.Q, dirs)
     k = int(np.argmin(curv))
-    unbounded = dirs[k].copy() if curv[k] < CURVATURE_CUTOFF else None
+    # relative to the entries of Q: a copy of Q at any scale flags the same direction
+    unbounded = dirs[k].copy() if curv[k] < CURVATURE_CUTOFF * np.abs(Q).max() else None
 
     return OracleResult(
         best_x=X[best].copy(),

@@ -238,6 +238,13 @@ class TestSolveSelection:
         assert rep.oracle.unbounded_direction is not None
         assert any("unbounded" in w for w in rep.warnings)
 
+    def test_oracle_flags_unbounded_at_any_scale_of_q(self, dense_3d):
+        # the x1e-12 copy has the same direction of negative curvature
+        p = ProblemInstance(Q=1e-12 * dense_3d.Q, c=dense_3d.c)
+        rep = solve_problem(p, oracle=True, oracle_radius=5.0, oracle_resolution=64)
+        assert rep.oracle.unbounded_direction is not None
+        assert any("unbounded" in w for w in rep.warnings)
+
 
 def test_integer_census_solves_to_kkt_points():
     # every symmetric Q in {-1,0,1}^{3x3} with six c, and every symmetric Q

@@ -14,6 +14,7 @@ from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.model import lorentz_signs
 from lorentzqp.verify import (
     CURVATURE_CUTOFF,
+    POLISH_MOMENTUM,
     POLISH_STEPS,
     POLISH_STOP,
     _direction_samples,
@@ -145,15 +146,19 @@ def _reference_grid(n, radius, resolution):
 
 def _reference_oracle(p, radius, resolution):
     """Row-by-row transcription of the documented oracle: every grid point is
-    a row; projected gradient steps with step 1/(||Q||_inf + 1), rescaled
-    into the cap ball, stopped when no coordinate moves by POLISH_STOP; the
-    lowest value wins, ties broken by coordinates; the curvature scan over
-    the axis and four rings of unit directions."""
+    a row; each step extrapolates a row by POLISH_MOMENTUM times its last
+    displacement and takes a projected gradient step from there with step
+    1/(||Q||_inf + 1), rescaled into the cap ball; the polish stops when no
+    coordinate moves by POLISH_STOP; the lowest value wins, ties broken by
+    coordinates; the curvature scan over the axis and four rings of unit
+    directions, against a cutoff relative to max |Q_ij|."""
     X = _reference_grid(p.n, radius, resolution)
+    prev = X.copy()
     step = 1.0 / (np.abs(p.Q).sum(axis=1).max() + 1.0)
     cap = 1e6 * (1.0 + radius)
     for _ in range(POLISH_STEPS):
-        Y = X - step * (X @ p.Q - p.c)
+        V = X + POLISH_MOMENTUM * (X - prev)
+        Y = V - step * (V @ p.Q - p.c)
         x1 = Y[:, 0].copy()
         tail = np.linalg.norm(Y[:, 1:], axis=1)
         mid = (-tail < x1) & (x1 < tail)
@@ -165,7 +170,7 @@ def _reference_oracle(p, radius, resolution):
         big = size > cap
         Y[big] *= (cap / size[big])[:, None]
         done = np.abs(Y - X).max() < POLISH_STOP
-        X = Y
+        prev, X = X, Y
         if done:
             break
     vals = [0.5 * x @ p.Q @ x - p.c @ x for x in X]
@@ -189,7 +194,7 @@ def _reference_oracle(p, radius, resolution):
             dirs.append(d / np.linalg.norm(d))
     curv = [d @ p.Q @ d for d in dirs]
     k = int(np.argmin(curv))
-    return vals[best], (dirs[k] if curv[k] < -1e-10 else None)
+    return vals[best], (dirs[k] if curv[k] < -1e-10 * np.abs(p.Q).max() else None)
 
 
 class TestBruteForce:
@@ -241,6 +246,15 @@ class TestBruteForce:
         values = [primal_objective(p, t * res.unbounded_direction) for t in (10, 100, 1000)]
         assert values[0] > values[1] > values[2]
 
+    def test_negative_curvature_at_any_scale_of_q(self):
+        # the cutoff is relative to max |Q_ij|: a tiny Q flags the direction
+        # its unit copy flags, and Q = 0 flags none
+        p = ProblemInstance(Q=1e-12 * np.diag([-1.0, 0.0]), c=[0.0, 0.0])
+        direction = brute_force_min(p, 3.0, 64).unbounded_direction
+        np.testing.assert_array_equal(direction, [1.0, 0.0])
+        p = ProblemInstance(Q=np.zeros((2, 2)), c=[0.0, 0.0])
+        assert brute_force_min(p, 3.0, 64).unbounded_direction is None
+
     def test_input_validation(self, dense_2d):
         with pytest.raises(ValueError):
             brute_force_min(dense_2d, 0.0, 64)
@@ -284,7 +298,7 @@ def _unbuffered_project_cols(Y):
     return Y
 
 
-def _unbuffered_oracle(p, radius, resolution):
+def _unbuffered_oracle(p, radius, resolution, momentum=POLISH_MOMENTUM):
     """``brute_force_min`` with a fresh array for every intermediate of every
     step.  Returns (best_x, best_value, unbounded_direction) and the paths the
     polish took: steps run, steps with a cap rescale, steps whose
@@ -296,8 +310,12 @@ def _unbuffered_oracle(p, radius, resolution):
     with an entry that is not finite.  Among the steps whose projection
     does not find every column inside, it counts those with a polar column
     (x1 <= -tail) and those with an inside column; and it counts the steps
-    whose row 0 exceeds cap (1 - 4 eps) while no entry exceeds the cap."""
+    whose row 0 exceeds cap (1 - 4 eps) while no entry exceeds the cap.
+
+    ``momentum=0.0`` runs the plain projected-gradient loop, which takes
+    each step from the iterate itself (``_plain_oracle``)."""
     XT = _slice_grid(p.n, radius, resolution)
+    prev = XT.copy()
     Q, cT = p.Q, p.c[:, None]
     step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
     cap = 1e6 * (1.0 + radius)
@@ -307,7 +325,8 @@ def _unbuffered_oracle(p, radius, resolution):
              "inside_projections": 0, "row0_only": 0}
     watch = 0
     for _ in range(POLISH_STEPS):
-        Z = XT - step * (Q @ XT - cT)
+        V = XT + momentum * (XT - prev) if momentum else XT
+        Z = V - step * (Q @ V - cT)
         tail = np.linalg.norm(Z[1:], axis=0)
         paths["steps"] += 1
         inside, polar = tail <= Z[0], Z[0] <= -tail
@@ -326,7 +345,7 @@ def _unbuffered_oracle(p, radius, resolution):
             Y[:, big] *= cap / size[big]
         moved = np.abs(Y - XT).max(axis=0)
         disp = float(np.max(np.abs(Y - XT)))
-        XT = Y
+        prev, XT = XT, Y
         if disp < POLISH_STOP:
             break
         if moved[watch] < POLISH_STOP:
@@ -339,8 +358,14 @@ def _unbuffered_oracle(p, radius, resolution):
     dirs = _direction_samples(p.n, resolution)
     curv = np.einsum("ij,ij->i", dirs @ p.Q, dirs)
     k = int(np.argmin(curv))
-    unbounded = dirs[k] if curv[k] < CURVATURE_CUTOFF else None
+    unbounded = dirs[k] if curv[k] < CURVATURE_CUTOFF * np.abs(Q).max() else None
     return (X[order[0]], float(vals[order[0]]), unbounded), paths
+
+
+def _plain_oracle(p, radius, resolution):
+    """The oracle with the plain projected-gradient polish: the referee for
+    the quality of the momentum polish's results."""
+    return _unbuffered_oracle(p, radius, resolution, momentum=0.0)
 
 
 def _assert_bit_identical(p, radius, resolution):
@@ -354,6 +379,15 @@ def _assert_bit_identical(p, radius, resolution):
     else:
         assert res.unbounded_direction.tobytes() == direction.tobytes()
     return paths
+
+
+def _criterion_5_instance(i):
+    """Acceptance criterion 5's instance i, densified, and its default radius."""
+    kind = "convex" if i % 2 == 0 else "indefinite"
+    n = 2 if i % 4 < 2 else 3
+    p = as_dense(gen_instance(kind, n, 30_000 + i))
+    sol = solve_problem(p).solution
+    return p, default_oracle_radius(p, sol if sol is not None and sol.certified else None)
 
 
 class TestBufferedPolish:
@@ -402,7 +436,7 @@ class TestBufferedPolish:
         assert paths["polar_projections"] > 0 and paths["inside_projections"] > 0
 
     @pytest.mark.parametrize("kind, n, seed", [
-        ("diagonal", 2, 52_000), ("indefinite", 3, 52_000), ("indefinite", 4, 52_004)])
+        ("diagonal", 2, 52_000), ("indefinite", 3, 52_000), ("indefinite", 4, 52_003)])
     def test_watched_column_settles_first(self, kind, n, seed):
         # the column watched by the stop test settles while another still
         # moves: the full reduction runs, does not stop, and watches anew
@@ -425,9 +459,11 @@ class TestBufferedPolish:
     @pytest.mark.parametrize("ulps", [-2, 0, 2])
     def test_iterates_within_ulps_of_the_cap(self, n, ulps):
         # the minimizer c lies within a few ulps of the cap on the axis: the
-        # last iterates have x1 above cap (1 - 4 eps), where row 0 alone
-        # cannot rule out an entry above the cap, so the rescale runs, and
-        # on some steps no entry is above the cap and every factor is 1.0
+        # first steps overshoot it past the cap, and the last iterates have
+        # x1 above cap (1 - 4 eps), where row 0 alone cannot rule out an
+        # entry above the cap, so the rescale runs; with c above the cap it
+        # scales down on most steps, and otherwise on some steps no entry
+        # is above the cap and every factor is 1.0
         radius = 3.0
         cap = 1e6 * (1.0 + radius)
         eps = np.finfo(float).eps
@@ -437,24 +473,37 @@ class TestBufferedPolish:
         paths = _assert_bit_identical(p, radius, 32)
         x1 = brute_force_min(p, radius, 32).best_x[0]
         assert cap * (1.0 - 4.0 * eps) < x1 <= cap
-        assert (paths["capped"] > 0) == (ulps > 0)
-        assert paths["row0_only"] > 0
+        assert paths["capped"] > 0
+        assert (paths["capped"] > paths["steps"] // 2) == (ulps > 0)
+        assert (paths["row0_only"] > 0) == (ulps <= 0)
 
     @pytest.mark.parametrize("i, budget, capped", [
-        (0, False, False), (1, False, True), (3, False, False), (4, True, False),
-        (9, False, True), (25, False, True), (31, True, True), (36, True, False)])
+        (0, False, False), (1, False, True), (3, False, False), (4, False, False),
+        (9, False, True), (25, False, True), (31, True, True), (36, False, False)])
     def test_criterion_5_traffic(self, i, budget, capped):
         # the oracle workload's traffic: criterion 5's instances at resolution
         # 64 and the default radius, runs that stop early or use the whole
-        # step budget, with and without a cap rescale
-        kind = "convex" if i % 2 == 0 else "indefinite"
-        n = 2 if i % 4 < 2 else 3
-        p = as_dense(gen_instance(kind, n, 30_000 + i))
-        sol = solve_problem(p).solution
-        radius = default_oracle_radius(p, sol if sol is not None and sol.certified else None)
+        # step budget, with and without a cap rescale (4 and 36 use the
+        # whole budget without momentum); no best value lies above the
+        # plain polish's, and the unbounded direction is the same
+        p, radius = _criterion_5_instance(i)
         paths = _assert_bit_identical(p, radius, 64)
         assert (paths["steps"] == POLISH_STEPS) == budget
         assert (paths["capped"] > 0) == capped
+        (_, plain_value, plain_direction), _ = _plain_oracle(p, radius, 64)
+        res = brute_force_min(p, radius, 64)
+        assert res.best_value <= plain_value + 1e-12 * (1.0 + abs(plain_value))
+        if plain_direction is None:
+            assert res.unbounded_direction is None
+        else:
+            np.testing.assert_array_equal(res.unbounded_direction, plain_direction)
+
+    def test_fewer_steps_than_the_plain_polish(self):
+        # a convex instance on which the plain polish uses the whole budget
+        p, radius = _criterion_5_instance(2)
+        _, paths = _unbuffered_oracle(p, radius, 64)
+        _, plain = _plain_oracle(p, radius, 64)
+        assert plain["steps"] == POLISH_STEPS and paths["steps"] < 0.6 * POLISH_STEPS
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_direction_samples_are_shared_and_the_result_owns_a_copy(self, n):
