@@ -51,8 +51,8 @@ __all__ = ["Arrowhead"]
 EPS = float(np.finfo(float).eps)
 # The zero band: an eigenvalue of G with |lambda| <= TOL_EIG * max(1, ||G||_inf)
 # is zero.  Every inertia and singularity test applies it to the problem in
-# natural units (``model.natural_units``): ``Arrowhead.inertia``,
-# ``linalg.factorize`` and the diagonal route's ``secular._point``.
+# natural units (``model.natural_units``): ``Arrowhead.inertia`` and
+# ``pseudo_solve``, ``secular._point`` and the reference ``linalg.factorize``.
 TOL_EIG = 1e-10
 # Singular shifts down to -ZERO_POLE_TOL * (1 + max|Q|) are poles at 0.
 ZERO_POLE_TOL = 1e-9
@@ -208,25 +208,75 @@ class Arrowhead:
                 x0, xt = x0 + (g / gp) * y0, xt + (g / gp) * yt
             return self._rotate_back(x0, xt)
 
+    def _band(self, sigma: float) -> float:
+        """The zero band ``TOL_EIG * max(1, ||G(sigma)||_inf)``."""
+        norm = max((self._offdiag + np.abs(self._diag + sigma * self._signs)).tolist())
+        return TOL_EIG * max(1.0, norm)
+
     def inertia(self, sigma: float) -> tuple[int, int, int]:
         """(n_pos, n_zero, n_neg) of G(sigma) under the zero band
-        ``TOL_EIG * max(1, ||G(sigma)||_inf)`` of ``linalg.factorize``.
+        ``TOL_EIG * max(1, ||G(sigma)||_inf)``.
 
         G - t*I is again an arrowhead, so the number of eigenvalues of G
         below t is the number of nu_i + sigma below t plus one if
         f(sigma, t) < 0 (Haynsworth inertia additivity); at t = -band and
         t = +band this places every eigenvalue against the band, which is
-        closed as in ``factorize``: an eigenvalue at -band or +band is zero.
-        nu is ascending, so the nu_i + sigma below -band and up to +band are
-        counted by ``searchsorted``; a NaN bound (sigma NaN) counts none.
+        closed: an eigenvalue at -band or +band is zero.  nu is ascending,
+        so the nu_i + sigma below -band and up to +band are counted by
+        ``searchsorted``; a NaN bound (sigma NaN) counts none.
         """
-        norm = max((self._offdiag + np.abs(self._diag + sigma * self._signs)).tolist())
-        band = TOL_EIG * max(1.0, norm)
+        band = self._band(sigma)
         f_neg, f_pos = self.f(sigma, np.array([-band, band])).tolist()
         lo, hi = -band - sigma, band - sigma
         neg = (int(self.nu.searchsorted(lo)) if lo == lo else 0) + (f_neg < 0.0)
         nonpos = (int(self.nu.searchsorted(hi, "right")) if hi == hi else 0) + (f_pos <= 0.0)
         return self.n - nonpos, nonpos - neg, neg
+
+    def min_eigenvalue(self, sigma: float) -> float:
+        """The smallest decoupled nu_j + sigma or the root t of f(sigma, t)
+        below the first coupled pole p, where f is concave and decreasing:
+        Newton from the lower bound min eig [[alpha - sigma, ||d||], [||d||,
+        p]], bisecting where a step leaves the bracket, and last where it is
+        below _LAST_STEP of p - t (|f''/f'| <= 2/(p - t))."""
+        free = float(self.free_nu[0]) + sigma if self.free_nu.size else math.inf
+        if not self._d2c.size:
+            return min(self.alpha - sigma, free)
+        pole = hi = float(self._nuc[0]) + sigma
+        a, dd = self.alpha - sigma, math.sqrt(float(self._d2c.sum()))
+        lo, t = min(a, pole) - dd, 0.5 * (a + pole) - math.hypot(0.5 * (a - pole), dd)
+        with np.errstate(**_QUIET):
+            for _ in range(_MAX_STEPS):
+                r = 1.0 / (self._nuc + (sigma - t))
+                f = a - t - float(r @ self._d2c)
+                lo, hi = (t, hi) if f > 0.0 else (lo, t)
+                new = t + f / (1.0 + float((r * r) @ self._d2c))
+                new = new if lo <= new <= hi else 0.5 * (lo + hi)
+                t, step = new, abs(new - t)
+                if step <= _LAST_STEP * (pole - t):
+                    break
+        return min(t, free)
+
+    def pseudo_solve(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The minimum-norm solution x of G(sigma) x = c at a pole, and an
+        orthonormal null basis Z: ``v = (1, -d/(nu + sigma))`` where f(sigma,
+        t) has its root in the zero band, and e_j for each decoupled
+        nu_j + sigma in it.  x takes x0 = 0 on a root (else N/f) and x_j = 0
+        on the null coordinates, less its projection on Z."""
+        band = self._band(sigma)
+        with np.errstate(**_QUIET):
+            f_neg, f, f_pos = self.f(sigma, np.array([-band, 0.0, band]))
+            delta = self.nu + sigma
+            null = ~self.coupled & (np.abs(delta) <= band)
+            r = np.where(null, 0.0, self.d / delta)
+            on_root = f_neg >= 0.0 >= f_pos
+            y0 = 0.0 if on_root else (self.c0 - float(r @ self.ct)) / f
+            y = np.concatenate(([y0], np.where(null, 0.0, (self.ct - self.d * y0) / delta)))
+        Z = np.eye(self.n)[:, 1 + null.nonzero()[0]]
+        if on_root:
+            Z = np.column_stack((np.concatenate(([1.0], -r)) / math.sqrt(1.0 + float(r @ r)), Z))
+        y -= Z @ (Z.T @ y)
+        Z[1:] = self.U @ Z[1:]
+        return self._rotate_back(y[0], y[1:]), Z
 
     # -- poles -----------------------------------------------------------------
 
@@ -256,6 +306,9 @@ class Arrowhead:
         self.eta = t @ d2 - 1.0
         self.vc = self.c0 - inv @ (d * ct)
         self.vv = np.abs(t) @ d2 + 1.0 if delta.dtype.kind == "c" else self.eta + 2.0
+        # a root rounded onto its pole -nu_j has the limit null vector e_j
+        onto, j = (delta == 0.0).nonzero()
+        self.eta[onto], self.vc[onto], self.vv[onto] = 1.0, ct[j], 1.0
 
     def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray) -> tuple:
         """The two roots of f beyond the bracket roots ``inner``, as a real

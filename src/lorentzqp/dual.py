@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrowhead import Arrowhead
-from .linalg import Factorization, SingularMatrixError, factorize, solve_linear
+from .linalg import SingularMatrixError
 from .model import (
     ProblemInstance,
     cone_quadratic,
@@ -162,12 +162,13 @@ class _KKTPoints(list):
 
 
 def recover_primal(p: ProblemInstance, sigma: float) -> np.ndarray:
-    """Solve the stationarity system G(sigma) x = c, in natural units."""
+    """Solve the stationarity system G(sigma) x = c by the arrowhead, in
+    natural units; SingularMatrixError where its inertia has a zero."""
     q, s, t = natural_units(p)
-    f = factorize(shifted_hessian(q, sigma / s))
-    if f.singular:
+    arrow = Arrowhead(q)
+    if arrow.inertia(sigma / s)[1] > 0:
         raise SingularMatrixError(f"G(sigma) is singular at sigma={sigma!r}", sigma=sigma)
-    return solve_linear(f, q.c) * (t / s)
+    return arrow.x(sigma / s) * (t / s)
 
 
 def dual_value(p: ProblemInstance, sigma: float) -> float:
@@ -224,9 +225,9 @@ def pd_interval(p: ProblemInstance) -> DualInterval | None:
     It is empty when the cell starts at or above Q[0,0] (the (0,0) entry of
     G must stay positive); otherwise the inertia of G at the cell's midpoint
     decides it, read from the arrowhead (``Arrowhead.inertia``: the signs of
-    nu_i + sigma and of the Schur complement f) under the zero band of
-    ``factorize``: a bare sign test of f can pass at the singular PSD
-    matrix at the center of the sliver that a defective pole splits into.
+    nu_i + sigma and of the Schur complement f) under the zero band
+    ``TOL_EIG``: a bare sign test of f can pass at the singular PSD matrix
+    at the center of the sliver that a defective pole splits into.
     """
     q, s, _ = natural_units(p)
     arrow = Arrowhead(q)
@@ -308,7 +309,7 @@ def _maximize_with_notes(
     from the arrowhead and the pole cells the enumeration already computed,
     and the sign of the derivative from an arrowhead solve at the midpoint
     that decided the window.  The hard case runs on the enumeration's
-    problem in natural units.
+    problem in natural units and its arrowhead.
     """
     inside = [cp for cp in points if cp.inertia == (p.n, 0, 0)]
     if inside:
@@ -321,7 +322,8 @@ def _maximize_with_notes(
     if points.arrow.g(mid) > 0.0:
         try:
             point = hard_case_solve(p, points.unit * interval.hi, tol=tol,
-                                    natural=(points.natural, points.unit, points.c_unit))
+                                    natural=(points.natural, points.unit, points.c_unit,
+                                             points.arrow))
         except HardCaseError as exc:
             return None, [f"hard case without boundary solution: {exc}; no certificate, see oracle"]
         return point, ["dual supremum attained only at the singular boundary (hard case)"]
@@ -487,14 +489,6 @@ def _vanishes_at_probes(p: ProblemInstance, top: float, tol: float) -> bool:
     return True
 
 
-def _recovered(arrow: Arrowhead, sigma: float) -> np.ndarray | None:
-    """x(sigma) advanced to first order by the Newton step on g, as
-    ``_polish`` returns it, from two arrowhead solves (None if G(sigma) is
-    exactly singular)."""
-    x = arrow.newton_point(sigma)
-    return x if np.isfinite(x).all() else None
-
-
 def enumerate_kkt(
     p: ProblemInstance,
     tol: float = DEFAULT_TOL_KKT,
@@ -540,9 +534,10 @@ def enumerate_kkt(
     elif form is not None:
         u = p.c / c_norm
         sigmas = [form.polish(float(s)) for s in form.roots(abs(cone_quadratic(u)) <= p.n * EPS)]
-        recovered = [(s, _recovered(arrow, s)) for s in sigmas]
-        candidates = [(s, x) for s, x in recovered
-                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol, units)]
+        # x advanced by the Newton step on g, as ``_polish`` returns it
+        recovered = [(s, arrow.newton_point(s)) for s in sigmas]
+        candidates = [(s, x) for s, x in recovered if s > 0.0 and np.isfinite(x).all()
+                      and _is_multiplier(p, x, s, tol, units)]
     else:
         poles = breaks if zero_singular else breaks[1:]
         starts = {st for s in _pencil_eigenvalues(p) for st in _starts(float(s), poles)}
@@ -575,44 +570,40 @@ def enumerate_kkt(
 
 
 def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
-                  tol: float) -> tuple[np.ndarray, np.ndarray, Factorization]:
-    """Minimum-norm solution of G(sigma_sing) x = c, a null-space basis, and
-    the factorization of G(sigma_sing) they come from, all read on the
-    problem in natural units (the basis and the factorization are its own).
-
-    The dual's limit value at the singular shift is ``-0.5 * c' x``.  Raises
-    HardCaseError unless G is singular there (under the zero band of
-    ``factorize``) and c is orthogonal (within tol*(1+||c||)) to its null
-    space.
-    """
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_natural_pseudo_solve`` in p's own units: x and the null basis."""
     q, s, t = natural_units(p)
-    x, U0, f = _natural_pseudo_solve(q, sigma_sing / s, tol)
-    return x * (t / s), U0, f
+    x, U0, _ = _natural_pseudo_solve(q, Arrowhead(q), sigma_sing / s, tol)
+    return x * (t / s), U0
 
 
-def _natural_pseudo_solve(q: ProblemInstance, sigma_sing: float,
-                          tol: float) -> tuple[np.ndarray, np.ndarray, Factorization]:
-    """``_pseudo_solve`` on a problem already in natural units."""
-    f = factorize(shifted_hessian(q, sigma_sing))
-    if not f.singular:
-        raise HardCaseError(
-            f"G(sigma) is not singular at sigma={sigma_sing!r} (no null space found)"
-        )
-    U0, U1 = f.U[:, f.null], f.U[:, ~f.null]
+def _natural_pseudo_solve(q: ProblemInstance, arrow: Arrowhead, sigma_sing: float,
+                          tol: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+    """Minimum-norm solution of G(sigma_sing) x = c, a null-space basis and
+    the inertia of G there (``Arrowhead.pseudo_solve`` of q, in natural
+    units); ``-0.5 * c' x`` is the dual's limit value there.  Raises
+    HardCaseError unless G is singular, with a null vector per zero of its
+    inertia, and c is orthogonal (within tol*(1+||c||)) to its null space.
+    """
+    inertia = arrow.inertia(sigma_sing)
+    x, U0 = arrow.pseudo_solve(sigma_sing)
+    if inertia[1] == 0 or U0.shape[1] != inertia[1]:
+        raise HardCaseError(f"G(sigma) at sigma={sigma_sing!r} has {inertia[1]} null "
+                            f"directions and {U0.shape[1]} null vectors (no null space found)")
     c0 = U0.T @ q.c
     if math.sqrt(float(c0 @ c0)) > tol * (1.0 + math.sqrt(float(q.c @ q.c))):
         raise HardCaseError(
             "c has a component in the null space of G(sigma); the dual supremum "
             "is not attained"
         )
-    return U1 @ ((U1.T @ q.c) / f.w[~f.null]), U0, f
+    return x, U0, inertia
 
 
 def hard_case_solve(
     p: ProblemInstance,
     sigma_sing: float,
     tol: float = DEFAULT_TOL_KKT,
-    natural: tuple[ProblemInstance, float, float] | None = None,
+    natural: tuple[ProblemInstance, float, float, Arrowhead] | None = None,
 ) -> CriticalPoint:
     """Boundary solution when the dual supremum sits at a singular shift.
 
@@ -620,18 +611,13 @@ def hard_case_solve(
     G(sigma_sing); the pseudo-solution is then completed with a null-space
     step chosen so the result lies exactly on the cone boundary, mirroring
     the trust-region hard case.  It runs on the problem in natural units:
-    ``natural`` is ``model.natural_units(p)`` where the caller has it.
+    ``natural`` is ``model.natural_units(p)`` plus its ``Arrowhead``.
     """
-    q, s, t = natural or natural_units(p)
-    x_p, U0, f = _natural_pseudo_solve(q, sigma_sing / s, tol)
+    q, s, t, arrow = natural or (*natural_units(p), None)
+    x_p, U0, inertia = _natural_pseudo_solve(q, arrow or Arrowhead(q), sigma_sing / s, tol)
 
-    # Deterministic null direction: maximize the first component.
-    first_row = U0[0, :]
-    norm = math.sqrt(float(first_row @ first_row))
-    if norm > 1e-12:
-        v = U0 @ (first_row / norm)
-    else:
-        v = U0[:, 0]
+    # Deterministic null direction: the largest first component (v of a root of f).
+    v = U0[:, 0]
 
     # cone_quadratic(x_p + tau v) is quadratic in tau.
     signs = lorentz_signs(p.n)
@@ -658,6 +644,6 @@ def hard_case_solve(
             "supremum is not attained"
         )
     tau = min(admissible, key=abs)
-    point = build_critical_point(q, sigma_sing / s, x_p + tau * v, f.inertia,
+    point = build_critical_point(q, sigma_sing / s, x_p + tau * v, inertia,
                                  certificate=CERT_HARD)
     return point if q is p else point.scaled(s, t)

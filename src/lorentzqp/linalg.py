@@ -1,14 +1,9 @@
-"""Dense symmetric linear algebra: one eigendecomposition per shifted
-Hessian, and the singular shifts of det(Q + sigma*L) = 0.
-
-Desk scale only (n up to a few hundred), backed by LAPACK through numpy.
-``factorize`` computes G = U diag(w) U' once; its inertia, singularity,
-solves and null space are all read from that decomposition under the zero
-band ``arrowhead.TOL_EIG``, and every caller hands it G in natural units
-(``model.natural_units``).  The solve path uses it only at a hard-case pole and
-in the sweep table: the poles, and the inertia and solves at every other
-shift, come from the arrowhead form of the pencil (``arrowhead``), whose
-inertia keeps the same zero band.
+"""Dense symmetric linear algebra, the reference that the arrowhead form of
+the pencil (``arrowhead``) is tested against, and the singular shifts of
+det(Q + sigma*L) = 0.  ``factorize`` computes G = U diag(w) U' with LAPACK
+and reads its inertia, singularity, solves and null space under the zero
+band ``arrowhead.TOL_EIG``; no package path calls it, as ``Arrowhead`` gives
+each of these in O(n) per shift.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ from .dual import (
     _maximize_with_notes,
     enumerate_kkt,
 )
-from .linalg import factorize, solve_linear
-from .model import ProblemInstance, cone_quadratic, natural_units, shifted_hessian
+from .arrowhead import Arrowhead
+from .model import ProblemInstance, cone_quadratic, natural_units
 from .verify import (
     KKTResiduals,
     OracleResult,
@@ -171,8 +171,8 @@ def sweep_table(
 ) -> list[tuple[float, float | None, float | None, float, bool]]:
     """Rows (sigma, dual_value, dual_derivative, min_eigenvalue, is_pd).
 
-    Every field of a row comes from one ``factorize`` of G(sigma) on the
-    problem in natural units (``model.natural_units``), mapped back.  Value
+    Every field of a row comes from one ``Arrowhead`` of the problem in
+    natural units (``model.natural_units``), in O(n), mapped back.  Value
     fields are None exactly where the shifted Hessian is singular under the
     zero band, or where a value overflows in the problem's own units; those
     rows serialize as empty CSV cells.  is_pd comes from the inertia alone.
@@ -180,18 +180,19 @@ def sweep_table(
     if steps < 2:
         raise ValueError("steps must be at least 2")
     q, s, t = natural_units(p)
+    arrow = Arrowhead(q)
     rows = []
     for sigma in np.linspace(sigma_min, sigma_max, steps):
         sigma = float(sigma)
-        f = factorize(shifted_hessian(q, sigma / s))
-        lam = s * float(f.w[0])
-        if f.singular:
+        inertia = arrow.inertia(sigma / s)
+        lam = s * arrow.min_eigenvalue(sigma / s)
+        if inertia[1] > 0:
             rows.append((sigma, None, None, lam, False))
             continue
-        x = solve_linear(f, q.c)
+        x = arrow.x(sigma / s)
         dv = -0.5 * float(q.c @ x) * (t / s) * t
         dd = cone_quadratic(x) * (t / s) * (t / s)
         if not (math.isfinite(dv) and math.isfinite(dd)):
             dv = dd = None
-        rows.append((sigma, dv, dd, lam, f.positive_definite))
+        rows.append((sigma, dv, dd, lam, inertia[0] == p.n))
     return rows

@@ -16,8 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arrowhead import Arrowhead
 from .dual import CriticalPoint, dual_value
-from .model import ProblemInstance, cone_quadratic, primal_objective, shifted_hessian
+from .model import ProblemInstance, cone_quadratic, natural_units, primal_objective, shifted_hessian
 
 __all__ = [
     "KKTResiduals",
@@ -368,9 +369,12 @@ def default_oracle_radius(p: ProblemInstance, certified: CriticalPoint | None) -
     """Crude deterministic bound on the minimizer norm.
 
     With a certificate the curvature of the shifted Hessian at the certified
-    multiplier bounds the solution; otherwise fall back to a fixed 10.
+    multiplier, floored at 1e-6 max|Q_ij|, bounds the solution; otherwise
+    fall back to a fixed 10.
     """
     if certified is None:
         return 10.0
-    lam = float(np.linalg.eigvalsh(shifted_hessian(p, certified.sigma))[0])
-    return 4.0 * (1.0 + float(np.linalg.norm(p.c)) / max(1e-6, abs(lam)))
+    q, s, _ = natural_units(p)
+    lam = s * Arrowhead(q).min_eigenvalue(certified.sigma / s)
+    return 4.0 * (1.0 + float(np.linalg.norm(p.c)) / max(1e-6 * float(np.abs(p.Q).max()),
+                                                       abs(lam)))

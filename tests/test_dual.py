@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lorentzqp import (
 )
 from lorentzqp.arrowhead import Arrowhead
 from lorentzqp.fileio import as_dense, gen_instance
-from lorentzqp.model import lorentz_signs
+from lorentzqp.model import lorentz_signs, natural_units
 from conftest import random_orthogonal
 
 
@@ -575,3 +576,32 @@ def test_polish_stops_relative_to_the_nearest_pole(c0):
             assert abs(sigma - root) <= 1e-14
             sigma = form.polish(start)
             assert abs(sigma - root) <= 1e-14
+
+
+def test_root_rounded_onto_its_pole_has_a_finite_weight(monkeypatch):
+    # a tail coupling just above DEFLATION (d = -4.0e-15 in natural units)
+    # puts a root of f d^2/gap away from its pole, below the rounding of
+    # sigma: its null vector is e_j in the limit, with type 1 and weight
+    # c_j^2 as for a decoupled coordinate, where inf/inf made a NaN weight
+    p = ProblemInstance(
+        Q=[[1.022770851062848e-06, -1.2913982301677691e-07, 1.5893312203629177e-07,
+            6.421357033225277e-08],
+           [-1.2913982301677691e-07, 1.008244677779513e-06, -1.0146772305170476e-08,
+            -4.0995889888492695e-09],
+           [1.5893312203629177e-07, -1.0146772305170476e-08, 1.0124876909645648e-06,
+            5.045387718850853e-09],
+           [6.421357033225277e-08, -4.0995889888492695e-09, 5.045387718850853e-09,
+            1.0020384823187702e-06]],
+        c=[0.14562135794235934, -0.1230466139048966, 1.540939588996783, 0.5257779667480181])
+    q, _, _ = natural_units(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arrow = Arrowhead(q)
+        form = pontryagin.secular_form(arrow, dual.DEFAULT_TOL_KKT)
+        points = [cp.sigma for cp in enumerate_kkt(p)]
+        rep = solve_problem(p)
+    assert list(arrow.eta).count(1.0) == 1  # the root on its pole
+    assert all(np.isfinite(a).all() for a in (arrow.eta, arrow.vc, arrow.vv))
+    assert form is not None and np.isfinite(form.beta).all()
+    assert points == pytest.approx(companion_multipliers(p, monkeypatch), rel=1e-9)
+    assert rep.exit_code == 3

@@ -88,31 +88,32 @@ def test_top_cell_equals_the_cell_scan():
     assert windows > 250 and above_a_cell > 100
 
 
-def counted_factorize(monkeypatch) -> list[np.ndarray]:
-    """Record every matrix that dual.py factorizes."""
+def counted_eigh(monkeypatch) -> list[np.ndarray]:
+    """Record every matrix passed to ``np.linalg.eigh``."""
     seen = []
 
-    def counted(G, *args, **kwargs):
+    def counted(G, *args, _eigh=np.linalg.eigh, **kwargs):
         seen.append(np.array(G))
-        return factorize(G, *args, **kwargs)
+        return _eigh(G, *args, **kwargs)
 
-    monkeypatch.setattr(dual, "factorize", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     return seen
 
 
 def test_window_costs_no_factorization(monkeypatch):
     # three cells below the window: the scan factorized four midpoints; the
-    # arrowhead decides the window from the inertia of its midpoint
+    # arrowhead decides the window from the inertia of its midpoint, and its
+    # one eigh is of the tail block
     p = coercive(np.random.default_rng(0), 5)
     breaks, _ = dual._pole_cells(Arrowhead(p).poles)
     assert len(breaks) >= 5
-    seen = counted_factorize(monkeypatch)
+    seen = counted_eigh(monkeypatch)
     w = pd_interval(p)
     assert w is not None and w.lo == breaks[-2] and w.hi == breaks[-1]
-    assert seen == []
+    assert [G.shape for G in seen] == [(4, 4)]
     # poles 1, 2, 3: the top cell [2, 3] starts above Q[0,0] = 1
     assert pd_interval(ProblemInstance(Q=np.diag([1.0, -2.0, -3.0]), c=[1, 1, 1])) is None
-    assert seen == []
+    assert [G.shape for G in seen] == [(4, 4), (2, 2)]
 
 
 @pytest.mark.parametrize("Q, c", [
@@ -121,14 +122,12 @@ def test_window_costs_no_factorization(monkeypatch):
 ])
 def test_window_fallback_factorizes_no_midpoint(monkeypatch, Q, c):
     # no multiplier inside the window: the hard-case sign of g at the
-    # midpoint comes from an arrowhead solve there; only the hard case
-    # itself factorizes G, at the pole, of the problem in natural units
+    # midpoint comes from an arrowhead solve there, and the hard case's
+    # null space from the same arrowhead at the pole; the only eigh is of
+    # the tail block of the problem in natural units
     p = ProblemInstance(Q=Q, c=c)
-    w = pd_interval(p)
-    q, s, _ = natural_units(p)
-    mid = shifted_hessian(q, 0.5 * (w.lo + w.hi) / s)
-    seen = counted_factorize(monkeypatch)
+    q, _, _ = natural_units(p)
+    seen = counted_eigh(monkeypatch)
     rep = solve_problem(p)
     assert rep.exit_code == 3
-    assert seen and not any(np.array_equal(G, mid) for G in seen)
-    assert all(np.array_equal(G, shifted_hessian(q, w.hi / s)) for G in seen)
+    assert len(seen) == 1 and np.array_equal(seen[0], q.Q[1:, 1:])

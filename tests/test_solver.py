@@ -160,12 +160,12 @@ class TestSolveSelection:
 
     def test_poles_computed_once_per_solve(self, monkeypatch, hardcase_2d, dense_2d, dense_3d):
         # One eigh of the tail block gives the arrowhead: the poles, the
-        # window's cells, the secular form of the multipliers, and x and the
-        # inertia at every shift.  No nonsymmetric eigensolve, and exactly
-        # one eigh of size n-1 per solve, also for the hard case and the
-        # window-less dense_3d, which select without a multiplier in the
-        # window (the hard case factorizes G, of size n, at its pole).
-        calls = {"eig": [], "eigvals": [], "eigh": []}
+        # window's cells, the secular form of the multipliers, x and the
+        # inertia at every shift, and the hard case's null space.  No
+        # nonsymmetric eigensolve, no eigvalsh, and exactly one eigh, of size
+        # n-1, per solve, also for the hard case and the window-less
+        # dense_3d, which select without a multiplier in the window.
+        calls = {"eig": [], "eigvals": [], "eigh": [], "eigvalsh": []}
         for name in calls:
             def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
                 calls[_name].append(np.shape(args[0])[0])
@@ -176,8 +176,8 @@ class TestSolveSelection:
                 for seen in calls.values():
                     seen.clear()
                 run(p)
-                assert calls["eig"] == calls["eigvals"] == []
-                assert calls["eigh"].count(p.n - 1) == 1
+                assert calls["eig"] == calls["eigvals"] == calls["eigvalsh"] == []
+                assert calls["eigh"] == [p.n - 1]
 
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     def test_natural_units_once_per_hard_case_solve(self, monkeypatch, hardcase_2d, scale):
@@ -355,6 +355,20 @@ class TestSweepTable:
             want = want * scale**power
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.nanmax(np.abs(want)))
+
+    def test_one_eigh_for_any_number_of_rows(self, monkeypatch):
+        # every row is read from one arrowhead: its eigh of the tail block
+        p = gen_instance("indefinite", 6, 20000)
+        calls = []
+
+        def counted(G, *args, _eigh=np.linalg.eigh, **kwargs):
+            calls.append(np.shape(G)[0])
+            return _eigh(G, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        rows = sweep_table(p, 0.0, 10.0, 201)
+        assert len(rows) == 201 and calls == [p.n - 1]
 
     def test_columns_match_an_independent_eigensolver(self):
         # random rows, plus rows placed exactly at the poles

@@ -280,6 +280,15 @@ class TestBruteForce:
         assert a.best_value == b.best_value
         np.testing.assert_array_equal(a.best_x, b.best_x)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_default_radius_reaches_the_certified_minimizer(self, dense_2d, scale):
+        # the curvature floor is relative to max|Q|: an absolute 1e-6 gave
+        # Q x 1e-8 a radius of 3.1e6 against a minimizer of norm 7.8e7
+        p = ProblemInstance(Q=scale * dense_2d.Q, c=dense_2d.c)
+        sol = solve_problem(p).solution
+        assert sol.certified
+        assert default_oracle_radius(p, sol) >= np.linalg.norm(sol.x)
+
 
 # ---------------------------------------------------------------------------
 # The unbuffered polish loop, kept as the reference for the buffered one.
