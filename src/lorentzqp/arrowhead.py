@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .model import ProblemInstance, lorentz_signs
+from .model import ProblemInstance, cone_quadratic, lorentz_signs, natural_units
 
 __all__ = ["Arrowhead"]
 
@@ -90,6 +90,10 @@ class Arrowhead:
     ``eta = f'(root)`` and ``vc = N(root)`` of its null vector
     ``v = (1, -d / (nu + root))`` and ``vv = ||v||^2``; and ``poles``, the
     singular shifts sigma >= 0, sorted, with multiplicities.
+
+    The roots (with eta, vc and vv) and the poles are computed on first
+    access, as a per-shift solve needs none of them; they are deterministic,
+    so threads that race to the first access only repeat work.
     """
 
     def __init__(self, p: ProblemInstance):
@@ -127,9 +131,17 @@ class Arrowhead:
         self._offdiag = absQ.sum(axis=1) - np.abs(self._diag)
         self._signs = lorentz_signs(p.n)
         self._scale = 1.0 + float(absQ.max())
+        self._ctc = ctc
+
+    def __getattr__(self, name: str):
+        if name not in ("roots", "eta", "vc", "vv", "poles"):
+            raise AttributeError(name)
         with np.errstate(**_QUIET):
-            self._roots(ctc)
-            self.poles = self._poles()
+            if name == "poles":
+                self.poles = self._poles()
+            else:  # each is assigned only once complete
+                self.roots, self.eta, self.vc, self.vv = self._roots(self._ctc)
+        return self.__dict__[name]
 
     # -- per-shift quantities ------------------------------------------------
 
@@ -280,22 +292,20 @@ class Arrowhead:
 
     # -- poles -----------------------------------------------------------------
 
-    def _roots(self, ct: np.ndarray):
+    def _roots(self, ct: np.ndarray) -> tuple:
         """Every root of f, with eta, vc and vv of its null vector; ``ct``
         is c over the coupled coordinates."""
         nu, d, d2 = self._nuc, self._dc, self._d2c
         m = nu.size
         if m == 0:  # f = alpha - sigma
-            self.roots = np.array([self.alpha])
-            self.eta, self.vc, self.vv = np.array([-1.0]), np.array([self.c0]), np.ones(1)
-            return
+            return np.array([self.alpha]), np.array([-1.0]), np.array([self.c0]), np.ones(1)
         # one root per bracket (-nu[i+1], -nu[i]), relative to its nearer
         # pole; the other two from the deflated quadratic
         origin, tau = _bracket_roots(self.alpha, nu, d2)
         inner = tau - nu[origin]
         pair, near = self._pair(nu, d2, inner)
-        self.roots = np.concatenate([inner, pair])
-        delta = nu + self.roots[:, None]
+        roots = np.concatenate([inner, pair])
+        delta = nu + roots[:, None]
         # the real roots relative to their nearest pole: exact next to it
         if m > 1:
             delta[:m - 1] = (nu - nu[origin][:, None]) + tau[:, None]
@@ -303,12 +313,13 @@ class Arrowhead:
             delta[m - 1:] = [[(v - nu[o]) + t for v in nu.tolist()] for t, o in near]
         inv = 1.0 / delta
         t = inv * inv
-        self.eta = t @ d2 - 1.0
-        self.vc = self.c0 - inv @ (d * ct)
-        self.vv = np.abs(t) @ d2 + 1.0 if delta.dtype.kind == "c" else self.eta + 2.0
+        eta = t @ d2 - 1.0
+        vc = self.c0 - inv @ (d * ct)
+        vv = np.abs(t) @ d2 + 1.0 if delta.dtype.kind == "c" else eta + 2.0
         # a root rounded onto its pole -nu_j has the limit null vector e_j
         onto, j = (delta == 0.0).nonzero()
-        self.eta[onto], self.vc[onto], self.vv[onto] = 1.0, ct[j], 1.0
+        eta[onto], vc[onto], vv[onto] = 1.0, ct[j], 1.0
+        return roots, eta, vc, vv
 
     def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray) -> tuple:
         """The two roots of f beyond the bracket roots ``inner``, as a real
@@ -380,6 +391,41 @@ class Arrowhead:
         else:
             sig += [u, v]
         return sorted(max(s, 0.0) for s in sig if s >= floor)
+
+
+class Pencil:
+    """The pencil Q + sigma*L of one problem ``p``, built once and passed
+    down: the copy ``q`` of p in natural units (``model.natural_units``),
+    its scales ``s`` and ``t``, and q's ``Arrowhead``.  Its methods take
+    sigma, and return what they compute, in p's own units."""
+
+    def __init__(self, p: ProblemInstance):
+        self.p = p
+        self.q, self.s, self.t = natural_units(p)
+        self.arrow = Arrowhead(self.q)
+
+    @property
+    def poles(self) -> list[float]:
+        return [self.s * pole for pole in self.arrow.poles]
+
+    def inertia(self, sigma: float) -> tuple[int, int, int]:
+        return self.arrow.inertia(sigma / self.s)
+
+    def x(self, sigma: float) -> np.ndarray:
+        return self.arrow.x(sigma / self.s) * (self.t / self.s)
+
+    def dual(self, sigma: float) -> tuple[float, float]:
+        """The dual value and derivative at sigma, scaled from natural units
+        after the products, so that neither overflows before its value."""
+        x, r = self.arrow.x(sigma / self.s), self.t / self.s
+        return -0.5 * float(self.q.c @ x) * r * self.t, cone_quadratic(x) * r * r
+
+    def min_eigenvalue(self, sigma: float) -> float:
+        return self.s * self.arrow.min_eigenvalue(sigma / self.s)
+
+    def pseudo_solve(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        x, Z = self.arrow.pseudo_solve(sigma / self.s)
+        return x * (self.t / self.s), Z
 
 
 def _deflate_repeated(nu, d, ct, U, tol):

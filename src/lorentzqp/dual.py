@@ -8,46 +8,32 @@ positive definite, and its derivative at sigma equals
 KKT points; they map one-to-one onto stationary points of the primal with
 ``primal value == dual value``.
 
-Everything here comes from the pencil G(sigma) through its arrowhead form
-(``arrowhead.Arrowhead``): one symmetric ``eigh`` of the tail block per
-solve rotates G(sigma) into ``[[alpha - sigma, d'], [d, diag(nu + sigma)]]``.
-Its poles, the roots of the secular function
-``f(sigma) = alpha - sigma - sum d_i^2 / (nu_i + sigma)`` and the shifts of
-decoupled coordinates, cut [0, inf) into cells of constant inertia.  L has
-one negative square, so only the top cell, from the second-largest pole (or
-0) to the largest, can be positive definite (see ``pd_interval``): the
-inertia at its midpoint, the signs of nu_i + sigma and of f, decides the
-window.  The null vector of a pole p is ``v = (1, -d/(nu + p))``, with type
-``v'Lv = f'(p)`` and ``v'c = N(p)``, so the derivative takes the secular
-form ``g(sigma) = 0.5 * sum_i beta_i / (lam_i + sigma)^2`` with
-``beta_i = N(p_i)^2 / f'(p_i)``: all real but one negative weight, or one
-complex pair (see ``pontryagin``).  After a change of variable g is convex
-on each cell, so each cell holds at most two roots, most cells are ruled
-out by a closed-form bound, and the rest are solved by monotone Newton from
-their ends, all in O(n) per step; x, g and the inertia at each root are
-O(n) arrowhead solves too.  When a pole is nearly defective (a light-like
-null vector), the multipliers are instead the real eigenvalues of the
-bordered quadratic pencil ``[[G L G, c], [c', 0]]``, whose determinant is
-``2 det(G)^2 g(sigma)``, projected onto the complement of c and solved as
-one companion eigenproblem of size 2(n-1) with ``numpy.linalg.eigvals``.
-The dual maximum is then a selection from the multiplier set: the
-multiplier inside the window, or the singular-boundary hard case.
+Everything here reads the pencil G(sigma) from one ``arrowhead.Pencil``
+per problem, built at the entry point and passed down.  A per-shift
+quantity (x, the inertia, the dual value) needs only its rotation; the
+roots of its secular function f and the poles are computed when first
+asked.  The poles cut [0, inf) into cells of constant inertia, and only the
+top cell can be positive definite (``pd_interval``).  The multipliers are
+the roots of the secular form of the derivative (``pontryagin``) or, next
+to a nearly defective pole, the real eigenvalues of the bordered quadratic
+pencil ``[[G L G, c], [c', 0]]`` (``enumerate_kkt``).  The dual maximum is
+then a selection from the multiplier set: the multiplier inside the
+window, or the singular-boundary hard case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arrowhead import Arrowhead
+from .arrowhead import Pencil
 from .linalg import SingularMatrixError
 from .model import (
     ProblemInstance,
     cone_quadratic,
     lorentz_signs,
-    natural_units,
     primal_objective,
     shifted_hessian,
 )
@@ -132,29 +118,13 @@ class CriticalPoint:
         return self.certificate == CERT_GLOBAL
 
     def scaled(self, s: float, t: float) -> CriticalPoint:
-        """This point of the problem (s*Q, t*c): sigma*s, x*t/s, values*t^2/s."""
+        """This point of the problem (s*Q, t*c): sigma*s, x*t/s, values*t^2/s
+        (the point itself for s = t = 1)."""
+        if s == t == 1.0:
+            return self
         v = t / s * t
         return CriticalPoint(self.sigma * s, self.x * (t / s), self.dual_value * v,
                              self.primal_value * v, self.inertia, self.certificate, self.nappe_ok)
-
-
-class _KKTPoints(list):
-    """The points ``enumerate_kkt`` returns, with the problem in natural
-    units, the arrowhead and the pole cells (see ``_pole_cells``) they were
-    enumerated from, so that the selection from them neither computes the
-    poles nor copies the problem a second time.  Those are in natural units,
-    sigma divided by ``unit``, and the points are mapped from there by
-    ``CriticalPoint.scaled(unit, c_unit)``."""
-
-    def __init__(self, points, natural: ProblemInstance, arrow: Arrowhead,
-                 cells: tuple[list[float], bool], unit: float, c_unit: float):
-        super().__init__(points if unit == c_unit == 1.0 else
-                         [cp.scaled(unit, c_unit) for cp in points])
-        self.natural = natural
-        self.arrow = arrow
-        self.cells = cells
-        self.unit = unit
-        self.c_unit = c_unit
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +132,17 @@ class _KKTPoints(list):
 
 
 def recover_primal(p: ProblemInstance, sigma: float) -> np.ndarray:
-    """Solve the stationarity system G(sigma) x = c by the arrowhead, in
-    natural units; SingularMatrixError where its inertia has a zero."""
-    q, s, t = natural_units(p)
-    arrow = Arrowhead(q)
-    if arrow.inertia(sigma / s)[1] > 0:
+    """Solve the stationarity system G(sigma) x = c by the arrowhead
+    (``Pencil.x``); SingularMatrixError where its inertia has a zero."""
+    pencil = Pencil(p)
+    if pencil.inertia(sigma)[1] > 0:
         raise SingularMatrixError(f"G(sigma) is singular at sigma={sigma!r}", sigma=sigma)
-    return arrow.x(sigma / s) * (t / s)
+    return pencil.x(sigma)
 
 
 def dual_value(p: ProblemInstance, sigma: float) -> float:
     """-0.5 * c' G(sigma)^{-1} c.  Raises SingularMatrixError at singular shifts."""
-    x = recover_primal(p, sigma)
-    return -0.5 * float(p.c @ x)
+    return -0.5 * float(p.c @ recover_primal(p, sigma))
 
 
 def dual_derivative(p: ProblemInstance, sigma: float) -> float:
@@ -229,23 +197,21 @@ def pd_interval(p: ProblemInstance) -> DualInterval | None:
     ``TOL_EIG``: a bare sign test of f can pass at the singular PSD matrix
     at the center of the sliver that a defective pole splits into.
     """
-    q, s, _ = natural_units(p)
-    arrow = Arrowhead(q)
-    window = _pd_window(arrow, *_pole_cells(arrow.poles))
-    return None if window is None else replace(window[0], lo=s * window[0].lo, hi=s * window[0].hi)
+    return _pd_window(Pencil(p))[0]
 
 
-def _pd_window(arrow: Arrowhead, breaks: list[float],
-               zero_singular: bool) -> tuple[DualInterval, float] | None:
-    """``pd_interval`` from pole cells already computed by ``_pole_cells``, with
-    the window's midpoint, where the window was decided."""
+def _pd_window(pencil: Pencil) -> tuple[DualInterval | None, float | None]:
+    """``pd_interval`` of the pencil and the window's midpoint in natural
+    units, where the window was decided (None, None without a window)."""
+    arrow, s = pencil.arrow, pencil.s
+    breaks, zero_singular = _pole_cells(arrow.poles)
     if len(breaks) < 2 or breaks[-2] >= arrow.alpha:
-        return None
+        return None, None
     lo, hi = breaks[-2], breaks[-1]
     mid = 0.5 * (lo + hi)
     if arrow.inertia(mid)[0] < arrow.n:
-        return None
-    window = DualInterval(lo=lo, hi=hi, lo_singular=len(breaks) > 2 or zero_singular,
+        return None, None
+    window = DualInterval(lo=s * lo, hi=s * hi, lo_singular=len(breaks) > 2 or zero_singular,
                           hi_singular=True)
     return window, mid
 
@@ -290,40 +256,34 @@ def maximize_dual(p: ProblemInstance) -> CriticalPoint | None:
     (hard case).  Windows where the dual decreases throughout and that
     start above 0 carry no certified point and yield None.
     """
-    point, _ = _maximize_with_notes(p, enumerate_kkt(p), DEFAULT_TOL_KKT)
+    pencil = Pencil(p)
+    point, _ = _maximize_with_notes(pencil, enumerate_kkt(pencil), DEFAULT_TOL_KKT)
     return point
 
 
-def _maximize_with_notes(
-    p: ProblemInstance,
-    points: _KKTPoints,
-    tol: float,
-) -> tuple[CriticalPoint | None, list[str]]:
+def _maximize_with_notes(pencil: Pencil, points: list[CriticalPoint],
+                         tol: float) -> tuple[CriticalPoint | None, list[str]]:
     """Select the dual maximum from the enumerated multipliers.
 
     The dual is concave on the window, so at most one multiplier lies in it:
     the one where G(sigma) is positive definite (uncertified if it recovers
     a mirror-nappe point).  Only without one are the window's ends needed:
     the derivative keeps its sign across the window, and positive means the
-    supremum sits at the singular upper end (hard case).  The window comes
-    from the arrowhead and the pole cells the enumeration already computed,
-    and the sign of the derivative from an arrowhead solve at the midpoint
-    that decided the window.  The hard case runs on the enumeration's
-    problem in natural units and its arrowhead.
+    supremum sits at the singular upper end (hard case).  The window, the
+    sign of the derivative at the midpoint that decided it and the hard case
+    all come from ``pencil``, the one the points were enumerated from, whose
+    poles the enumeration has already computed.
     """
-    inside = [cp for cp in points if cp.inertia == (p.n, 0, 0)]
+    inside = [cp for cp in points if cp.inertia == (pencil.p.n, 0, 0)]
     if inside:
         return inside[0], []
 
-    window = _pd_window(points.arrow, *points.cells)
-    if window is None:
+    interval, mid = _pd_window(pencil)
+    if interval is None:
         return None, ["no positive-definite dual window; certificate unavailable"]
-    interval, mid = window
-    if points.arrow.g(mid) > 0.0:
+    if pencil.arrow.g(mid) > 0.0:
         try:
-            point = hard_case_solve(p, points.unit * interval.hi, tol=tol,
-                                    natural=(points.natural, points.unit, points.c_unit,
-                                             points.arrow))
+            point = hard_case_solve(pencil, interval.hi, tol=tol)
         except HardCaseError as exc:
             return None, [f"hard case without boundary solution: {exc}; no certificate, see oracle"]
         return point, ["dual supremum attained only at the singular boundary (hard case)"]
@@ -489,42 +449,35 @@ def _vanishes_at_probes(p: ProblemInstance, top: float, tol: float) -> bool:
     return True
 
 
-def enumerate_kkt(
-    p: ProblemInstance,
-    tol: float = DEFAULT_TOL_KKT,
-) -> list[CriticalPoint]:
+def enumerate_kkt(p: ProblemInstance | Pencil,
+                  tol: float = DEFAULT_TOL_KKT) -> list[CriticalPoint]:
     """All dual KKT points sigma >= 0, classified by inertia.
 
-    One ``Arrowhead`` gives the poles and the secular form of g (see
-    ``pontryagin.SecularForm``), whose roots are isolated exactly cell by
-    cell and Newton-polished on g in O(n) per step, to within TOL_ROOT times
-    their distance to the nearest pole; x and the inertia at each root come
-    from the arrowhead in O(n) too.  When a pole is nearly defective (a
-    light-like null vector) or the types break the one-negative-square
-    structure, the multipliers are instead the real positive eigenvalues of
-    the quadratic pencil B(sigma) = [[G L G, c], [c', 0]], whose determinant
-    is 2 det(G)^2 g(sigma), from one companion eigensolve of size 2(n-1)
-    (see ``_pencil_eigenvalues``), each Newton-polished with dense solves
-    (see ``_polish``).  Either way there is no search range and no sampling.
-    A candidate is kept when the recovered point passes the relative gate
-    |x'Lx| <= tol*||x||^2, which rejects spurious values near poles and near
-    infinity, and has scaled KKT residuals within tol (see
-    ``_is_multiplier``); survivors within 1e-9 relative are merged.
+    The pencil's arrowhead gives the poles and the secular form of g (see
+    ``pontryagin.SecularForm``), whose roots are Newton-polished on g in
+    O(n) per step; x and the inertia at each root come from the arrowhead in
+    O(n) too.  When a pole is nearly defective (a light-like null vector) or
+    the types break the one-negative-square structure, the multipliers are
+    instead the real positive eigenvalues of the quadratic pencil
+    B(sigma) = [[G L G, c], [c', 0]] (see ``_pencil_eigenvalues``), each
+    polished with dense solves (see ``_polish``).  Either way there is no
+    search range and no sampling.  A candidate is kept when it passes the
+    KKT gate ``_is_multiplier``; survivors within 1e-9 relative are merged.
     sigma = 0 is admitted under the same gate with x'Lx <= 0 in place of
     x'Lx = 0, since complementarity holds there identically.  Each point
     reports the x the gate accepted.  All of it runs on the problem in
-    natural units (``model.natural_units``), and the points are mapped back.
+    natural units (``Pencil.q``), and the points are mapped back.  ``p`` is
+    a problem or its ``Pencil``.
     """
-    p, unit, c_unit = natural_units(p)
-    arrow = Arrowhead(p)
-    cells = _pole_cells(arrow.poles)
-    breaks, zero_singular = cells
+    pencil = p if isinstance(p, Pencil) else Pencil(p)
+    p, arrow = pencil.q, pencil.arrow
+    breaks, zero_singular = _pole_cells(arrow.poles)
     if float(np.abs(p.c).max()) == 0.0:
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
         sigma0 = 0.5 * (breaks[1] if len(breaks) > 1 else 1.0) if zero_singular else 0.0
         point = build_critical_point(p, sigma0, np.zeros(p.n), arrow.inertia(sigma0))
-        return _KKTPoints([point], p, arrow, cells, unit, c_unit)
+        return [point.scaled(pencil.s, pencil.t)]
 
     c_norm = math.sqrt(float(p.c @ p.c))
     units = (float(np.abs(p.Q).max()) or 1.0, c_norm)
@@ -562,65 +515,49 @@ def enumerate_kkt(
         if inertia[1] == 0:  # in the zero band at a pole: no point to recover
             points.append(build_critical_point(
                 p, sigma, arrow.x(sigma) if x is None else x, inertia))
-    return _KKTPoints(points, p, arrow, cells, unit, c_unit)
+    return [cp.scaled(pencil.s, pencil.t) for cp in points]
 
 
 # ---------------------------------------------------------------------------
 # singular boundary (hard case)
 
 
-def _pseudo_solve(p: ProblemInstance, sigma_sing: float,
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_natural_pseudo_solve`` in p's own units: x and the null basis."""
-    q, s, t = natural_units(p)
-    x, U0, _ = _natural_pseudo_solve(q, Arrowhead(q), sigma_sing / s, tol)
-    return x * (t / s), U0
+def _require_null_space(pencil: Pencil, sigma: float, Z: np.ndarray,
+                        inertia: tuple[int, int, int], tol: float):
+    """Raise HardCaseError unless G(sigma), of inertia ``inertia``, is
+    singular with a null vector per zero of it (the columns of Z, from a
+    pseudo-solve) and c is orthogonal to them within tol*(1+||c||)."""
+    if inertia[1] == 0 or Z.shape[1] != inertia[1]:
+        raise HardCaseError(f"G(sigma) at sigma={sigma!r} has {inertia[1]} null "
+                            f"directions and {Z.shape[1]} null vectors (no null space found)")
+    c = pencil.q.c
+    c0 = Z.T @ c
+    if math.sqrt(float(c0 @ c0)) > tol * (1.0 + math.sqrt(float(c @ c))):
+        raise HardCaseError("c has a component in the null space of G(sigma); the dual "
+                            "supremum is not attained")
 
 
-def _natural_pseudo_solve(q: ProblemInstance, arrow: Arrowhead, sigma_sing: float,
-                          tol: float) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-    """Minimum-norm solution of G(sigma_sing) x = c, a null-space basis and
-    the inertia of G there (``Arrowhead.pseudo_solve`` of q, in natural
-    units); ``-0.5 * c' x`` is the dual's limit value there.  Raises
-    HardCaseError unless G is singular, with a null vector per zero of its
-    inertia, and c is orthogonal (within tol*(1+||c||)) to its null space.
-    """
-    inertia = arrow.inertia(sigma_sing)
-    x, U0 = arrow.pseudo_solve(sigma_sing)
-    if inertia[1] == 0 or U0.shape[1] != inertia[1]:
-        raise HardCaseError(f"G(sigma) at sigma={sigma_sing!r} has {inertia[1]} null "
-                            f"directions and {U0.shape[1]} null vectors (no null space found)")
-    c0 = U0.T @ q.c
-    if math.sqrt(float(c0 @ c0)) > tol * (1.0 + math.sqrt(float(q.c @ q.c))):
-        raise HardCaseError(
-            "c has a component in the null space of G(sigma); the dual supremum "
-            "is not attained"
-        )
-    return x, U0, inertia
-
-
-def hard_case_solve(
-    p: ProblemInstance,
-    sigma_sing: float,
-    tol: float = DEFAULT_TOL_KKT,
-    natural: tuple[ProblemInstance, float, float, Arrowhead] | None = None,
-) -> CriticalPoint:
+def hard_case_solve(p: ProblemInstance | Pencil, sigma_sing: float,
+                    tol: float = DEFAULT_TOL_KKT) -> CriticalPoint:
     """Boundary solution when the dual supremum sits at a singular shift.
 
     Requires c orthogonal (within tol*(1+||c||)) to the null space of
     G(sigma_sing); the pseudo-solution is then completed with a null-space
     step chosen so the result lies exactly on the cone boundary, mirroring
-    the trust-region hard case.  It runs on the problem in natural units:
-    ``natural`` is ``model.natural_units(p)`` plus its ``Arrowhead``.
+    the trust-region hard case.  It runs on the problem in natural units,
+    ``Pencil.q`` and its arrowhead; ``p`` is a problem or its ``Pencil``.
     """
-    q, s, t, arrow = natural or (*natural_units(p), None)
-    x_p, U0, inertia = _natural_pseudo_solve(q, arrow or Arrowhead(q), sigma_sing / s, tol)
+    pencil = p if isinstance(p, Pencil) else Pencil(p)
+    q, s = pencil.q, pencil.s
+    x_p, U0 = pencil.arrow.pseudo_solve(sigma_sing / s)
+    inertia = pencil.inertia(sigma_sing)
+    _require_null_space(pencil, sigma_sing, U0, inertia, tol)
 
     # Deterministic null direction: the largest first component (v of a root of f).
     v = U0[:, 0]
 
     # cone_quadratic(x_p + tau v) is quadratic in tau.
-    signs = lorentz_signs(p.n)
+    signs = lorentz_signs(q.n)
     quad_a = float((v * signs) @ v)
     lin_b = float((v * signs) @ x_p)
     const = cone_quadratic(x_p)
@@ -646,4 +583,4 @@ def hard_case_solve(
     tau = min(admissible, key=abs)
     point = build_critical_point(q, sigma_sing / s, x_p + tau * v, inertia,
                                  certificate=CERT_HARD)
-    return point if q is p else point.scaled(s, t)
+    return point.scaled(s, pencil.t)

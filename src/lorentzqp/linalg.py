@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrowhead import TOL_EIG, Arrowhead
-from .model import ProblemInstance, natural_units
+from .arrowhead import TOL_EIG, Pencil
+from .model import ProblemInstance
 
 __all__ = [
     "SingularMatrixError",
@@ -103,9 +103,6 @@ def min_eigenvalue(G: np.ndarray) -> float:
 def pencil_singular_sigmas(p: ProblemInstance) -> list[float]:
     """All real sigma >= 0 with det(Q + sigma * diag(-1,1,...,1)) = 0, sorted.
 
-    Multiplicities are kept.  The poles of the arrowhead of p in natural
-    units: the roots of its secular function f and the shifts of its
-    decoupled coordinates.
-    """
-    q, s, _ = natural_units(p)
-    return [s * pole for pole in Arrowhead(q).poles]
+    Multiplicities are kept.  ``Pencil(p).poles``, under the name that
+    ``bench/tracer.py`` times."""
+    return Pencil(p).poles

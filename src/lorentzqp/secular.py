@@ -275,4 +275,4 @@ def secular_enumerate(
         cp = _point(d, sigma, x)
         if cp.inertia[1] == 0:  # in the zero band at a pole: no point to recover
             points.append(cp)
-    return points if unit == c_unit == 1.0 else [cp.scaled(unit, c_unit) for cp in points]
+    return [cp.scaled(unit, c_unit) for cp in points]

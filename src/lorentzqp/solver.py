@@ -19,8 +19,8 @@ from .dual import (
     _maximize_with_notes,
     enumerate_kkt,
 )
-from .arrowhead import Arrowhead
-from .model import ProblemInstance, cone_quadratic, natural_units
+from .arrowhead import Pencil
+from .model import ProblemInstance
 from .verify import (
     KKTResiduals,
     OracleResult,
@@ -103,12 +103,14 @@ def solve_problem(
     cone-feasible point (lowest objective, then lowest multiplier) is
     selected without a certificate.  Points recovered on the negative nappe
     are kept in the report but never selected.  With ``oracle``, n above
-    ORACLE_MAX_N raises OracleError before the solve.
+    ORACLE_MAX_N raises OracleError before the solve.  One ``Pencil`` of p
+    serves the enumeration, the selection and the oracle radius.
     """
     if oracle:
         check_oracle_dimension(p.n)
-    points = enumerate_kkt(p, tol.tol_kkt)
-    best, warnings = _maximize_with_notes(p, points, tol.tol_kkt)
+    pencil = Pencil(p)
+    points = enumerate_kkt(pencil, tol.tol_kkt)
+    best, warnings = _maximize_with_notes(pencil, points, tol.tol_kkt)
     if best is not None and best.certificate == CERT_HARD:
         # The boundary point sits at a pole, outside the enumeration; its
         # limit value weakly dominates every cone-feasible KKT point.
@@ -130,14 +132,13 @@ def solve_problem(
     elif solution.certificate == CERT_KKT:
         warnings.append("certificate unavailable: G(sigma) not positive definite")
 
-    residuals = None
-    if solution is not None:
-        residuals = kkt_check(p, solution.x, solution.sigma)
+    residuals = None if solution is None else kkt_check(p, solution.x, solution.sigma)
 
     oracle_result = None
     if oracle:
         certified = solution if (solution is not None and solution.certified) else None
-        radius = oracle_radius if oracle_radius is not None else default_oracle_radius(p, certified)
+        radius = (oracle_radius if oracle_radius is not None
+                  else default_oracle_radius(pencil, certified))
         oracle_result = brute_force_min(p, radius, oracle_resolution)
         if oracle_result.unbounded_direction is not None:
             warnings.append(
@@ -155,7 +156,7 @@ def solve_problem(
     return SolveReport(
         problem=p,
         solution=solution,
-        critical_points=list(points),  # a plain list, without the arrowhead
+        critical_points=points,
         residuals=residuals,
         oracle=oracle_result,
         warnings=warnings,
@@ -171,27 +172,24 @@ def sweep_table(
 ) -> list[tuple[float, float | None, float | None, float, bool]]:
     """Rows (sigma, dual_value, dual_derivative, min_eigenvalue, is_pd).
 
-    Every field of a row comes from one ``Arrowhead`` of the problem in
-    natural units (``model.natural_units``), in O(n), mapped back.  Value
-    fields are None exactly where the shifted Hessian is singular under the
-    zero band, or where a value overflows in the problem's own units; those
-    rows serialize as empty CSV cells.  is_pd comes from the inertia alone.
+    Every field of a row comes from one ``Pencil`` of the problem, in O(n).
+    Value fields are None exactly where the shifted Hessian is singular
+    under the zero band, or where a value overflows in the problem's own
+    units; those rows serialize as empty CSV cells.  is_pd comes from the
+    inertia alone.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    q, s, t = natural_units(p)
-    arrow = Arrowhead(q)
+    pencil = Pencil(p)
     rows = []
     for sigma in np.linspace(sigma_min, sigma_max, steps):
         sigma = float(sigma)
-        inertia = arrow.inertia(sigma / s)
-        lam = s * arrow.min_eigenvalue(sigma / s)
+        inertia = pencil.inertia(sigma)
+        lam = pencil.min_eigenvalue(sigma)
         if inertia[1] > 0:
             rows.append((sigma, None, None, lam, False))
             continue
-        x = arrow.x(sigma / s)
-        dv = -0.5 * float(q.c @ x) * (t / s) * t
-        dd = cone_quadratic(x) * (t / s) * (t / s)
+        dv, dd = pencil.dual(sigma)
         if not (math.isfinite(dv) and math.isfinite(dd)):
             dv = dd = None
         rows.append((sigma, dv, dd, lam, inertia[0] == p.n))

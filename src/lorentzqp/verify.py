@@ -16,9 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arrowhead import Arrowhead
+from .arrowhead import Pencil
 from .dual import CriticalPoint, dual_value
-from .model import ProblemInstance, cone_quadratic, natural_units, primal_objective, shifted_hessian
+from .model import ProblemInstance, cone_quadratic, primal_objective, shifted_hessian
 
 __all__ = [
     "KKTResiduals",
@@ -365,16 +365,17 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     )
 
 
-def default_oracle_radius(p: ProblemInstance, certified: CriticalPoint | None) -> float:
+def default_oracle_radius(p: ProblemInstance | Pencil, certified: CriticalPoint | None) -> float:
     """Crude deterministic bound on the minimizer norm.
 
     With a certificate the curvature of the shifted Hessian at the certified
-    multiplier, floored at 1e-6 max|Q_ij|, bounds the solution; otherwise
+    multiplier (``Pencil.min_eigenvalue``; ``p`` is a problem or its
+    ``Pencil``), floored at 1e-6 max|Q_ij|, bounds the solution; otherwise
     fall back to a fixed 10.
     """
     if certified is None:
         return 10.0
-    q, s, _ = natural_units(p)
-    lam = s * Arrowhead(q).min_eigenvalue(certified.sigma / s)
+    pencil = p if isinstance(p, Pencil) else Pencil(p)
+    p, lam = pencil.p, pencil.min_eigenvalue(certified.sigma)
     return 4.0 * (1.0 + float(np.linalg.norm(p.c)) / max(1e-6 * float(np.abs(p.Q).max()),
                                                        abs(lam)))

@@ -39,6 +39,27 @@ def diag_certified() -> DiagonalInstance:
 
 
 @pytest.fixture
+def roots_and_eighs(monkeypatch) -> dict:
+    """Counts of ``Arrowhead._roots`` and ``numpy.linalg.eigh`` calls, from
+    this fixture on; reset them with ``update(roots=0, eigh=0)``."""
+    from lorentzqp.arrowhead import Arrowhead
+
+    calls = {"roots": 0, "eigh": 0}
+
+    def roots(self, *args, _roots=Arrowhead._roots):
+        calls["roots"] += 1
+        return _roots(self, *args)
+
+    def eigh(*args, _eigh=np.linalg.eigh, **kwargs):
+        calls["eigh"] += 1
+        return _eigh(*args, **kwargs)
+
+    monkeypatch.setattr(Arrowhead, "_roots", roots)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+@pytest.fixture
 def hardcase_2d() -> ProblemInstance:
     """Q = I, c = (0, 1): dual supremum only at the singular boundary."""
     return ProblemInstance(Q=np.eye(2), c=[0.0, 1.0])

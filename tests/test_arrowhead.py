@@ -3,6 +3,9 @@ against the eigenvalues of L Q, x(sigma) and g against a dense solve, the
 inertia against ``factorize``, and the deflation of decoupled and repeated
 tail coordinates."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -251,3 +254,27 @@ def test_repeated_eigenvalues_stay_on_the_secular_route(monkeypatch):
         assert pontryagin.secular_form(Arrowhead(p), dual.DEFAULT_TOL_KKT) is not None
         exits[solve_problem(p).exit_code] += 1
     assert exits == {0: 129, 2: 240, 4: 431}
+
+
+def test_lazy_roots_and_poles_agree_across_threads():
+    # the roots of f and the poles are filled in on first access; threads
+    # that race there compute them more than once, always to the same values
+    p = as_dense(gen_instance("indefinite", 20, 20000))
+    ref = Arrowhead(p)
+    want = (ref.poles, ref.roots.tobytes(), ref.eta.tobytes(), ref.vc.tobytes(), ref.vv.tobytes())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            a, got = Arrowhead(p), []
+            threads = [threading.Thread(target=lambda: got.append(
+                (a.poles, a.roots.tobytes(), a.eta.tobytes(), a.vc.tobytes(), a.vv.tobytes())))
+                for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)

@@ -159,6 +159,11 @@ def test_every_flag_rule_has_its_flag():
     assert set(_FLAG_RULES) <= dests
 
 
+# a report with the certified solution of dense_2d_certified and the
+# tolerances block given by %
+_CLAIM = '{"solution": {"sigma": 1.2909090909090908, "x": [0.55, 0.55]}, "tolerances": %s}'
+
+
 class TestCheckCommand:
     def test_self_consistency(self, capsys, tmp_path, problem_dir):
         problem = problem_dir / "dense_2d_certified.json"
@@ -240,15 +245,42 @@ class TestCheckCommand:
             capsys, "check", str(problem_dir / "dense_2d_certified.json"), str(report))
         assert code == 0 and "nothing to verify" in out
 
-    @pytest.mark.parametrize("text", ["{not json", None], ids=["malformed", "missing"])
-    def test_unreadable_report_exit_64(self, capsys, tmp_path, problem_dir, text):
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "cannot read report file"),
+        (None, "cannot read report file"),
+        ('{"solution": {"x": 5, "sigma": 0}}', "x has shape ()"),
+        ('{"solution": {"x": [[0.5, 0.5], [0.5, 0.5]], "sigma": 0}}', "x has shape (2, 2)"),
+        (_CLAIM % '{"tol_kkt": "abc"}', "tol_kkt must be finite and > 0, got 'abc'"),
+        (_CLAIM % "null", "malformed tolerances block"),
+        ("[" + _CLAIM % "{}" + "]", "malformed report"),
+        (_CLAIM % '{"tol_kkt": -1}', "tol_kkt must be finite and > 0, got -1"),
+        (_CLAIM % '{"tol_gap": 0}', "tol_gap must be finite and > 0, got 0"),
+        (_CLAIM % '{"tol_gap": NaN}', "tol_gap must be finite and > 0, got nan"),
+    ], ids=["malformed", "missing", "scalar-x", "matrix-x", "text-tol-kkt", "null-tolerances",
+            "list-report", "negative-tol-kkt", "zero-tol-gap", "nan-tol-gap"])
+    def test_unreadable_report_exit_64(self, capsys, tmp_path, problem_dir, text, message):
         report = tmp_path / "report.json"
         if text is not None:
             report.write_text(text)
         code, out, err = run_cli(
             capsys, "check", str(problem_dir / "dense_2d_certified.json"), str(report))
         assert code == 64 and out == ""
-        assert "cannot read report file" in err
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["dense_2d_certified", "dense_3d_uncertified",
+                                      "diagonal_2d_certified", "diagonal_2d_saddle",
+                                      "hardcase_2d"])
+    def test_check_builds_one_pencil_without_roots(self, capsys, tmp_path, problem_dir,
+                                                   roots_and_eighs, name):
+        # x(sigma), or the pseudo-solve at the hard case's pole, and the
+        # inertia need the rotation of one arrowhead, not the roots of f
+        problem = problem_dir / f"{name}.json"
+        report = tmp_path / "report.json"
+        run_cli(capsys, "solve", str(problem), "-o", str(report))
+        roots_and_eighs.update(roots=0, eigh=0)
+        code, out, _ = run_cli(capsys, "check", str(problem), str(report))
+        assert code == 0 and "duality_gap" in out
+        assert roots_and_eighs == {"roots": 0, "eigh": 1}
 
     def test_non_numeric_sigma_exit_64(self, capsys, tmp_path, problem_dir):
         report = tmp_path / "report.json"

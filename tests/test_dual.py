@@ -24,7 +24,7 @@ from lorentzqp import (
     recover_primal,
     solve_problem,
 )
-from lorentzqp.arrowhead import Arrowhead
+from lorentzqp.arrowhead import Arrowhead, Pencil
 from lorentzqp.fileio import as_dense, gen_instance
 from lorentzqp.model import lorentz_signs, natural_units
 from conftest import random_orthogonal
@@ -348,7 +348,8 @@ class TestHardCase:
             raise HardCaseError("no boundary point")
 
         monkeypatch.setattr(dual, "hard_case_solve", no_boundary)
-        point, notes = dual._maximize_with_notes(hardcase_2d, enumerate_kkt(hardcase_2d), 1e-8)
+        pencil = Pencil(hardcase_2d)
+        point, notes = dual._maximize_with_notes(pencil, enumerate_kkt(pencil), 1e-8)
         assert point is None
         assert notes == ["hard case without boundary solution: no boundary point; "
                          "no certificate, see oracle"]

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -14,7 +16,12 @@ from lorentzqp import (
     EXIT_UNCERTIFIED,
     ProblemInstance,
     Tolerances,
+    default_oracle_radius,
+    dual_derivative,
+    dual_value,
+    duality_gap,
     kkt_check,
+    recover_primal,
     solve_problem,
     sweep_table,
 )
@@ -164,7 +171,9 @@ class TestSolveSelection:
         # inertia at every shift, and the hard case's null space.  No
         # nonsymmetric eigensolve, no eigvalsh, and exactly one eigh, of size
         # n-1, per solve, also for the hard case and the window-less
-        # dense_3d, which select without a multiplier in the window.
+        # dense_3d, which select without a multiplier in the window, and for
+        # a solve with the oracle, whose default radius reads the minimum
+        # eigenvalue at a certified multiplier from the same pencil.
         calls = {"eig": [], "eigvals": [], "eigh": [], "eigvalsh": []}
         for name in calls:
             def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
@@ -172,7 +181,8 @@ class TestSolveSelection:
                 return _solve(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         for p in (hardcase_2d, dense_2d, dense_3d):
-            for run in (solve_problem, dual.maximize_dual):
+            for run in (solve_problem, dual.maximize_dual,
+                        functools.partial(solve_problem, oracle=True, oracle_resolution=16)):
                 for seen in calls.values():
                     seen.clear()
                 run(p)
@@ -181,17 +191,21 @@ class TestSolveSelection:
 
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     def test_natural_units_once_per_hard_case_solve(self, monkeypatch, hardcase_2d, scale):
-        # the selection's hard case runs on the enumeration's problem in
-        # natural units: a copy at scale 3, the problem itself at scale 1
-        from lorentzqp import linalg, model, solver
+        # the selection's hard case runs on the enumeration's pencil, whose
+        # problem in natural units is a copy at scale 3 and the problem
+        # itself at scale 1; the binding is patched in every module
+        from lorentzqp import model
         calls = []
 
         def counted(p, _natural_units=model.natural_units):
             calls.append(p)
             return _natural_units(p)
 
-        for module in (model, dual, linalg, solver):
-            monkeypatch.setattr(module, "natural_units", counted)
+        modules = [m for name, m in sorted(sys.modules.items())
+                   if name == "lorentzqp" or name.startswith("lorentzqp.")]
+        assert {"lorentzqp.arrowhead", "lorentzqp.verify"} <= {m.__name__ for m in modules}
+        for module in modules:
+            monkeypatch.setattr(module, "natural_units", counted, raising=False)
         rep = solve_problem(ProblemInstance(Q=scale * hardcase_2d.Q, c=scale * hardcase_2d.c))
         assert rep.exit_code == EXIT_HARD_CASE
         assert len(calls) == 1
@@ -392,3 +406,24 @@ class TestSweepTable:
                 assert (dv is None) == singular and (dd is None) == singular
                 singular_rows += singular
         assert singular_rows > 40
+
+
+@pytest.mark.parametrize("path", ["dual_value", "dual_derivative", "recover_primal",
+                                  "duality_gap", "sweep_table", "default_oracle_radius"])
+def test_per_shift_paths_compute_no_roots(roots_and_eighs, path):
+    # a solve at one shift needs the rotation of the arrowhead, not the
+    # roots of its secular function or its poles
+    p = gen_instance("convex", 6, 20002)
+    cp = solve_problem(p).solution
+    assert cp.certified
+    run = {
+        "dual_value": lambda: dual_value(p, cp.sigma),
+        "dual_derivative": lambda: dual_derivative(p, cp.sigma),
+        "recover_primal": lambda: recover_primal(p, cp.sigma),
+        "duality_gap": lambda: duality_gap(p, cp.x, cp.sigma),
+        "sweep_table": lambda: sweep_table(p, 0.0, 10.0, 201),
+        "default_oracle_radius": lambda: default_oracle_radius(p, cp),
+    }[path]
+    roots_and_eighs.update(roots=0, eigh=0)
+    run()
+    assert roots_and_eighs == {"roots": 0, "eigh": 1}
