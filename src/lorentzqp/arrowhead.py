@@ -40,6 +40,7 @@ vector exact.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -132,6 +133,7 @@ class Arrowhead:
         self._signs = lorentz_signs(p.n)
         self._scale = 1.0 + float(absQ.max())
         self._ctc = ctc
+        self._real, self._wide = float, np.float64  # the solves' scalars; wide / 0 = inf
 
     def __getattr__(self, name: str):
         if name not in ("roots", "eta", "vc", "vv", "poles"):
@@ -172,21 +174,22 @@ class Arrowhead:
             j = int(self._k[np.abs(delta[self._k]).argmin()])
         r = self.d / delta
         r[j] = 0.0
-        a = self.alpha - sigma - float(r @ self.d)
-        dj = float(self.d[j])
-        return delta, j, r, a, dj * dj - a * float(delta[j])
+        a = self.alpha - sigma - self._real(r @ self.d)
+        dj = self._real(self.d[j])
+        return delta, j, r, a, dj * dj - a * self._real(delta[j])
 
     def _solve(self, piv: tuple, b0: float, bt: np.ndarray) -> tuple[float, np.ndarray]:
         """G(sigma) (x0, xt) = (b0, bt) in rotated coordinates, for the
         elimination ``piv = self._pivot(sigma)``."""
         delta, j, r, a, D = piv
+        real, wide = self._real, self._wide
         if j is None:
-            return float(np.float64(b0) / a), bt / delta
-        b = b0 - float(r @ bt)
-        dj, ej, bj = float(self.d[j]), float(delta[j]), float(bt[j])
-        x0 = float(np.float64(bj * dj - ej * b) / D)
+            return real(wide(b0) / a), bt / delta
+        b = b0 - real(r @ bt)
+        dj, ej, bj = real(self.d[j]), real(delta[j]), real(bt[j])
+        x0 = real(wide(bj * dj - ej * b) / D)
         xt = (bt - self.d * x0) / delta
-        xt[j] = np.float64(b * dj - a * bj) / D
+        xt[j] = wide(b * dj - a * bj) / D
         return x0, xt
 
     def _rotate_back(self, x0: float, xt: np.ndarray) -> np.ndarray:
@@ -206,19 +209,48 @@ class Arrowhead:
             x0, xt = self._solve(self._pivot(sigma), self.c0, self.ct)
         return 0.5 * (float(xt @ xt) - x0 * x0)
 
-    def newton_point(self, sigma: float) -> np.ndarray:
-        """x(sigma) advanced to first order by the Newton step on g,
-        ``x + (g/g') y`` with ``y = G^{-1} L x = -dx/dsigma`` and
-        ``g' = -(Lx)'y``; x itself where g' = 0."""
+    def newton_point(self, sigma: float, precise: bool = False) -> tuple[float, np.ndarray]:
+        """sigma and x(sigma) advanced to first order by the Newton step on
+        g, ``x + (g/g') y`` with ``y = G^{-1} L x = -dx/dsigma`` and
+        ``g' = -(Lx)'y``; x itself where g' = 0.
+
+        With ``precise`` (next to a nearly defective pole, where x'Lx cancels
+        more digits than a double holds) the solves run in numpy.longdouble
+        and sigma first takes Newton steps, as doubles, until they stop."""
+        arrow, last = (self._extended() if precise else self), math.inf
         with np.errstate(**_QUIET):
-            piv = self._pivot(sigma)
-            x0, xt = self._solve(piv, self.c0, self.ct)
-            y0, yt = self._solve(piv, -x0, xt)
-            g = 0.5 * (float(xt @ xt) - x0 * x0)
-            gp = x0 * y0 - float(xt @ yt)
+            for _ in range(_MAX_STEPS):
+                piv = arrow._pivot(sigma)
+                x0, xt = arrow._solve(piv, arrow.c0, arrow.ct)
+                y0, yt = arrow._solve(piv, -x0, xt)
+                g = 0.5 * (arrow._real(xt @ xt) - x0 * x0)
+                gp = x0 * y0 - arrow._real(xt @ yt)
+                step = float(g / gp) if precise and gp != 0.0 else 0.0
+                if not abs(step) < last or float(sigma - step) == sigma:
+                    break
+                sigma, last = float(sigma - step), abs(step)
             if gp != 0.0:
                 x0, xt = x0 + (g / gp) * y0, xt + (g / gp) * yt
-            return self._rotate_back(x0, xt)
+            return sigma, self._rotate_back(float(x0), np.asarray(xt, dtype=float))
+
+    def _extended(self) -> Arrowhead:
+        """A copy whose per-shift solves run in numpy.longdouble."""
+        ext = copy.copy(self)
+        ext._real = ext._wide = np.longdouble
+        ext.nu, ext.d, ext.ct = (v.astype(np.longdouble) for v in (self.nu, self.d, self.ct))
+        ext.alpha, ext.c0 = np.longdouble(self.alpha), np.longdouble(self.c0)
+        return ext
+
+    def taylor(self, z: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Taylor coefficients at z, to u^order, of f(z + u) and of
+        ``N(z + u) = c0 - sum d_i c_i / (nu_i + z + u)``."""
+        powers = (1.0 / (self._nuc + z)) ** np.arange(1, order + 2)[:, None]
+        alt = -(-1.0) ** np.arange(order + 1)  # of -w/(nu + z + u) at u^j
+        f, N = alt * (powers @ self._d2c), alt * (powers @ (self._dc * self._ctc))
+        f[0] += self.alpha - z
+        f[1] -= 1.0
+        N[0] += self.c0
+        return f, N
 
     def _band(self, sigma: float) -> float:
         """The zero band ``TOL_EIG * max(1, ||G(sigma)||_inf)``."""

@@ -163,6 +163,8 @@ def _claim(report) -> tuple[np.ndarray, float, float, float] | None:
         raise ValueError(f"malformed solution block: {exc}") from None
     if x.ndim != 1:
         raise ValueError(f"malformed solution block: x has shape {x.shape}, not a vector")
+    if not (np.isfinite(x).all() and math.isfinite(sigma)):
+        raise ValueError("malformed solution block: x and sigma must be finite")
     if not isinstance(tols, dict):
         raise ValueError("malformed tolerances block: not a JSON object")
     accepts, rule = _FLAG_RULES["tol_kkt"]

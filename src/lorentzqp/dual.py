@@ -9,16 +9,11 @@ KKT points; they map one-to-one onto stationary points of the primal with
 ``primal value == dual value``.
 
 Everything here reads the pencil G(sigma) from one ``arrowhead.Pencil``
-per problem, built at the entry point and passed down.  A per-shift
-quantity (x, the inertia, the dual value) needs only its rotation; the
-roots of its secular function f and the poles are computed when first
-asked.  The poles cut [0, inf) into cells of constant inertia, and only the
-top cell can be positive definite (``pd_interval``).  The multipliers are
-the roots of the secular form of the derivative (``pontryagin``) or, next
-to a nearly defective pole, the real eigenvalues of the bordered quadratic
-pencil ``[[G L G, c], [c', 0]]`` (``enumerate_kkt``).  The dual maximum is
-then a selection from the multiplier set: the multiplier inside the
-window, or the singular-boundary hard case.
+per problem, built at the entry point and passed down.  The poles cut
+[0, inf) into cells of constant inertia, and only the top cell can be
+positive definite (``pd_interval``).  The multipliers are the roots of the
+secular form of the derivative (``pontryagin``, ``enumerate_kkt``); the
+dual maximum is the multiplier inside the window, or the hard case.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from .model import (
     primal_objective,
     shifted_hessian,
 )
-from .pontryagin import EPS, MAX_ITER, TOL_ROOT, secular_form
+from .pontryagin import EPS, secular_form
 
 __all__ = [
     "CERT_GLOBAL",
@@ -61,22 +56,6 @@ CERT_HARD = "boundary_hard_case"
 
 DEFAULT_TOL_KKT = 1e-8
 
-# Eigenvalues mu = 1/(sigma - s0) of the pencil with |imag mu| up to this
-# count as real: double roots of g split into nearly-real pairs, and Newton
-# plus the KKT gate decide what a kept value is worth.
-REALNESS_TOL = 1e-6
-# Shifts s0 of sigma = s0 + 1/mu, in units of max|Q|, tried in order until
-# K(s0)^{-1} [P'LP, K'(s0)] has no entry above SHIFT_LIMIT (else the one with
-# the smallest largest entry is used): a root of det K that close to s0 would
-# cost the other eigenvalues that much accuracy.
-# Negative, so that sigma >= 0 maps to the bounded 0 < mu <= 1/|s0|, and
-# irrational, so that no structured data puts a root on them.
-SHIFTS = (-0.5 * (math.sqrt(5.0) - 1.0), -math.sqrt(2.0), math.sqrt(3.0) - 2.0)
-SHIFT_LIMIT = 1e8
-# The eigensolver cannot separate roots of g from a pole closer than about
-# sqrt(eps) (relative); an eigenvalue this close to a pole is polished from
-# one start on each side of it instead.
-POLE_RESOLUTION = 1e-7
 # Tolerance for the nappe test x[0] >= -NAPPE_TOL * max|x|, relative to the
 # point's own size, so that scaling Q or c does not change it.
 NAPPE_TOL = 1e-8
@@ -148,21 +127,6 @@ def dual_value(p: ProblemInstance, sigma: float) -> float:
 def dual_derivative(p: ProblemInstance, sigma: float) -> float:
     """Derivative of the dual: cone_quadratic of the recovered point."""
     return cone_quadratic(recover_primal(p, sigma))
-
-
-def _kkt_gap(x: np.ndarray) -> float:
-    """x'Lx / ||x||^2: the scale-free size of the derivative at x = x(sigma)."""
-    return 2.0 * cone_quadratic(x) / float(x @ x)
-
-
-def _g_and_slope(p: ProblemInstance, sigma: float) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """x(sigma), the derivative g, its own derivative g' = -(Lx)' G^{-1} (Lx),
-    and y = G^{-1} (Lx) = -dx/dsigma."""
-    G = shifted_hessian(p, sigma)
-    x = np.linalg.solve(G, p.c)
-    Lx = x * lorentz_signs(p.n)
-    y = np.linalg.solve(G, Lx)
-    return x, cone_quadratic(x), -float(Lx @ y), y
 
 
 # ---------------------------------------------------------------------------
@@ -297,101 +261,6 @@ def _maximize_with_notes(pencil: Pencil, points: list[CriticalPoint],
 # full KKT enumeration
 
 
-def _pencil_eigenvalues(p: ProblemInstance) -> np.ndarray:
-    """Real positive eigenvalues of B(sigma) = [[G L G, c], [c', 0]].
-
-    With P an orthonormal basis of c-perp (the last n-1 columns of the
-    Householder reflector of c), det B = -||c||^2 det K for the quadratic
-    K(sigma) = P'QLQP + 2 sigma P'QP + sigma^2 P'LP of size n-1, which has
-    no spurious infinite eigenvalues.  The Moebius shift sigma = s0 + 1/mu
-    turns det K = 0 into mu^2 K(s0) + mu K'(s0) + P'LP = 0, solved as a
-    companion matrix of size 2(n-1) by ``numpy.linalg.eigvals``.  Realness
-    and infinity are judged on mu, where the eigensolver's error is absolute:
-    mu = 0 is sigma = inf, the one eigenvalue a light-like c adds.  Q is
-    scaled to unit max-norm and c to unit length, which makes s0 scale-free.
-    """
-    n, m = p.n, p.n - 1
-    scale = float(np.abs(p.Q).max()) or 1.0
-    Q = p.Q / scale
-    u = p.c / math.sqrt(float(p.c @ p.c))
-    signs = lorentz_signs(n)
-    v = u.copy()
-    v[0] += 1.0 if u[0] >= 0.0 else -1.0
-    P = np.eye(n)[:, 1:] - np.outer(v, v[1:] / (1.0 + abs(u[0])))
-    LP = signs[:, None] * P
-    QP = Q @ P
-    K2 = P.T @ LP
-    best = (math.inf, 0.0, None)
-    for s0 in SHIFTS:
-        GP = QP + s0 * LP
-        K0 = GP.T @ (signs[:, None] * GP)
-        K1 = 2.0 * (P.T @ GP)
-        try:
-            X = np.linalg.solve(K0, np.hstack([K2, K1]))
-        except np.linalg.LinAlgError:
-            continue
-        size = float(np.abs(X).max())
-        if size < best[0]:
-            best = (size, s0, X)
-        if size <= SHIFT_LIMIT:
-            break
-    _, s0, X = best
-    if X is None:  # det K vanishes at every shift: g is 0 to round-off
-        return np.zeros(0)
-    C = np.zeros((2 * m, 2 * m))
-    C[:m, m:] = np.eye(m)
-    C[m:, :] = -X
-    mu = np.linalg.eigvals(C)
-    if abs(cone_quadratic(u)) <= n * EPS:
-        # c light-like to rounding (|c'Lc| <= 2n eps ||c||^2): then
-        # det P'LP = -c'Lc/||c||^2 = 0 and one mu is 0
-        mu = np.delete(mu, np.argmin(np.abs(mu)))
-    mu = mu[(np.abs(mu.imag) <= REALNESS_TOL) & (mu.real != 0.0)].real
-    sigma = s0 + 1.0 / mu
-    return scale * sigma[sigma > 0.0]
-
-
-def _polish(p: ProblemInstance, sigma: float, pole: float,
-            poles: list[float]) -> tuple[float, np.ndarray | None]:
-    """Newton on h = (sigma - pole)^2 * g, which stays smooth at ``pole``
-    (pass inf for plain Newton on g).
-
-    Returns the iterate whose |_kkt_gap| is the smallest, with its x (None
-    if no solve succeeded).  Iteration stops once a step falls below
-    TOL_ROOT*min(1+sigma, distance to the nearest of ``poles``), or once the
-    gap or the step stops shrinking (a start drifting toward a pole or
-    infinity, or round-off).
-    The returned x takes the last Newton step on g to first order,
-    x - (g/g') dx/dsigma: a double sigma cannot, and near a pole one ulp of
-    sigma can move x'Lx by more than tol.  Where g' = 0 x is kept as it is,
-    and a zero slope of h ends the polish: both happen whenever G(sigma) is
-    proportional to (sigma - pole), as for Q = 0 or Q = -L.
-    """
-    best_s, best_x, best_r = sigma, None, math.inf
-    last, converged = math.inf, False
-    for _ in range(MAX_ITER):
-        try:
-            x, g, gp, y = _g_and_slope(p, sigma)
-        except np.linalg.LinAlgError:
-            break
-        r = abs(_kkt_gap(x))
-        if not r < best_r:
-            break
-        best_s, best_r = sigma, r
-        best_x = x + (g / gp) * y if gp != 0.0 else x
-        h_slope = gp + 2.0 * g / (sigma - pole)
-        if converged or h_slope == 0.0:
-            break
-        step = g / h_slope
-        if not abs(step) < last:
-            break
-        sigma -= step
-        last = abs(step)
-        dist = min((abs(sigma - s) for s in poles), default=math.inf)
-        converged = last <= TOL_ROOT * min(1.0 + abs(sigma), dist)
-    return best_s, best_x
-
-
 def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float,
                    units: tuple[float, float]) -> bool:
     """KKT gate for a candidate (sigma, x): the relative test
@@ -415,15 +284,6 @@ def _is_multiplier(p: ProblemInstance, x: np.ndarray, sigma: float, tol: float,
     return r <= 0.5 * tol * xx and max(scaled, stationarity) <= tol
 
 
-def _starts(sigma: float, poles: list[float]) -> list[tuple[float, float]]:
-    """Newton starts (sigma, pole to deflate) for one pencil eigenvalue."""
-    for s in poles:
-        gap = POLE_RESOLUTION * (1.0 + s)
-        if abs(sigma - s) <= gap:
-            return [(s - gap, s), (s + gap, s)]
-    return [(sigma, math.inf)]
-
-
 def _family_representatives(breaks: list[float], zero_singular: bool) -> list[float]:
     """One sigma per pole cell, for g vanishing identically.
 
@@ -437,31 +297,15 @@ def _family_representatives(breaks: list[float], zero_singular: bool) -> list[fl
     return reps if zero_singular else reps[1:]
 
 
-def _vanishes_at_probes(p: ProblemInstance, top: float, tol: float) -> bool:
-    """g = 0 at two probes beyond every pole, at irrational offsets.  A
-    nonzero g is rational with finitely many roots, so this marks the
-    family where the secular form is not available; the pencil B(sigma) is
-    then singular and its eigenvalues are arbitrary."""
-    for offset in (0.5 * math.sqrt(2.0), math.pi):
-        x = np.linalg.solve(shifted_hessian(p, top + offset * (1.0 + top)), p.c)
-        if abs(_kkt_gap(x)) > tol:
-            return False
-    return True
-
-
 def enumerate_kkt(p: ProblemInstance | Pencil,
                   tol: float = DEFAULT_TOL_KKT) -> list[CriticalPoint]:
     """All dual KKT points sigma >= 0, classified by inertia.
 
-    The pencil's arrowhead gives the poles and the secular form of g (see
-    ``pontryagin.SecularForm``), whose roots are Newton-polished on g in
-    O(n) per step; x and the inertia at each root come from the arrowhead in
-    O(n) too.  When a pole is nearly defective (a light-like null vector) or
-    the types break the one-negative-square structure, the multipliers are
-    instead the real positive eigenvalues of the quadratic pencil
-    B(sigma) = [[G L G, c], [c', 0]] (see ``_pencil_eigenvalues``), each
-    polished with dense solves (see ``_polish``).  Either way there is no
-    search range and no sampling.  A candidate is kept when it passes the
+    The pencil's arrowhead gives the poles and the secular form of g
+    (``pontryagin.SecularForm``), whose roots are Newton-polished on g in
+    O(n) per step, and x and the inertia at each root in O(n) too (next to
+    a nearly defective pole in extended precision); there is no search
+    range and no sampling.  A candidate is kept when it passes the
     KKT gate ``_is_multiplier``; survivors within 1e-9 relative are merged.
     sigma = 0 is admitted under the same gate with x'Lx <= 0 in place of
     x'Lx = 0, since complementarity holds there identically.  Each point
@@ -482,21 +326,15 @@ def enumerate_kkt(p: ProblemInstance | Pencil,
     c_norm = math.sqrt(float(p.c @ p.c))
     units = (float(np.abs(p.Q).max()) or 1.0, c_norm)
     form = secular_form(arrow, tol)
-    if form.vanishes if form is not None else _vanishes_at_probes(p, breaks[-1], tol):
+    if form.vanishes:
         candidates = [(s, None) for s in _family_representatives(breaks, zero_singular)]
-    elif form is not None:
+    else:
         u = p.c / c_norm
         sigmas = [form.polish(float(s)) for s in form.roots(abs(cone_quadratic(u)) <= p.n * EPS)]
-        # x advanced by the Newton step on g, as ``_polish`` returns it
-        recovered = [(s, arrow.newton_point(s)) for s in sigmas]
+        # x advanced by the Newton step on g, in extended precision at a block
+        recovered = [arrow.newton_point(s, form.block is not None) for s in sigmas]
         candidates = [(s, x) for s, x in recovered if s > 0.0 and np.isfinite(x).all()
                       and _is_multiplier(p, x, s, tol, units)]
-    else:
-        poles = breaks if zero_singular else breaks[1:]
-        starts = {st for s in _pencil_eigenvalues(p) for st in _starts(float(s), poles)}
-        polished = [_polish(p, start, pole, poles) for start, pole in starts]
-        candidates = [(s, x) for s, x in polished
-                      if s > 0.0 and x is not None and _is_multiplier(p, x, s, tol, units)]
     if not zero_singular:
         # A defective pole at 0 escapes ``_pole_cells`` when round-off splits it
         # into a pair of shifts around 0; then Q is singular and sigma = 0 is

@@ -6,13 +6,13 @@ negative square (a Pontryagin space; Gohberg, Lancaster and Rodman,
 *Indefinite Linear Algebra and Applications*, 2005).  The null vectors of
 G at its poles are L-orthogonal, so the poles of ``arrowhead.Arrowhead``,
 with the type ``f'(p)`` and ``v'c = N(p)`` of each null vector, give the
-derivative g in secular form (``SecularForm``).  After a change of
-variable g is convex on each cell between poles, so a cell holds at most
-two roots; a closed-form bound rules most cells out and Newton runs from
-the ends of the rest, nearly linear next to a pole as in Moré and
-Sorensen's trust-region Newton (SIAM J. Sci. Stat. Comput. 4, 1983).
-``secular_form`` returns None where a pole is nearly defective, and
-``dual.enumerate_kkt`` falls back to its companion eigensolve there.
+derivative g in secular form (``SecularForm``); a nearly defective cluster
+of roots of f, whose weights cancel, enters as one rational term
+(``Block``).  After a change of variable g is convex on each cell between
+poles, so a cell holds at most two roots; a closed-form bound rules most
+cells out and Newton runs from the ends of the rest, nearly linear next to
+a pole as in Moré and Sorensen's trust-region Newton (SIAM J. Sci. Stat.
+Comput. 4, 1983).
 """
 
 from __future__ import annotations
@@ -26,39 +26,105 @@ from .arrowhead import EPS, ZERO_POLE_TOL, Arrowhead
 
 __all__ = ["SecularForm", "secular_form"]
 
-# |v'Lv| of a unit null vector v of G at a pole (an eigenvector of LQ) is
-# the reciprocal of the pole's condition number.  At or below this bound the
-# pole is defective or nearly so (a light-like null vector), the secular
-# form is not trusted, and the multipliers come from the companion
-# eigensolve instead.
-_TYPE_TOL = 1e-6
+# A root of f whose unit null vector v has |v'Lv|, the reciprocal of the
+# pole's condition number, at most this is nearly defective: a Block's.
+_CHAIN_TOL = 1e-6
+# Taylor terms at the block's center: far more than its width needs.
+_BLOCK_ORDER = 10
 # Real poles within this many times the largest |pole| of each other are
 # one pole.
 _CLUSTER_TOL = 1e-9
-# Every Newton polish of a multiplier (here, in ``dual`` and in ``secular``)
+# Every Newton polish of a multiplier (here and in ``secular``)
 # stops at a step below TOL_ROOT*min(1+sigma, distance to the nearest pole)
 # or one that stops shrinking; no Newton run takes more than MAX_ITER steps.
 TOL_ROOT = 1e-10
 MAX_ITER = 200
 
 
+def _horner(c: tuple, t: float) -> tuple[float, float, float]:
+    """c(t), c'(t) and c''(t), c lowest degree first."""
+    v, d1, d2 = c[-1], 0.0, 0.0
+    for a in c[-2::-1]:
+        d2, d1, v = d2 * t + 2.0 * d1, d1 * t + v, v * t + a
+    return v, d1, d2
+
+
+@dataclass(frozen=True)
+class Block:
+    """k <= 3 nearly defective roots of f around ``m`` as one term (L has
+    one negative square: one such cluster, a Jordan chain of length <= 3
+    when exact; Iohvidov, Krein and Langer, 1982).  With u = sigma - m its
+    part of N^2/f is P(u)/w(u), w monic with the cluster as roots, and of g
+    -0.5 (P/w)' = 0.5 t^2 Phi(t), t = 1/u, ``Phi = (S/omega)'``, ``S = t^k
+    P(1/t)``, ``omega = t^k w(1/t)`` (lowest degree first); at an exact
+    chain omega = 1 and -Phi is the polynomial ``level`` = -S'."""
+
+    m: float
+    S: tuple
+    omega: tuple
+    level: tuple
+    size: float  # of the terms P is made of
+
+    def phi(self, t: float) -> tuple[float, float]:
+        """Phi and Phi' at t."""
+        s0, s1, s2 = _horner(self.S, t)
+        w0, w1, w2 = _horner(self.omega, t)
+        Phi = (s1 * w0 - s0 * w1) / (w0 * w0)
+        return Phi, (s2 * w0 - s0 * w2) / (w0 * w0) - 2.0 * Phi * w1 / w0
+
+
+def _block(arrow: Arrowhead, chain: np.ndarray) -> tuple[Block, float, float]:
+    """The block of the roots in ``chain``, the size of P and of its terms:
+    Weierstrass division splits f's Taylor series at m into w h, and P =
+    (N^2/h) mod w (smooth there), so P/w sums ``vc^2/eta / (sigma - p)``
+    over the cluster, none formed.  m moves once, to w's mean root."""
+    k = int(chain.sum())
+    m = float(arrow.roots[chain].real.mean())
+    for center in (True, False):
+        f, N = (x.tolist() for x in arrow.taylor(m, _BLOCK_ORDER + k))
+        a, h = [0.0] * k, f[k:]
+        for _ in range(MAX_ITER):  # a from f's first k terms, then h from a
+            new = []
+            for j in range(k):
+                new.append((f[j] - sum(new[i] * h[j - i] for i in range(j))) / h[0])
+            for j in reversed(range(len(h))):
+                h[j] = f[j + k] - sum(new[i] * h[j + k - i] for i in range(k) if j + k - i < len(h))
+            if new == a:
+                break
+            a = new
+        m -= a[-1] / k if center else 0.0
+    phi = []  # N^2/h
+    for j in range(len(h)):
+        n2 = sum(N[i] * N[j - i] for i in range(j + 1))
+        phi.append((n2 - sum(h[i] * phi[j - i] for i in range(1, j + 1))) / h[0])
+    P = [0.0] * k
+    for c in reversed(phi):  # P u + c mod w, by Horner
+        P = [c - P[-1] * a[0]] + [P[i - 1] - P[-1] * a[i] for i in range(1, k)]
+    terms = sum(map(abs, N[:k])) ** 2 / abs(h[0])
+    if sum(map(abs, P)) <= EPS * (terms + arrow.c0 ** 2 + float(arrow.ct @ arrow.ct)):
+        P = [0.0] * k  # c is orthogonal to the cluster's chain to rounding
+    level = np.trim_zeros([-i * p for i, p in enumerate(P[::-1], 1)], "b")  # -S'
+    return Block(m, (0.0, *P[::-1]), (1.0, *a[::-1]), tuple(level), terms), sum(map(abs, P)), terms
+
+
 @dataclass(frozen=True)
 class SecularForm:
-    """``g(sigma) = 0.5 * sum_i beta_i / (lam_i + sigma)^2``, a complex pair
-    entering as ``Re(beta_c / (lam_c + sigma)^2)`` (half of its 2 Re).
+    """``g(sigma) = 0.5 * sum_i beta_i / (lam_i + sigma)^2 + e(sigma)``, a
+    complex pair entering as ``Re(beta_c / (lam_c + sigma)^2)``, e the term
+    of a ``Block`` (0 without one).
 
     With ``LQ v_i = lam_i v_i``, ``G(sigma) v_i = (lam_i + sigma) L v_i``, and
     eigenvectors of distinct eigenvalues are L-orthogonal, so
     ``V' G(sigma) V = diag(eta_i (lam_i + sigma))`` with the types
     ``eta_i = v_i' L v_i`` and ``beta_i = (v_i' c)^2 / eta_i`` (scale-free in
     v_i).  L has one negative square: the spectrum is real with one negative
-    type, or has one complex pair and all real types positive.  ``lam`` holds
-    the distinct real eigenvalues with nonzero weight, merged within
-    _CLUSTER_TOL; ``pair`` is the eigenvalue of the pair with positive
-    imaginary part, 0 for a real spectrum.  ``vanishes`` marks g = 0 for
-    every sigma: the weights, which can cancel only within a repeated
-    eigenvalue, sum in magnitude to at most tol times the magnitudes of
-    their terms.
+    type, or has one complex pair or one nearly defective cluster (``block``)
+    and all other types positive.  ``lam`` holds the other distinct real
+    eigenvalues with nonzero weight, merged within _CLUSTER_TOL; ``pair`` is
+    the eigenvalue of the pair with positive imaginary part, else 0.
+    ``vanishes`` marks g = 0 for every sigma: the weights, which can cancel
+    only within a repeated eigenvalue, and the block's P sum in magnitude to
+    at most tol times the magnitudes of their terms.
     """
 
     lam: np.ndarray
@@ -66,6 +132,7 @@ class SecularForm:
     pair: complex
     pair_beta: complex
     vanishes: bool
+    block: Block | None = None
 
     def g_and_slope(self, sigma: float) -> tuple[float, float]:
         """g and g' at sigma, in O(n)."""
@@ -76,6 +143,10 @@ class SecularForm:
             rc = 1.0 / (self.pair + sigma)
             wc = self.pair_beta * rc * rc
             g, gp = g + wc.real, gp - 2.0 * (wc * rc).real
+        if self.block is not None:  # e = 0.5 t^2 Phi(t), t = 1/(sigma - m)
+            t = 1.0 / np.float64(sigma - self.block.m)
+            Phi, dPhi = self.block.phi(t)
+            g, gp = g + 0.5 * t * t * Phi, gp - 0.5 * t**3 * (2.0 * Phi + t * dPhi)
         return g, gp
 
     def polish(self, sigma: float) -> float:
@@ -84,12 +155,13 @@ class SecularForm:
         shrinking.  A first step longer than half that distance is not
         taken: the start is already exact to rounding in its own variable.
         A start exactly at a pole, where g is not finite, is returned as it
-        is, silently."""
+        is, silently.  The block counts as a pole at its center."""
         last = math.inf
+        center = math.inf if self.block is None else self.block.m
         with np.errstate(all="ignore"):
             for _ in range(MAX_ITER):
                 g, gp = self.g_and_slope(sigma)
-                dist = float(np.abs(self.lam + sigma).min(initial=math.inf))
+                dist = float(np.abs(self.lam + sigma).min(initial=abs(sigma - center)))
                 step = g / gp if gp != 0.0 else math.inf
                 if not abs(step) < min(last, 0.5 * dist):
                     break
@@ -103,9 +175,12 @@ class SecularForm:
         """Every root sigma > 0 of g, isolated exactly (see ``_real_roots``
         and ``_pair_roots``); the root at sigma = inf of a light-like c is
         left out."""
-        top = max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
-        floor = -ZERO_POLE_TOL * (1.0 + top)
+        block, top = self.block, max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
+        floor = -ZERO_POLE_TOL * (1.0 + max(top, abs(block.m) if block else 0.0))
         with np.errstate(all="ignore"):
+            if block:  # with no level, e = 0 and g > 0
+                return _real_roots(self.lam, self.beta, -block.m, block.level, floor,
+                                   light_like, block) if block.level else np.zeros(0)
             if self.pair:
                 if self.pair_beta == 0.0:
                     return np.zeros(0)  # g > 0
@@ -114,35 +189,37 @@ class SecularForm:
             k = (self.beta < 0.0).nonzero()[0]
             if k.size == 0:
                 return np.zeros(0)  # g > 0
-            return _real_roots(self.lam, self.beta, int(k[0]), floor, light_like)
+            k = int(k[0])
+            return _real_roots(np.delete(self.lam, k), np.delete(self.beta, k),
+                               float(self.lam[k]), (float(-self.beta[k]),), floor, light_like)
 
 
-def secular_form(arrow: Arrowhead, tol: float) -> SecularForm | None:
-    """The secular form from the poles of the arrowhead, or None when a pole
-    is nearly defective (|eta| <= _TYPE_TOL for a unit null vector) or the
-    types break the one-negative-square structure.
+def secular_form(arrow: Arrowhead, tol: float) -> SecularForm:
+    """The secular form from the poles of the arrowhead.
 
     A root p of the arrowhead's f has the null vector ``v = (1, -d/(nu+p))``
     (rotated coordinates), with ``eta = v'Lv = f'(p)`` and ``v'c = N(p)``; a
     decoupled coordinate j has ``v = e_j``, ``eta = 1`` and ``v'c = c_j``.
     Null vectors of distinct poles are L-orthogonal, and so are those of a
     root of f and a decoupled pole that coincide, so a repeated pole sums
-    its weights.
+    its weights.  Nearly defective roots (|eta| <= _CHAIN_TOL for a unit
+    null vector), with the pair if any, form the block instead.
     """
     roots, eta, vc, vv = arrow.roots, arrow.eta, arrow.vc, arrow.vv
-    pair, pair_beta, sizes = 0j, 0j, 0.0
-    if roots.dtype.kind == "c":  # a complex pair; the other roots are real
+    pair, pair_beta, sizes, block, block_size = 0j, 0j, 0.0, None, 0.0
+    paired = roots.imag != 0.0  # a complex pair; the other roots are real
+    chain = np.abs(eta) / vv.real <= _CHAIN_TOL
+    if chain.sum() == 1:  # a nearly defective root's partner is its nearest root
+        chain[np.argsort(np.abs(roots - roots[chain]))[1]] = True
+    if chain.any():
+        chain |= paired  # the pair is the one other exceptional cluster
+        block, block_size, sizes = _block(arrow, chain)
+    elif paired.any():
         j = int(roots.imag.argmin())  # lam = -root has positive imaginary part
-        if abs(eta[j]) <= _TYPE_TOL * vv[j].real:
-            return None
         pair, pair_beta = complex(-roots[j]), complex(vc[j] * vc[j] / eta[j])
         sizes = 2.0 * abs(pair_beta)
-        real = roots.imag == 0.0
-        roots, eta, vc, vv = roots[real].real, eta[real].real, vc[real].real, vv[real].real
-    if eta.size and float((np.abs(eta) / vv).min()) <= _TYPE_TOL:
-        return None
-    if np.count_nonzero(eta < 0.0) != (0 if pair else 1):
-        return None
+    rest = ~(chain | paired)
+    roots, eta, vc = roots[rest].real, eta[rest].real, vc[rest].real
     lam = np.concatenate([-roots, arrow.free_nu])
     beta = np.concatenate([vc * vc / eta, arrow.free_c ** 2])
     size = np.abs(beta).tolist()
@@ -157,9 +234,9 @@ def secular_form(arrow: Arrowhead, tol: float) -> SecularForm | None:
         lam = np.add.reduceat(lam, first) / counts
         beta = np.add.reduceat(beta, first)
         size = np.abs(beta).tolist()
-    vanishes = sum(size) + 2.0 * abs(pair_beta) <= tol * sizes
+    vanishes = sum(size) + 2.0 * abs(pair_beta) + block_size <= tol * sizes
     keep = beta != 0.0
-    return SecularForm(lam[keep], beta[keep], pair, pair_beta, vanishes)
+    return SecularForm(lam[keep], beta[keep], pair, pair_beta, vanishes, block)
 
 
 def _descend(F, u: float, inward: float, far: float, sure: bool) -> float:
@@ -203,80 +280,118 @@ def _pole_bound(a: float, b: float, width: float) -> float:
     return top / width / width if width > 0.0 else math.inf
 
 
-def _real_roots(lam: np.ndarray, beta: np.ndarray, k: int, floor: float,
-                light_like: bool) -> np.ndarray:
-    """Roots sigma > 0 of g for a real spectrum with its negative weight at k.
+def _real_roots(lam: np.ndarray, beta: np.ndarray, lk: float, level: tuple, floor: float,
+                light_like: bool, block: Block | None = None) -> np.ndarray:
+    """Roots sigma > 0 of g for a real spectrum: positive weights ``beta``
+    at ``lam`` and one negative part anchored at the pole ``-lk``.
 
-    With ``t = 1/(sigma + lam_k)``, ``2g = t^2 (psi(t) - |beta_k|)`` for
-    ``psi(t) = sum_{i != k} beta_i / (1 + (lam_i - lam_k) t)^2``, a sum of
-    convex terms: psi - |beta_k| is convex in t on each cell between poles
-    (the pole of k itself maps to t = +-inf), so each cell holds at most two
-    roots.  A cell is skipped when the closed-form minimum of its two
-    bounding pole terms alone exceeds |beta_k|.  Otherwise Newton runs from
-    each end on ``|beta_k|^(-1/2) - psi^(-1/2)``, also convex (psi^(-1/2) is
-    a power mean of order -2 of the |1 + (lam_i - lam_k) t|, which are
-    affine on a cell) and nearly linear next to a pole, as in Moré and
-    Sorensen's trust-region Newton: from a pole, the first iterate is the
-    root of that pole's term alone (every other term is positive, so it
-    lies before the nearest root); from sigma = 0 or sigma = inf, the end
-    itself.  Poles down to ``floor`` below sigma = 0 bound the first cell in
-    its place.  For a light-like c, sigma = inf (t = 0) is a root: no start
-    is made there, and a root of the last cell that F cannot tell from it
-    is dropped (``_drop_infinity_images``).
+    With ``t = 1/(sigma + lk)``, ``2g = t^2 (psi(t) - ell(t))`` for
+    ``psi(t) = sum_i beta_i / (1 + (lam_i - lk) t)^2``, a sum of convex
+    terms, and the level ell: |beta_k| of a negative weight at lk (``level =
+    (|beta_k|,)``), or -Phi of a ``block`` at -lk, concave at its Jordan
+    limit ``level``.  The anchor maps to t = +-inf.  psi - ell is convex in
+    t on each cell between poles, so a cell holds at most two roots.  A cell
+    is skipped when the closed-form minimum of its two bounding pole terms
+    alone exceeds a constant level.  Otherwise Newton runs from each end
+    where psi >= ell: from a pole, where its term alone covers the level
+    (``_clearance``; every other term is positive, so this lies before the
+    nearest root); from sigma = 0 or inf, the end itself; toward a block's
+    anchor, the outermost zero of ``level`` (a double zero is a root where
+    psi is 0 to rounding).  It runs on psi - ell, or where ell > 0 on the
+    convex ``ell^(-1/2) - psi^(-1/2)`` (psi^(-1/2) is a power mean of order
+    -2 of affine terms), nearly linear next to a pole as in Moré and
+    Sorensen's trust-region Newton.  Poles down to ``floor`` below sigma = 0
+    bound the first cell in its place.  For a light-like c, sigma = inf
+    (t = 0) is a root: no start is made there, and a root of the last cell
+    that F cannot tell from it is dropped (``_drop_infinity_images``).
     """
-    lk, level = float(lam[k]), float(-beta[k])
-    ell = level**-0.5
-    d = np.concatenate((lam[:k], lam[k + 1:])) - lk
-    b = np.concatenate((beta[:k], beta[k + 1:]))
+    d = lam - lk
+    b = beta
     bd = b * d
+    ell = level[0] ** -0.5 if block is None else None
+    sizes = tuple(abs(c) + block.size for c in level) if block else ()
 
-    def F(u):  # |beta_k|^(-1/2) - psi^(-1/2)
+    def F(u):  # ell^(-1/2) - psi^(-1/2)
         iX = 1.0 / (1.0 + u * d)
         iX2 = iX * iX
         r = (b @ iX2) ** -0.5  # a numpy float: inf where psi = 0
-        return ell - r, -r**3 * (bd @ (iX2 * iX)), ell + r
+        if block is None:
+            return ell - r, -r**3 * (bd @ (iX2 * iX)), ell + r
+        Phi, dPhi = block.phi(u)
+        e = (-Phi) ** -0.5 if Phi < 0.0 else math.nan
+        return e - r, 0.5 * e**3 * dPhi - r**3 * (bd @ (iX2 * iX)), e + r
+
+    def Psi(u):  # psi - ell, sized by the terms of ell's coefficients
+        iX = 1.0 / (1.0 + u * d)
+        iX2 = iX * iX
+        psi = b @ iX2
+        Phi, dPhi = block.phi(u)
+        return psi + Phi, -2.0 * (bd @ (iX2 * iX)) + dPhi, psi + _horner(sizes, abs(u))[0]
 
     # sigma edges (sigma, t, A): psi's pole term is A / (t - t_i)^2; A = 0 at
-    # sigma = 0 or inf, and A = None at the pole of k
+    # sigma = 0 or inf, and A = None at the anchor
     poles = -(d + lk)
     edges = sorted([(s, -1.0 / di, bi / di / di)
-                    for s, di, bi in zip(poles.tolist(), d.tolist(), b.tolist()) if s >= floor]
+                    for s, di, bi in zip(poles.tolist(), d.tolist(), b.tolist())
+                    if s >= floor and di != 0.0]
                    + ([(-lk, math.inf, None)] if -lk >= floor else []))
     if not edges or edges[0][0] > 0.0:
         edges.insert(0, (0.0, 1.0 / lk, 0.0))
     edges.append((math.inf, 0.0, 0.0))
-    starts, last = [], []  # (u, inward, far, sure) for ``_descend``; in the last cell
+    zeros = _zeros(level)
+    starts, last = [], []  # (u, inward, far, sure, F) for ``_descend``; in the last cell
     for (sa, ta, Aa), (sb, tb, Ab) in zip(edges, edges[1:]):
         # t decreases with sigma: the cell is (t(sb), t(sa)) in t
         lo = -math.inf if Ab is None else tb
         hi = math.inf if Aa is None else ta
-        if _pole_bound(Ab or 0.0, Aa or 0.0, hi - lo) > level:
+        if _pole_bound(Ab or 0.0, Aa or 0.0, hi - lo) > (level[0] if block is None else math.inf):
             continue
-        if Ab is not None and not (sb == math.inf and light_like):
-            starts.append((lo + math.sqrt(Ab / level), 1.0, hi, Ab > 0.0))
-            last.append(sb == math.inf)
-        if Aa is not None:
-            starts.append((hi - math.sqrt(Aa / level), -1.0, lo, Aa > 0.0))
-            last.append(sb == math.inf)
-    t = np.array([_descend(F, *start) for start in starts])
-    if light_like:
-        _drop_infinity_images(F, t, last)
+        for A, end, inward, far, outer in ((Ab, lo, 1.0, hi, zeros[:1]),
+                                           (Aa, hi, -1.0, lo, zeros[-1:])):
+            if A is not None and not (inward > 0.0 and sb == math.inf and light_like):
+                u = end + inward * _clearance(A, level, end, inward)
+                ok = block is None or _horner(level, u)[0] > 0.0  # F needs ell > 0
+                starts.append((u, inward, far, A > 0.0, F if ok else Psi))
+            elif A is None and outer and (far - outer[0]) * inward > 0.0:
+                z = outer[0]  # ell < 0 beyond it, toward the anchor
+                if _horner(level, z - inward * (1.0 + abs(z)))[0] < 0.0:
+                    starts.append((z, inward, far, True, Psi))
+        last += [sb == math.inf] * (len(starts) - len(last))
+    t = np.array([_descend(fn, u, inward, far, sure) for u, inward, far, sure, fn in starts])
+    if light_like:  # psi - ell stays finite where psi = 0, and F does not
+        _drop_infinity_images(F if block is None else Psi, t, last)
     sigma = 1.0 / t[np.isfinite(t) & (t != 0.0)] - lk
     return sigma[sigma > 0.0]
+
+
+def _zeros(c: tuple) -> list[float]:
+    """Real zeros of c (degree <= 2), ascending, a double one twice."""
+    disc = c[1] * c[1] - 4.0 * c[2] * c[0] if len(c) == 3 else 0.0
+    if len(c) < 3 or -disc > 8.0 * EPS * (c[1] * c[1] + abs(4.0 * c[2] * c[0])):
+        return [-c[0] / c[1]] if len(c) == 2 else []
+    q = -0.5 * (c[1] + math.copysign(math.sqrt(max(disc, 0.0)), c[1]))
+    return sorted([q / c[2], c[0] / q]) if q != 0.0 else [0.0, 0.0]
+
+
+def _clearance(A: float, level: tuple, end: float, inward: float) -> float:
+    """A distance x from a pole end where its term A/x^2 alone covers the
+    concave level's tangent a0 + a1 x there (a0 and a1 x by half each)."""
+    a0, a1, _ = _horner(level, end)
+    a1 *= inward
+    if a1 <= 0.0:
+        return math.sqrt(A / a0) if a0 > 0.0 else 0.0
+    x = (A / (2.0 * a1)) ** (1.0 / 3.0)
+    return min(x, math.sqrt(A / (2.0 * a0))) if a0 > 0.0 else x
 
 
 def _drop_infinity_images(F, u: np.ndarray, last: list[bool]):
     """Set to nan, in place, each root u of the last cell that F cannot
     tell from the root u = 0 (sigma = inf) of a light-like c: F at u/2 is
-    within 8 eps times its size of 0, as _descend reads a root.
-
-    No pole lies between 0 and such a root, and F vanishes at both ends.
-    Where g vanishes at infinity to second order, rounding of the weights
-    splits that double root into u = 0 and a root of order sqrt(eps), whose
-    recovered point passes every KKT test within tolerance.  F at u/2 then
-    stays within rounding of 0, while between u = 0 and a genuine root F
-    moves further from it.
-    """
+    within 8 eps times its size of 0, as _descend reads a root.  Where g
+    vanishes at infinity to second order, rounding splits that double root
+    into u = 0 and a root of order sqrt(eps) whose point passes every KKT
+    test; F at u/2 then stays within rounding of 0, while between u = 0 and
+    a genuine root, with no pole between, F moves away from it."""
     for i in np.flatnonzero(last):
         if math.isfinite(u[i]):
             f, _, size = F(0.5 * float(u[i]))

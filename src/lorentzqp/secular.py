@@ -22,8 +22,6 @@ from .dual import (
     CERT_KKT,
     DEFAULT_TOL_KKT,
     EPS,
-    POLE_RESOLUTION,
-    REALNESS_TOL,
     CriticalPoint,
     positive_nappe,
 )
@@ -37,6 +35,14 @@ __all__ = [
     "secular_derivative",
     "secular_enumerate",
 ]
+
+
+# Roots of the numerator with |imag| up to this, relative to 1 + |real|,
+# are real: Newton and the KKT gate decide what a kept value is worth.
+REALNESS_TOL = 1e-6
+# The root finder cannot separate a root of g from a pole closer than this
+# (relative); Newton then starts on each side of the pole.
+POLE_RESOLUTION = 1e-7
 
 
 class SecularPoleError(ZeroDivisionError):
@@ -192,14 +198,15 @@ def _is_multiplier(d: DiagonalInstance, x: np.ndarray, sigma: float, tol: float)
     return r <= 0.5 * tol * xx and max(scaled, stationarity) <= tol
 
 
-def _starts(sigma: float, poles: list[float]) -> list[tuple[float, float]]:
+def _starts(sigma: float, poles: list[float], spread: float = 0.0) -> list[tuple[float, float]]:
     """Newton starts (sigma, pole to deflate): one on each side of a pole
-    that the root lies too close to for the polynomial root finder."""
+    that the root, or a complex root of imaginary part ``spread``, lies too
+    close to for the polynomial root finder; none for a complex one else."""
     for s in poles:
         gap = POLE_RESOLUTION * (1.0 + s)
-        if abs(sigma - s) <= gap:
+        if abs(sigma - s) <= max(gap, spread):
             return [(s - gap, s), (s + gap, s)]
-    return [(sigma, math.inf)]
+    return [] if spread else [(sigma, math.inf)]
 
 
 def _point(d: DiagonalInstance, sigma: float, x: np.ndarray | None = None) -> CriticalPoint:
@@ -258,8 +265,13 @@ def secular_enumerate(
         sigmas = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:] + [3.0 * breaks[-1] + 2.0])]
         candidates = [(s, None) for s in (sigmas if zero_singular else sigmas[1:])]
     roots = np.roots(num)
-    real = roots[np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))].real
-    for start, pole in {st for root in real[real > 0.0] for st in _starts(float(root), poles)}:
+    near_real = np.abs(roots.imag) <= REALNESS_TOL * (1.0 + np.abs(roots.real))
+    real = roots[near_real].real
+    starts = {st for root in real[real > 0.0] for st in _starts(float(root), poles)}
+    # a complex root within its imaginary part of a pole may be two real
+    # roots about |c_i| either side of it, which the root finder merged
+    starts |= {st for z in roots[~near_real] for st in _starts(z.real, poles, abs(z.imag))}
+    for start, pole in starts:
         sigma, x = _polish(d, start, pole)
         if sigma > 0.0 and x is not None and _is_multiplier(d, x, sigma, tol):
             candidates.append((sigma, x))

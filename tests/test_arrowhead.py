@@ -15,6 +15,8 @@ from lorentzqp.arrowhead import Arrowhead
 from lorentzqp.fileio import as_dense, gen_instance
 from lorentzqp.linalg import factorize
 from lorentzqp.model import shifted_hessian
+import referee
+from conftest import repeated_entry_instances
 
 
 def lq_eigenvalues(p: ProblemInstance) -> np.ndarray:
@@ -189,18 +191,16 @@ class TestDeflation:
         np.testing.assert_allclose(a.U.T @ p.Q[1:, 0], a.d, atol=1e-14)
 
 
-def test_small_coupling_keeps_the_weights_next_to_a_pole(monkeypatch):
+def test_small_coupling_keeps_the_weights_next_to_a_pole():
     # d ~ 1e-13 is above the deflation tolerance, so each root of f sits
     # within d^2 ~ 1e-26 of a pole, far below the rounding of sigma: the
     # weights N^2/f' must be read relative to that pole, or the roots of g
-    # move (here to none).  The companion route, which does not use the
-    # weights, is the reference.
+    # move (here to none).  The exact multipliers of the rational data are
+    # the reference.
     p = with_tail(1.3, [1e-13, -8e-13, 9e-13], [-1.0, 1.0, 2.0], [-0.5, 1.2, -1.9, -0.3], seed=8)
     assert Arrowhead(p).coupled.all()
     got = [cp.sigma for cp in solve_problem(p).critical_points]
-    with monkeypatch.context() as m:
-        m.setattr(dual, "secular_form", lambda *args: None)
-        ref = [cp.sigma for cp in solve_problem(p).critical_points]
+    ref = [float(m.lo) for m in referee.judge(p.Q, p.c).multipliers]
     assert len(ref) == 2
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -225,33 +225,15 @@ def test_light_like_c_lists_no_image_of_the_root_at_infinity(Q, c):
     assert [cp.sigma for cp in dual.enumerate_kkt(p) if cp.sigma > 1e6] == []
 
 
-def repeated_entry_instances():
-    """Diagonal entries from {-2, -1, 0.5, 1, 2}, every second instance with
-    a random tail rotation: repeated eigenvalues of L Q throughout."""
-    rng = np.random.default_rng(11)
-    for k in range(800):
-        n = int(rng.integers(2, 7))
-        Q = np.diag(rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], n))
-        c = rng.choice([-1.0, 0.0, 0.5, 1.0], n)
-        c[0] = c[0] or 1.0
-        if k % 2:
-            T = np.eye(n)
-            T[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
-            Q, c = T.T @ Q @ T, T.T @ c
-        yield ProblemInstance(Q=Q, c=c)
-
-
-def test_repeated_eigenvalues_stay_on_the_secular_route(monkeypatch):
-    # with eig(L Q), 192 of these 800 fell back to the companion eigensolve
+def test_repeated_eigenvalues_stay_on_the_secular_route():
+    # with eig(L Q), 192 of these 800 took a route of their own
     # (eigenvectors of a repeated eigenvalue that are not L-orthogonal); the
-    # exit codes are those of that version
-    def no_fallback(*args):
-        raise AssertionError("companion fallback taken")
-
-    monkeypatch.setattr(dual, "_pencil_eigenvalues", no_fallback)
+    # arrowhead's null vectors are L-orthogonal, so no pole is nearly
+    # defective and no exceptional block forms; the exit codes are those of
+    # that version
     exits = {0: 0, 2: 0, 4: 0}
     for p in repeated_entry_instances():
-        assert pontryagin.secular_form(Arrowhead(p), dual.DEFAULT_TOL_KKT) is not None
+        assert pontryagin.secular_form(Arrowhead(p), dual.DEFAULT_TOL_KKT).block is None
         exits[solve_problem(p).exit_code] += 1
     assert exits == {0: 129, 2: 240, 4: 431}
 

@@ -256,8 +256,11 @@ class TestCheckCommand:
         (_CLAIM % '{"tol_kkt": -1}', "tol_kkt must be finite and > 0, got -1"),
         (_CLAIM % '{"tol_gap": 0}', "tol_gap must be finite and > 0, got 0"),
         (_CLAIM % '{"tol_gap": NaN}', "tol_gap must be finite and > 0, got nan"),
+        ('{"solution": {"x": [NaN, 0.5], "sigma": 0.5}}', "x and sigma must be finite"),
+        ('{"solution": {"x": [0.5, 0.5], "sigma": Infinity}}', "x and sigma must be finite"),
     ], ids=["malformed", "missing", "scalar-x", "matrix-x", "text-tol-kkt", "null-tolerances",
-            "list-report", "negative-tol-kkt", "zero-tol-gap", "nan-tol-gap"])
+            "list-report", "negative-tol-kkt", "zero-tol-gap", "nan-tol-gap", "nan-x",
+            "infinite-sigma"])
     def test_unreadable_report_exit_64(self, capsys, tmp_path, problem_dir, text, message):
         report = tmp_path / "report.json"
         if text is not None:

@@ -13,6 +13,7 @@ from lorentzqp import (
     shifted_hessian,
     solve_linear,
 )
+from conftest import light_like_family
 
 
 def eig_inertia(G, band):
@@ -141,46 +142,14 @@ class TestPencilSingularSigmas:
         ("rng2", (35, 158, 226, 319, 378)),
     ])
     def test_nearly_double_pole_beyond_the_brackets(self, family, ks):
-        # the light-like-pole generators of test_dual.py: next to a nearly
+        # the light-like-pole generators (conftest): next to a nearly
         # double pole, Newton on f from the center of the pair beyond the
         # brackets slid onto a bracket root or stopped between roots, so one
         # pole was listed twice and the pair not at all
-        for k, p in enumerate(_light_like_family(family, max(ks) + 1)):
+        for k, p in enumerate(light_like_family(family, max(ks) + 1)):
             if k in ks:
                 ev = -np.linalg.eigvals(lorentz_signs(p.n)[:, None] * p.Q)
                 ref = ev[np.abs(ev.imag) <= 1e-6 * (1.0 + np.abs(ev.real))].real
                 ref = np.sort(np.maximum(ref[ref >= -1e-9], 0.0))
                 np.testing.assert_allclose(pencil_singular_sigmas(p), ref, atol=1e-6,
                                            rtol=0.0, err_msg=f"{family} {k}")
-
-
-def _light_like_family(family: str, count: int):
-    """Q = M - s*L with M u = 0 for a light-like u, as generated by
-    ``test_light_like_poles_take_the_companion_route`` (rng3) and
-    ``test_light_like_poles_return_only_kkt_points`` (rng2)."""
-    rng = np.random.default_rng(3 if family == "rng3" else 2)
-    for k in range(count):
-        if family == "rng3":
-            n = int(rng.integers(2, 6))
-            t = rng.standard_normal(n - 1)
-            u = np.concatenate(([1.0], t / np.linalg.norm(t)))
-            X = rng.standard_normal((n, n))
-            Pu = np.eye(n) - np.outer(u, u) / (u @ u)
-            M = Pu @ X @ X.T @ Pu
-            s = rng.uniform(0.1, 2.0)
-            c = rng.standard_normal(n)
-            if k % 3 == 0:
-                c = c - (c @ u) / (u @ u) * u + 1e-6 * u
-        else:
-            n = int(rng.integers(2, 5))
-            u = np.ones(n)
-            t = rng.standard_normal(n - 1)
-            u[1:] = t / np.linalg.norm(t)
-            B = rng.standard_normal((n, n))
-            P = np.eye(n) - np.outer(u, u) / (u @ u)
-            M = P @ (B + B.T) @ P
-            s = rng.uniform(0.1, 3.0)
-            c = rng.uniform(-2.0, 2.0, n)
-            if k % 3 == 0:
-                c = c - (c @ u) / (u @ u) * u + 10.0 ** rng.uniform(-14, -6) * u
-        yield ProblemInstance(Q=M - s * np.diag(lorentz_signs(n)), c=c)

@@ -163,6 +163,17 @@ class TestSecularEnumerate:
             assert (a.certificate, a.inertia) == (b.certificate, b.inertia)
         assert any(abs(cp.sigma - 1.0494305894) <= 1e-9 for cp in sec)
 
+    def test_roots_straddling_a_pole_of_small_weight(self):
+        # c0 = 1.7e-3 puts two real roots of g 5e-5 either side of the pole
+        # 1.918510, which the polynomial root finder returns as one complex
+        # pair 1.91861 +- 2.9e-3i; both paths list both roots
+        d = gen_instance("diagonal", 8, 8000449)
+        sec, den = secular_enumerate(d), enumerate_kkt(d.to_dense())
+        assert [cp.sigma for cp in sec] == pytest.approx([1.918462138544, 1.918556849654],
+                                                         rel=1e-10)
+        assert [cp.sigma for cp in sec] == pytest.approx([cp.sigma for cp in den], rel=1e-12)
+        assert [cp.inertia for cp in sec] == [cp.inertia for cp in den]
+
     @pytest.mark.parametrize("q, unit, c", [
         ((-1e200, 1e200), (-1.0, 1.0), (1.0, 1.0)),  # the gate's unit ||c|| / max|q| squared underflows
         ((-1e155, -1e155), (-1.0, -1.0), (1.0, 1.0)),  # the unscaled numerator overflows

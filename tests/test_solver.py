@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import itertools
 import sys
 import warnings
 
@@ -30,6 +29,9 @@ from lorentzqp.dual import NAPPE_TOL
 from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance, load_problem
 from lorentzqp.linalg import pencil_singular_sigmas
 from lorentzqp.model import shifted_hessian
+from lorentzqp.dual import enumerate_kkt
+from conftest import integer_census
+import referee
 
 
 def _metamorphic_corpus():
@@ -261,29 +263,54 @@ class TestSolveSelection:
 
 
 def test_integer_census_solves_to_kkt_points():
-    # every symmetric Q in {-1,0,1}^{3x3} with six c, and every symmetric Q
-    # in {-2,-1,1,2}^{3x3} with c = (1.0001, 0.6, 0.8): exactly singular Q,
-    # defective poles at 0 that round-off moves off 0, and G(sigma)
-    # proportional to (sigma - pole), where the Newton slope vanishes
-    def sym(e):
-        return [[e[0], e[1], e[2]], [e[1], e[3], e[4]], [e[2], e[4], e[5]]]
-
-    cs = [(1, 0.3, -0.2), (0.5, 1, 0), (1, 1, 0), (2, -1, 0.5), (1, 0, 0), (0, 1, 0)]
-    census = [(sym(e), c) for e in itertools.product((-1.0, 0.0, 1.0), repeat=6) for c in cs]
-    census += [(sym(e), (1.0001, 0.6, 0.8))
-               for e in itertools.product((-2.0, -1.0, 1.0, 2.0), repeat=6)]
+    # exactly singular Q, defective poles at 0 that round-off moves off 0,
+    # and G(sigma) proportional to (sigma - pole), where the Newton slope
+    # vanishes
+    census = list(integer_census())
     assert len(census) == 8470
     points = 0
-    for Q, c in census:
-        p = ProblemInstance(Q=Q, c=c)
+    for p in census:
         rep = solve_problem(p)
         for cp in rep.critical_points:
             points += 1
-            assert kkt_check(p, cp.x, cp.sigma).max_residual <= 1e-7, (Q, c, cp.sigma)
+            assert kkt_check(p, cp.x, cp.sigma).max_residual <= 1e-7, (p.Q, p.c, cp.sigma)
         if rep.solution is not None:  # never a point of the mirror nappe
             x = rep.solution.x
-            assert x[0] >= -NAPPE_TOL * np.abs(x).max(), (Q, c, rep.solution.sigma)
+            assert x[0] >= -NAPPE_TOL * np.abs(x).max(), (p.Q, p.c, rep.solution.sigma)
     assert points > 8000
+
+
+# The exact multipliers of the integer census that enumerate_kkt does not
+# list, as (Q, c, sigma): none.  The tangency Q = [[-1,-1,-1],[-1,0,-1],
+# [-1,-1,-1]], c = (0.5, 1, 0), a double root sigma = 1 with x = (-1/2, 1/2,
+# 0) on the mirror nappe (ROADMAP item 6b), was lost before the exceptional
+# block took the nearly defective poles.
+LOST_EXACT_MULTIPLIERS: list = []
+# listed sigma > 0 that are no exact multiplier: a bound that may only fall
+SPURIOUS_BOUND = 100
+
+
+def test_integer_census_against_the_exact_referee():
+    # the referee counts the exact multipliers sigma > 0 off the poles of
+    # the rational data (tests/referee.py); a listed sigma matches one
+    # within 1e-7 (1 + sigma).  Every spurious sigma lies within 1e-7 of an
+    # exact pole or of 0, where rounding splits a pole.
+    lost, spurious, vanishing = [], [], 0
+    for p in integer_census():
+        verdict = referee.judge(p.Q, p.c)
+        if verdict.vanishes:
+            vanishing += 1
+            continue
+        listed = [cp.sigma for cp in enumerate_kkt(p)]
+        lost += [(p.Q.tolist(), p.c.tolist(), float(m.lo)) for m in verdict.multipliers
+                 if not any(m.contains(s, 1e-7) for s in listed)]
+        extra = [s for s in listed
+                 if s > 0.0 and not any(m.contains(s, 1e-7) for m in verdict.multipliers)]
+        assert all(verdict.near_pole(s, 1e-7) for s in extra), (p.Q, p.c, extra)
+        spurious += extra
+    assert vanishing == 45
+    assert lost == LOST_EXACT_MULTIPLIERS
+    assert len(spurious) <= SPURIOUS_BOUND
 
 
 # gen_instance("diagonal", 2 + k % 4, 777000 + k) for these k, with q * 1e200,
