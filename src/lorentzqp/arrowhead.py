@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +58,12 @@ EPS = float(np.finfo(float).eps)
 TOL_EIG = 1e-10
 # Singular shifts down to -ZERO_POLE_TOL * (1 + max|Q|) are poles at 0.
 ZERO_POLE_TOL = 1e-9
-# A pair of roots of f closer than twice this times 1 + max|Q| (a complex
-# pair this close to the real axis) counts as a double pole at its center.
-DOUBLE_ROOT_TOL = 1e-7
+# A root of f whose null vector v has |v'Lv| <= _CHAIN_TOL ||v||^2, the
+# reciprocal of the pole's condition number, is nearly defective: it is
+# part of the exceptional cluster (``Block``).
+_CHAIN_TOL = 1e-6
+# Taylor terms at the cluster's center: far more than its width needs.
+_BLOCK_ORDER = 10
 # Coupling entries d_i, and gaps between the nu_i, at most this many eps
 # times the size of the arrowhead are deflated (LAPACK's dlaed2 uses 8).
 DEFLATION = 8.0
@@ -89,12 +93,16 @@ class Arrowhead:
     ``free_nu`` and ``free_c``, nu and c over the other coordinates;
     ``roots``, every root of f (complex for a pair) with the type
     ``eta = f'(root)`` and ``vc = N(root)`` of its null vector
-    ``v = (1, -d / (nu + root))`` and ``vv = ||v||^2``; and ``poles``, the
-    singular shifts sigma >= 0, sorted, with multiplicities.
+    ``v = (1, -d / (nu + root))`` and ``vv = ||v||^2``; ``block``, the
+    exceptional cluster of nearly defective roots as one ``Block`` (None
+    without one); ``poles``, the singular shifts sigma >= 0, sorted, with
+    multiplicities; and ``cells``, the left ends ``[0, p1, p2, ...]`` of the
+    cells between the merged poles and whether 0 is itself a pole.
 
-    The roots (with eta, vc and vv) and the poles are computed on first
-    access, as a per-shift solve needs none of them; they are deterministic,
-    so threads that race to the first access only repeat work.
+    The roots (with eta, vc and vv), the block, the poles and the cells are
+    computed on first access, as a per-shift solve needs none of them; they
+    are deterministic, so threads that race to the first access only repeat
+    work.
     """
 
     def __init__(self, p: ProblemInstance):
@@ -136,11 +144,14 @@ class Arrowhead:
         self._real, self._wide = float, np.float64  # the solves' scalars; wide / 0 = inf
 
     def __getattr__(self, name: str):
-        if name not in ("roots", "eta", "vc", "vv", "poles"):
+        if name not in ("roots", "eta", "vc", "vv", "block", "poles", "cells"):
             raise AttributeError(name)
         with np.errstate(**_QUIET):
-            if name == "poles":
-                self.poles = self._poles()
+            if name == "block":
+                self.block = self._cluster()
+            elif name in ("poles", "cells"):
+                poles = self._poles()
+                self.poles, self.cells = poles, _pole_cells(poles)
             else:  # each is assigned only once complete
                 self.roots, self.eta, self.vc, self.vv = self._roots(self._ctc)
         return self.__dict__[name]
@@ -395,34 +406,112 @@ class Arrowhead:
                       key=lambda to: to[0] - nus[to[1]])
         return np.array([t - nus[o] for t, o in near]), near
 
-    def _poles(self) -> list[float]:
-        """The singular shifts sigma >= 0, sorted, with multiplicities.
+    def _cluster(self) -> Block | None:
+        """The exceptional cluster as a ``Block``, None without one: the
+        roots of f with |eta| <= _CHAIN_TOL vv, the nearest root to a lone
+        one (its partner), and the complex pair if any.  L has one negative
+        square, so LQ has at most one such cluster, a Jordan chain of length
+        <= 3 when exact (Gohberg, Lancaster and Rodman, *Indefinite Linear
+        Algebra and Applications*, 2005)."""
+        roots = self.roots
+        chain = np.abs(self.eta) / self.vv.real <= _CHAIN_TOL
+        if not chain.any():
+            return None
+        if chain.sum() == 1:
+            chain[np.argsort(np.abs(roots - roots[chain]))[1]] = True
+        return _block(self, chain | (roots.imag != 0.0))
 
-        The two roots beyond the brackets count as a double root at their
-        center when they lie within 2 DOUBLE_ROOT_TOL of each other: a
-        complex pair within DOUBLE_ROOT_TOL of the real axis, or a real pair
-        that rounding split off a double root (Newton on f polishes both copies
-        from one side, so their center is polished as a root of f').  A
-        defective double pole (light-like null vector) can also split into
-        a complex pair farther apart, which counts twice when G is singular
-        at its real part.
-        """
+    def _poles(self) -> list[float]:
+        """The singular shifts sigma >= 0, sorted, with multiplicities: the
+        decoupled -nu_j, the real roots of f outside the exceptional cluster,
+        and the cluster as a pole of its size at its center ``block.m``; a
+        complex pair outside it is no singular shift.  Shifts down to
+        -ZERO_POLE_TOL * (1 + max|Q|) are poles at 0."""
+        block, real = self.block, self.roots.imag == 0.0
+        sig = (-self.free_nu).tolist()
+        if block is not None:
+            real &= ~block.chain
+            sig += [block.m] * int(block.chain.sum())
+        sig += self.roots[real].real.tolist()
         floor = -ZERO_POLE_TOL * self._scale
-        sig = (-self.free_nu).tolist() + self.roots[:-2].real.tolist()
-        u, v = self.roots[-2:].tolist() if self.roots.size > 1 else (self.roots[0], None)
-        if v is None:
-            sig.append(u)
-        elif abs(u - v) <= 2.0 * DOUBLE_ROOT_TOL * self._scale:
-            center = 0.5 * (u + v).real
-            if not isinstance(u, complex):  # both copies may sit on one side
-                center = _critical(self.alpha, self._nuc.tolist(), self._d2c.tolist(), center)
-            sig += [center, center]
-        elif isinstance(u, complex):
-            if u.real >= floor and self.inertia(max(u.real, 0.0))[1] > 0:
-                sig += [u.real, u.real]
-        else:
-            sig += [u, v]
         return sorted(max(s, 0.0) for s in sig if s >= floor)
+
+
+def _pole_cells(poles: list[float]) -> tuple[list[float], bool]:
+    """Left ends [0, p1, p2, ...] of the cells between the sorted singular
+    shifts ``poles``, merged, and whether 0 is itself a pole."""
+    merged: list[float] = []
+    for s in poles:
+        if not merged or s - merged[-1] > 1e-9 * (1.0 + s):
+            merged.append(s)
+    zero_singular = bool(merged) and merged[0] <= 1e-12
+    return [0.0] + (merged[1:] if zero_singular else merged), zero_singular
+
+
+def _horner(c: tuple, t: float) -> tuple[float, float, float]:
+    """c(t), c'(t) and c''(t), c lowest degree first."""
+    v, d1, d2 = c[-1], 0.0, 0.0
+    for a in c[-2::-1]:
+        d2, d1, v = d2 * t + 2.0 * d1, d1 * t + v, v * t + a
+    return v, d1, d2
+
+
+@dataclass(frozen=True)
+class Block:
+    """The k <= 3 roots of f marked by ``chain`` around ``m`` as one term of
+    the dual derivative g.  With u = sigma - m its part of N^2/f is
+    P(u)/w(u), w monic with the cluster as roots, and of g
+    -0.5 (P/w)' = 0.5 t^2 Phi(t), t = 1/u, ``Phi = (S/omega)'``, ``S = t^k
+    P(1/t)``, ``omega = t^k w(1/t)`` (lowest degree first); at an exact
+    chain omega = 1 and -Phi is the polynomial ``level`` = -S'."""
+
+    m: float
+    S: tuple
+    omega: tuple
+    level: tuple
+    size: float  # of the terms P is made of
+    chain: np.ndarray
+
+    def phi(self, t: float) -> tuple[float, float]:
+        """Phi and Phi' at t."""
+        s0, s1, s2 = _horner(self.S, t)
+        w0, w1, w2 = _horner(self.omega, t)
+        Phi = (s1 * w0 - s0 * w1) / (w0 * w0)
+        return Phi, (s2 * w0 - s0 * w2) / (w0 * w0) - 2.0 * Phi * w1 / w0
+
+
+def _block(arrow: Arrowhead, chain: np.ndarray) -> Block:
+    """The block of the roots in ``chain``: Weierstrass division splits f's
+    Taylor series at m into w h, and P = (N^2/h) mod w (smooth there), so
+    P/w sums ``vc^2/eta / (sigma - p)`` over the cluster, none formed.  m
+    moves once, to w's mean root."""
+    k = int(chain.sum())
+    m = float(arrow.roots[chain].real.mean())
+    for center in (True, False):
+        f, N = (x.tolist() for x in arrow.taylor(m, _BLOCK_ORDER + k))
+        a, h = [0.0] * k, f[k:]
+        for _ in range(_MAX_STEPS):  # a from f's first k terms, then h from a
+            new = []
+            for j in range(k):
+                new.append((f[j] - sum(new[i] * h[j - i] for i in range(j))) / h[0])
+            for j in reversed(range(len(h))):
+                h[j] = f[j + k] - sum(new[i] * h[j + k - i] for i in range(k) if j + k - i < len(h))
+            if new == a:
+                break
+            a = new
+        m -= a[-1] / k if center else 0.0
+    phi = []  # N^2/h
+    for j in range(len(h)):
+        n2 = sum(N[i] * N[j - i] for i in range(j + 1))
+        phi.append((n2 - sum(h[i] * phi[j - i] for i in range(1, j + 1))) / h[0])
+    P = [0.0] * k
+    for c in reversed(phi):  # P u + c mod w, by Horner
+        P = [c - P[-1] * a[0]] + [P[i - 1] - P[-1] * a[i] for i in range(1, k)]
+    terms = sum(map(abs, N[:k])) ** 2 / abs(h[0])
+    if sum(map(abs, P)) <= EPS * (terms + arrow.c0 ** 2 + float(arrow.ct @ arrow.ct)):
+        P = [0.0] * k  # c is orthogonal to the cluster's chain to rounding
+    level = np.trim_zeros([-i * p for i, p in enumerate(P[::-1], 1)], "b")  # -S'
+    return Block(m, (0.0, *P[::-1]), (1.0, *a[::-1]), tuple(level), terms, chain)
 
 
 class Pencil:
@@ -577,26 +666,6 @@ def _deflated(alpha: float, nus: list, d2s: list, inner: list, s: float) -> tupl
     R *= nus[-1] + s
     q, qp = f * R, R * (fp + f * slope)
     return (q, qp) if math.isfinite(q) and math.isfinite(qp) else None
-
-
-def _critical(alpha: float, nus: list, d2s: list, z: float) -> float:
-    """Newton on f' from z, a few steps: the center of a double root of f,
-    where f' has a simple root."""
-    for _ in range(8):
-        fp, fpp = -1.0, 0.0
-        for v, w in zip(nus, d2s):
-            r = v + z
-            if r == 0.0:
-                return z
-            fp += w / (r * r)
-            fpp -= 2.0 * w / (r * r * r)
-        if fpp == 0.0:
-            return z
-        step = fp / fpp
-        z -= step
-        if abs(step) <= _LAST_STEP * abs(z):
-            break
-    return z
 
 
 def _polish_real(alpha: float, nus: list, d2s: list, z: float,

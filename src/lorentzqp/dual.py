@@ -133,17 +133,6 @@ def dual_derivative(p: ProblemInstance, sigma: float) -> float:
 # positive-definite window
 
 
-def _pole_cells(sigmas: list[float]) -> tuple[list[float], bool]:
-    """Left ends [0, p1, p2, ...] of the cells between the sorted singular
-    shifts ``sigmas``, merged, and whether 0 is itself a pole."""
-    poles: list[float] = []
-    for s in sigmas:
-        if not poles or s - poles[-1] > 1e-9 * (1.0 + s):
-            poles.append(s)
-    zero_singular = bool(poles) and poles[0] <= 1e-12
-    return [0.0] + (poles[1:] if zero_singular else poles), zero_singular
-
-
 def pd_interval(p: ProblemInstance) -> DualInterval | None:
     """The unique maximal interval of sigma >= 0 where G(sigma) is PD.
 
@@ -168,7 +157,7 @@ def _pd_window(pencil: Pencil) -> tuple[DualInterval | None, float | None]:
     """``pd_interval`` of the pencil and the window's midpoint in natural
     units, where the window was decided (None, None without a window)."""
     arrow, s = pencil.arrow, pencil.s
-    breaks, zero_singular = _pole_cells(arrow.poles)
+    breaks, zero_singular = arrow.cells
     if len(breaks) < 2 or breaks[-2] >= arrow.alpha:
         return None, None
     lo, hi = breaks[-2], breaks[-1]
@@ -315,7 +304,7 @@ def enumerate_kkt(p: ProblemInstance | Pencil,
     """
     pencil = p if isinstance(p, Pencil) else Pencil(p)
     p, arrow = pencil.q, pencil.arrow
-    breaks, zero_singular = _pole_cells(arrow.poles)
+    breaks, zero_singular = arrow.cells
     if float(np.abs(p.c).max()) == 0.0:
         # Degenerate dual: x(sigma) = 0 for every nonsingular shift.  Report
         # the single stationary point at the cone vertex.
@@ -336,9 +325,9 @@ def enumerate_kkt(p: ProblemInstance | Pencil,
         candidates = [(s, x) for s, x in recovered if s > 0.0 and np.isfinite(x).all()
                       and _is_multiplier(p, x, s, tol, units)]
     if not zero_singular:
-        # A defective pole at 0 escapes ``_pole_cells`` when round-off splits it
-        # into a pair of shifts around 0; then Q is singular and sigma = 0 is
-        # no candidate, as the inertia filter below decides.
+        # A nearly defective pole at 0 is one cluster at its center, which
+        # the cells read as a pole at 0; any other singular Q is left to the
+        # inertia filter below.
         x = arrow.x(0.0)
         if np.isfinite(x).all() and _is_multiplier(p, x, 0.0, tol, units):
             candidates.append((0.0, x))

@@ -6,9 +6,9 @@ negative square (a Pontryagin space; Gohberg, Lancaster and Rodman,
 *Indefinite Linear Algebra and Applications*, 2005).  The null vectors of
 G at its poles are L-orthogonal, so the poles of ``arrowhead.Arrowhead``,
 with the type ``f'(p)`` and ``v'c = N(p)`` of each null vector, give the
-derivative g in secular form (``SecularForm``); a nearly defective cluster
-of roots of f, whose weights cancel, enters as one rational term
-(``Block``).  After a change of variable g is convex on each cell between
+derivative g in secular form (``SecularForm``); the arrowhead's nearly
+defective cluster of roots of f, whose weights cancel, enters as one
+rational term (``arrowhead.Block``).  After a change of variable g is convex on each cell between
 poles, so a cell holds at most two roots; a closed-form bound rules most
 cells out and Newton runs from the ends of the rest, nearly linear next to
 a pole as in Moré and Sorensen's trust-region Newton (SIAM J. Sci. Stat.
@@ -22,15 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrowhead import EPS, ZERO_POLE_TOL, Arrowhead
+from .arrowhead import EPS, ZERO_POLE_TOL, Arrowhead, Block, _horner
 
 __all__ = ["SecularForm", "secular_form"]
 
-# A root of f whose unit null vector v has |v'Lv|, the reciprocal of the
-# pole's condition number, at most this is nearly defective: a Block's.
-_CHAIN_TOL = 1e-6
-# Taylor terms at the block's center: far more than its width needs.
-_BLOCK_ORDER = 10
 # Real poles within this many times the largest |pole| of each other are
 # one pole.
 _CLUSTER_TOL = 1e-9
@@ -39,72 +34,6 @@ _CLUSTER_TOL = 1e-9
 # or one that stops shrinking; no Newton run takes more than MAX_ITER steps.
 TOL_ROOT = 1e-10
 MAX_ITER = 200
-
-
-def _horner(c: tuple, t: float) -> tuple[float, float, float]:
-    """c(t), c'(t) and c''(t), c lowest degree first."""
-    v, d1, d2 = c[-1], 0.0, 0.0
-    for a in c[-2::-1]:
-        d2, d1, v = d2 * t + 2.0 * d1, d1 * t + v, v * t + a
-    return v, d1, d2
-
-
-@dataclass(frozen=True)
-class Block:
-    """k <= 3 nearly defective roots of f around ``m`` as one term (L has
-    one negative square: one such cluster, a Jordan chain of length <= 3
-    when exact; Iohvidov, Krein and Langer, 1982).  With u = sigma - m its
-    part of N^2/f is P(u)/w(u), w monic with the cluster as roots, and of g
-    -0.5 (P/w)' = 0.5 t^2 Phi(t), t = 1/u, ``Phi = (S/omega)'``, ``S = t^k
-    P(1/t)``, ``omega = t^k w(1/t)`` (lowest degree first); at an exact
-    chain omega = 1 and -Phi is the polynomial ``level`` = -S'."""
-
-    m: float
-    S: tuple
-    omega: tuple
-    level: tuple
-    size: float  # of the terms P is made of
-
-    def phi(self, t: float) -> tuple[float, float]:
-        """Phi and Phi' at t."""
-        s0, s1, s2 = _horner(self.S, t)
-        w0, w1, w2 = _horner(self.omega, t)
-        Phi = (s1 * w0 - s0 * w1) / (w0 * w0)
-        return Phi, (s2 * w0 - s0 * w2) / (w0 * w0) - 2.0 * Phi * w1 / w0
-
-
-def _block(arrow: Arrowhead, chain: np.ndarray) -> tuple[Block, float, float]:
-    """The block of the roots in ``chain``, the size of P and of its terms:
-    Weierstrass division splits f's Taylor series at m into w h, and P =
-    (N^2/h) mod w (smooth there), so P/w sums ``vc^2/eta / (sigma - p)``
-    over the cluster, none formed.  m moves once, to w's mean root."""
-    k = int(chain.sum())
-    m = float(arrow.roots[chain].real.mean())
-    for center in (True, False):
-        f, N = (x.tolist() for x in arrow.taylor(m, _BLOCK_ORDER + k))
-        a, h = [0.0] * k, f[k:]
-        for _ in range(MAX_ITER):  # a from f's first k terms, then h from a
-            new = []
-            for j in range(k):
-                new.append((f[j] - sum(new[i] * h[j - i] for i in range(j))) / h[0])
-            for j in reversed(range(len(h))):
-                h[j] = f[j + k] - sum(new[i] * h[j + k - i] for i in range(k) if j + k - i < len(h))
-            if new == a:
-                break
-            a = new
-        m -= a[-1] / k if center else 0.0
-    phi = []  # N^2/h
-    for j in range(len(h)):
-        n2 = sum(N[i] * N[j - i] for i in range(j + 1))
-        phi.append((n2 - sum(h[i] * phi[j - i] for i in range(1, j + 1))) / h[0])
-    P = [0.0] * k
-    for c in reversed(phi):  # P u + c mod w, by Horner
-        P = [c - P[-1] * a[0]] + [P[i - 1] - P[-1] * a[i] for i in range(1, k)]
-    terms = sum(map(abs, N[:k])) ** 2 / abs(h[0])
-    if sum(map(abs, P)) <= EPS * (terms + arrow.c0 ** 2 + float(arrow.ct @ arrow.ct)):
-        P = [0.0] * k  # c is orthogonal to the cluster's chain to rounding
-    level = np.trim_zeros([-i * p for i, p in enumerate(P[::-1], 1)], "b")  # -S'
-    return Block(m, (0.0, *P[::-1]), (1.0, *a[::-1]), tuple(level), terms), sum(map(abs, P)), terms
 
 
 @dataclass(frozen=True)
@@ -118,13 +47,15 @@ class SecularForm:
     ``V' G(sigma) V = diag(eta_i (lam_i + sigma))`` with the types
     ``eta_i = v_i' L v_i`` and ``beta_i = (v_i' c)^2 / eta_i`` (scale-free in
     v_i).  L has one negative square: the spectrum is real with one negative
-    type, or has one complex pair or one nearly defective cluster (``block``)
-    and all other types positive.  ``lam`` holds the other distinct real
-    eigenvalues with nonzero weight, merged within _CLUSTER_TOL; ``pair`` is
-    the eigenvalue of the pair with positive imaginary part, else 0.
+    type, or has one complex pair or one nearly defective cluster (``block``,
+    the arrowhead's) and all other types positive.  ``lam`` holds the other
+    distinct real eigenvalues with nonzero weight, merged within
+    _CLUSTER_TOL; ``pair`` is the eigenvalue of the pair with positive
+    imaginary part, else 0.
     ``vanishes`` marks g = 0 for every sigma: the weights, which can cancel
     only within a repeated eigenvalue, and the block's P sum in magnitude to
-    at most tol times the magnitudes of their terms.
+    at most tol times the magnitudes of their terms.  Poles down to
+    ``floor``, the arrowhead's -ZERO_POLE_TOL * (1 + max|Q|), are poles at 0.
     """
 
     lam: np.ndarray
@@ -132,6 +63,7 @@ class SecularForm:
     pair: complex
     pair_beta: complex
     vanishes: bool
+    floor: float
     block: Block | None = None
 
     def g_and_slope(self, sigma: float) -> tuple[float, float]:
@@ -175,8 +107,7 @@ class SecularForm:
         """Every root sigma > 0 of g, isolated exactly (see ``_real_roots``
         and ``_pair_roots``); the root at sigma = inf of a light-like c is
         left out."""
-        block, top = self.block, max(float(np.abs(self.lam).max(initial=0.0)), abs(self.pair))
-        floor = -ZERO_POLE_TOL * (1.0 + max(top, abs(block.m) if block else 0.0))
+        block, floor = self.block, self.floor
         with np.errstate(all="ignore"):
             if block:  # with no level, e = 0 and g > 0
                 return _real_roots(self.lam, self.beta, -block.m, block.level, floor,
@@ -202,23 +133,20 @@ def secular_form(arrow: Arrowhead, tol: float) -> SecularForm:
     decoupled coordinate j has ``v = e_j``, ``eta = 1`` and ``v'c = c_j``.
     Null vectors of distinct poles are L-orthogonal, and so are those of a
     root of f and a decoupled pole that coincide, so a repeated pole sums
-    its weights.  Nearly defective roots (|eta| <= _CHAIN_TOL for a unit
-    null vector), with the pair if any, form the block instead.
+    its weights.  The roots of the arrowhead's exceptional cluster
+    (``Arrowhead.block``), the pair among them if any, form the block
+    instead.
     """
-    roots, eta, vc, vv = arrow.roots, arrow.eta, arrow.vc, arrow.vv
-    pair, pair_beta, sizes, block, block_size = 0j, 0j, 0.0, None, 0.0
+    roots, eta, vc, block = arrow.roots, arrow.eta, arrow.vc, arrow.block
+    pair, pair_beta, sizes, block_size = 0j, 0j, 0.0, 0.0
     paired = roots.imag != 0.0  # a complex pair; the other roots are real
-    chain = np.abs(eta) / vv.real <= _CHAIN_TOL
-    if chain.sum() == 1:  # a nearly defective root's partner is its nearest root
-        chain[np.argsort(np.abs(roots - roots[chain]))[1]] = True
-    if chain.any():
-        chain |= paired  # the pair is the one other exceptional cluster
-        block, block_size, sizes = _block(arrow, chain)
+    rest = ~paired
+    if block is not None:
+        rest, block_size, sizes = ~block.chain, sum(map(abs, block.S)), block.size
     elif paired.any():
         j = int(roots.imag.argmin())  # lam = -root has positive imaginary part
         pair, pair_beta = complex(-roots[j]), complex(vc[j] * vc[j] / eta[j])
         sizes = 2.0 * abs(pair_beta)
-    rest = ~(chain | paired)
     roots, eta, vc = roots[rest].real, eta[rest].real, vc[rest].real
     lam = np.concatenate([-roots, arrow.free_nu])
     beta = np.concatenate([vc * vc / eta, arrow.free_c ** 2])
@@ -236,7 +164,8 @@ def secular_form(arrow: Arrowhead, tol: float) -> SecularForm:
         size = np.abs(beta).tolist()
     vanishes = sum(size) + 2.0 * abs(pair_beta) + block_size <= tol * sizes
     keep = beta != 0.0
-    return SecularForm(lam[keep], beta[keep], pair, pair_beta, vanishes, block)
+    return SecularForm(lam[keep], beta[keep], pair, pair_beta, vanishes,
+                       -ZERO_POLE_TOL * arrow._scale, block)
 
 
 def _descend(F, u: float, inward: float, far: float, sure: bool) -> float:

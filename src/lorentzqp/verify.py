@@ -11,13 +11,14 @@ carried separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .arrowhead import Pencil
-from .dual import CriticalPoint, dual_value
+from .dual import DEFAULT_TOL_KKT, CriticalPoint, HardCaseError, _require_null_space
 from .model import ProblemInstance, cone_quadratic, primal_objective, shifted_hessian
 
 __all__ = [
@@ -88,8 +89,21 @@ def kkt_check(p: ProblemInstance, x, sigma: float) -> KKTResiduals:
 
 
 def duality_gap(p: ProblemInstance, x, sigma: float) -> float:
-    """|primal objective at x - dual value at sigma| (singular shifts raise)."""
-    return abs(primal_objective(p, x) - dual_value(p, sigma))
+    """|primal objective at x - dual value at sigma|.  At a singular shift
+    the dual has the limit value -0.5 c'G^+ c where c is orthogonal to the
+    null space of G within DEFAULT_TOL_KKT*(1+||c||) in natural units (the
+    hard case), and the gap is inf where it is not."""
+    pencil = Pencil(p)
+    inertia = pencil.inertia(sigma)
+    if inertia[1] == 0:
+        x_sigma = pencil.x(sigma)
+    else:
+        x_sigma, Z = pencil.pseudo_solve(sigma)
+        try:
+            _require_null_space(pencil, sigma, Z, inertia, DEFAULT_TOL_KKT)
+        except HardCaseError:
+            return math.inf
+    return abs(primal_objective(p, x) + 0.5 * float(p.c @ x_sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from lorentzqp.fileio import as_dense, gen_instance
 from lorentzqp.linalg import factorize
 from lorentzqp.model import shifted_hessian
 import referee
-from conftest import repeated_entry_instances
+from conftest import integer_census, repeated_entry_instances
 
 
 def lq_eigenvalues(p: ProblemInstance) -> np.ndarray:
@@ -236,6 +236,68 @@ def test_repeated_eigenvalues_stay_on_the_secular_route():
         assert pontryagin.secular_form(Arrowhead(p), dual.DEFAULT_TOL_KKT).block is None
         exits[solve_problem(p).exit_code] += 1
     assert exits == {0: 129, 2: 240, 4: 431}
+
+
+@pytest.mark.parametrize("Q", [
+    [[-1, -1, -1], [-1, -1, -1], [-1, -1, 0]],  # integer census #8
+    [[1, 1, -1], [1, 1, -1], [-1, -1, 0]],  # integer census #4004
+])
+def test_exact_triple_pole_at_zero_is_one_cluster(Q):
+    # det(Q + sigma L) = -sigma^3: rounding spreads the three roots of f
+    # about 1e-5 around 0 (a real one and a complex pair), yet they are one
+    # exceptional cluster, a triple pole at its center; g vanishes, and the
+    # family's one cell above the pole is represented by 2 * 0 + 1
+    p = ProblemInstance(Q=np.array(Q, dtype=float), c=[1.0, 1.0, 0.0])
+    a = Arrowhead(p)
+    assert a.block is not None and a.block.chain.all()
+    assert len(a.poles) == 3 and max(map(abs, a.poles)) <= 1e-12
+    assert a.cells == ([0.0], True)
+    assert [cp.sigma for cp in dual.enumerate_kkt(p)] == [1.0]
+
+
+def exact_poles(p: ProblemInstance) -> list[float]:
+    """The roots sigma >= 0 of det(Q + sigma L), with multiplicity, from the
+    referee's integer polynomial: the distinct roots of P, of gcd(P, P'),
+    and so on, each once."""
+    q, e = referee._dyadic(p.Q.flatten().tolist())  # Q = q / e, sigma = tau / e
+    P = referee._det_and_adjugate(q, p.n)[0]
+    roots = []
+    while len(P) > 1:
+        roots += [0.0] * (P[0] == 0) + [float(lo / e) for lo, _ in referee.positive_roots(P)]
+        P = referee.gcd(P, referee.derivative(P))
+    return sorted(roots)
+
+
+def test_integer_census_poles_are_exact():
+    # every distinct Q of the integer census: the poles are the exact roots
+    # of det(Q + sigma L) in [0, inf) with their multiplicities, where a
+    # nearly defective cluster counts as a pole of its size at its center
+    # (the two-root rule it replaced missed or misplaced them on 132 Q)
+    seen = set()
+    for p in integer_census():
+        key = p.Q.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        got, want = Arrowhead(p).poles, exact_poles(p)
+        assert len(got) == len(want), (p.Q.tolist(), got, want)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10), p.Q.tolist()
+    assert len(seen) == 4761
+
+
+def test_pole_cells_are_computed_once_per_solve(monkeypatch):
+    # the enumeration and the window read the cells of one arrowhead
+    calls = []
+
+    def counted(poles, _cells=arrowhead._pole_cells):
+        calls.append(len(poles))
+        return _cells(poles)
+
+    monkeypatch.setattr(arrowhead, "_pole_cells", counted)
+    for kind in ("convex", "indefinite", "hardcase"):
+        del calls[:]
+        solve_problem(gen_instance(kind, 5, 20000))
+        assert len(calls) == 1, kind
 
 
 def test_lazy_roots_and_poles_agree_across_threads():

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lorentzqp import DualInterval, ProblemInstance, dual, pd_interval, solve_problem
+from lorentzqp import DualInterval, ProblemInstance, pd_interval, solve_problem
 from lorentzqp.arrowhead import Arrowhead
 from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance
 from lorentzqp.linalg import factorize
@@ -21,7 +21,7 @@ from lorentzqp.model import lorentz_signs, natural_units, shifted_hessian
 
 def scan_window(p: ProblemInstance) -> DualInterval | None:
     """Every pole cell's midpoint, from sigma = 0 up to Q[0,0]."""
-    breaks, zero_singular = dual._pole_cells(Arrowhead(p).poles)
+    breaks, zero_singular = Arrowhead(p).cells
     cap = float(p.Q[0, 0])
     if cap <= 0.0:
         return None
@@ -105,7 +105,7 @@ def test_window_costs_no_factorization(monkeypatch):
     # arrowhead decides the window from the inertia of its midpoint, and its
     # one eigh is of the tail block
     p = coercive(np.random.default_rng(0), 5)
-    breaks, _ = dual._pole_cells(Arrowhead(p).poles)
+    breaks, _ = Arrowhead(p).cells
     assert len(breaks) >= 5
     seen = counted_eigh(monkeypatch)
     w = pd_interval(p)

@@ -30,7 +30,7 @@ from lorentzqp.fileio import GEN_KINDS, as_dense, gen_instance, load_problem
 from lorentzqp.linalg import pencil_singular_sigmas
 from lorentzqp.model import shifted_hessian
 from lorentzqp.dual import enumerate_kkt
-from conftest import integer_census
+from conftest import census_720, integer_census
 import referee
 
 
@@ -311,6 +311,28 @@ def test_integer_census_against_the_exact_referee():
     assert vanishing == 45
     assert lost == LOST_EXACT_MULTIPLIERS
     assert len(spurious) <= SPURIOUS_BOUND
+
+
+def test_census_720_against_the_exact_referee():
+    # the 540 census instances with n <= 5, judged as the integer census
+    # is: no listed sigma is spurious, no exact multiplier is lost, and g
+    # vanishes on none of them
+    lost, spurious, vanishing, judged = [], [], 0, 0
+    for p in census_720():
+        if p.n > 5:
+            continue
+        judged += 1
+        verdict = referee.judge(p.Q, p.c)
+        if verdict.vanishes:
+            vanishing += 1
+            continue
+        listed = [cp.sigma for cp in enumerate_kkt(p)]
+        lost += [(p.name, float(m.lo)) for m in verdict.multipliers
+                 if not any(m.contains(s, 1e-7) for s in listed)]
+        spurious += [(p.name, s) for s in listed
+                     if s > 0.0 and not any(m.contains(s, 1e-7) for m in verdict.multipliers)]
+    assert judged == 540
+    assert (lost, spurious, vanishing) == ([], [], 0)
 
 
 # gen_instance("diagonal", 2 + k % 4, 777000 + k) for these k, with q * 1e200,

@@ -75,6 +75,23 @@ class TestDualityGap:
         assert hits == 20
 
 
+    def test_hard_case_shift_has_the_limit_gap(self, hardcase_2d):
+        # G(1) = diag(0, 2) is singular; c = (0, 1) is orthogonal to its null
+        # vector e0, so the dual's limit -0.5 c'G^+ c = -1/4 is the value of
+        # x = (1/2, 1/2) on the boundary, and for c = (1, 1) there is none
+        assert duality_gap(hardcase_2d, [0.5, 0.5], 1.0) == 0.0
+        assert duality_gap(hardcase_2d, [0.5, 0.0], 1.0) == 0.375  # 1/8 + 1/4
+        p = ProblemInstance(Q=np.eye(2), c=[1.0, 1.0])
+        assert duality_gap(p, [0.5, 0.5], 1.0) == np.inf
+
+    def test_hard_case_solutions_close_the_gap(self):
+        for seed in range(5):
+            p = as_dense(gen_instance("hardcase", 3, seed))
+            cp = solve_problem(p).solution
+            assert cp.certificate == "boundary_hard_case", seed
+            assert duality_gap(p, cp.x, cp.sigma) <= 1e-8 * (1.0 + abs(cp.primal_value)), seed
+
+
 class TestProjection:
     def test_already_feasible(self):
         np.testing.assert_array_equal(projection_lorentz([1.0, 0.5]), [1.0, 0.5])
