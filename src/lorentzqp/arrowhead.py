@@ -77,6 +77,9 @@ _LAST_STEP = 1e-9
 _EMPTY = np.zeros(0)
 # Newton steps on the bracket roots and in each polish of the other two.
 _MAX_STEPS = 100
+# From this many coupled poles up the roots of f come from array sweeps
+# over all brackets and poles; below it, from Python floats per bracket.
+_SWEEP_POLES = 40
 # The floating-point error state of each public evaluation, entered once per
 # call as ``np.errstate(**_QUIET)`` (numpy 2 error states cannot be
 # re-entered, so each ``with`` makes its own): at an exact pole the private
@@ -337,37 +340,44 @@ class Arrowhead:
 
     def _roots(self, ct: np.ndarray) -> tuple:
         """Every root of f, with eta, vc and vv of its null vector; ``ct``
-        is c over the coupled coordinates."""
+        is c over the coupled coordinates.  The real roots are the (tau,
+        origin) rows of one pole-distance matrix, exact next to the origin;
+        a complex pair is one complex row and its conjugate."""
         nu, d, d2 = self._nuc, self._dc, self._d2c
-        m = nu.size
-        if m == 0:  # f = alpha - sigma
+        if nu.size == 0:  # f = alpha - sigma
             return np.array([self.alpha]), np.array([-1.0]), np.array([self.c0]), np.ones(1)
         # one root per bracket (-nu[i+1], -nu[i]), relative to its nearer
-        # pole; the other two from the deflated quadratic
-        origin, tau = _bracket_roots(self.alpha, nu, d2)
+        # pole; the other two from the deflated quadratic.  Below
+        # _SWEEP_POLES coupled poles Python floats cost less than the fixed
+        # cost of the array calls of a sweep.
+        sweep = nu.size >= _SWEEP_POLES
+        origin, tau = (_bracket_sweeps if sweep else _bracket_roots)(self.alpha, nu, d2)
         inner = tau - nu[origin]
-        pair, near = self._pair(nu, d2, inner)
-        roots = np.concatenate([inner, pair])
-        delta = nu + roots[:, None]
-        # the real roots relative to their nearest pole: exact next to it
-        if m > 1:
-            delta[:m - 1] = (nu - nu[origin][:, None]) + tau[:, None]
+        pair, near = self._pair(nu, d2, inner, sweep)
         if near is not None:
-            delta[m - 1:] = [[(v - nu[o]) + t for v in nu.tolist()] for t, o in near]
+            origin, tau = np.concatenate((origin, near[1])), np.concatenate((tau, near[0]))
+        delta = (nu - nu[origin][:, None]) + tau[:, None]
         inv = 1.0 / delta
-        t = inv * inv
-        eta = t @ d2 - 1.0
+        eta = (inv * inv) @ d2 - 1.0
         vc = self.c0 - inv @ (d * ct)
-        vv = np.abs(t) @ d2 + 1.0 if delta.dtype.kind == "c" else eta + 2.0
+        vv = eta + 2.0
         # a root rounded onto its pole -nu_j has the limit null vector e_j
         onto, j = (delta == 0.0).nonzero()
         eta[onto], vc[onto], vv[onto] = 1.0, ct[j], 1.0
-        return roots, eta, vc, vv
+        if near is None:
+            inv = 1.0 / (nu + pair[0])
+            t = inv * inv
+            ez, cz = t @ d2 - 1.0, self.c0 - inv @ (d * ct)
+            eta = np.concatenate((eta, [ez, ez.conjugate()]))
+            vc = np.concatenate((vc, [cz, cz.conjugate()]))
+            vv = np.concatenate((vv, [np.abs(t) @ d2 + 1.0] * 2))
+        return np.concatenate((inner, pair)), eta, vc, vv
 
-    def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray) -> tuple:
+    def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray, sweep: bool) -> tuple:
         """The two roots of f beyond the bracket roots ``inner``, as a real
-        or complex array of length 2, and for a real pair each root as
-        (tau, origin) relative to its nearest pole (else None).
+        or complex array of length 2, and for a real pair the arrays
+        (tau, origin) of each root relative to its nearest pole (else None);
+        with ``sweep`` each step runs over all poles and candidates at once.
 
         f * prod(nu + s) / prod(s - inner) is the quadratic -(s - u)(s - v).
         For m = 1 it is (alpha - s)(nu + s) - d^2.  Otherwise its center is
@@ -377,46 +387,60 @@ class Arrowhead:
         farthest where they are not finite).  A real root is then polished
         relative to its nearest pole (``_polish_real``), a complex one on f.
         """
-        nus, d2s = nu.tolist(), d2.tolist()
+        alpha = self.alpha
+        nus, d2s, inn = nu.tolist(), d2.tolist(), inner.tolist()
         if len(nus) == 1:
-            s = 0.5 * (self.alpha - nus[0])
-            q = (self.alpha - s) * (nus[0] + s) - d2s[0]
-            qp = self.alpha - nus[0] - 2.0 * s
+            s = 0.5 * (alpha - nus[0])
+            q = (alpha - s) * (nus[0] + s) - d2s[0]
+            qp = alpha - nus[0] - 2.0 * s
+        elif sweep:
+            cands = 0.5 * (alpha - float(nu.sum()) - float(inner.sum())) + self._size * np.array(_OFFSETS)
+            cands = cands[np.argsort(-np.abs(cands[:, None] - inner).min(axis=1), kind="stable")]
+            qs, qps = _deflated_at(alpha, nu, d2, inner, cands)
+            k = int((np.isfinite(qs) & np.isfinite(qps)).argmax())
+            s, q, qp = float(cands[k]), float(qs[k]), float(qps[k])
         else:
-            inn = inner.tolist()
-            center = 0.5 * (self.alpha - sum(nus) - sum(inn))
+            center = 0.5 * (alpha - sum(nus) - sum(inn))
             cands = sorted((center + self._size * o for o in _OFFSETS),
                            key=lambda x: -min(abs(x - r) for r in inn))
             for s in cands:
-                q = _deflated(self.alpha, nus, d2s, inn, s)
+                q = _deflated(alpha, nus, d2s, inn, s)
                 if q is not None:
                     q, qp = q
                     break
         # q(s + h) = q + qp h - h^2
         disc = qp * qp + 4.0 * q
-        if disc >= 0.0:
-            h1 = 0.5 * (qp + math.copysign(math.sqrt(disc), qp))
-            pair = [s + h1, s - q / h1 if h1 != 0.0 else s]
-        else:
-            pair = [complex(s + 0.5 * qp, 0.5 * math.sqrt(-disc))]
-        if isinstance(pair[0], complex):
-            z = _polish(self.alpha, nus, d2s, pair[0]) if len(nus) > 1 else pair[0]
+        if not disc >= 0.0:
+            z = complex(s + 0.5 * qp, 0.5 * math.sqrt(-disc))
+            if len(nus) > 1:
+                z = complex(_polish_rows(alpha, nu, d2, z) if sweep else _polish(alpha, nus, d2s, z))
             return np.array([z, z.conjugate()]), None
-        near = sorted((_polish_real(self.alpha, nus, d2s, z, inner.tolist()) for z in pair),
-                      key=lambda to: to[0] - nus[to[1]])
-        return np.array([t - nus[o] for t, o in near]), near
+        h1 = 0.5 * (qp + math.copysign(math.sqrt(disc), qp))
+        pair = np.array([s + h1, s - q / h1 if h1 != 0.0 else s])
+        if sweep:
+            tau, o = _polish_real_rows(alpha, nu, d2, pair, inner)
+        else:
+            tau, o = (np.array(x) for x in zip(*(_polish_real(alpha, nus, d2s, z, inn)
+                                                 for z in pair.tolist())))
+        root = tau - nu[o]
+        order = np.argsort(root, kind="stable")
+        return root[order], (tau[order], o[order])
 
     def _cluster(self) -> Block | None:
         """The exceptional cluster as a ``Block``, None without one: the
         roots of f with |eta| <= _CHAIN_TOL vv, the nearest root to a lone
-        one (its partner), and the complex pair if any.  L has one negative
-        square, so LQ has at most one such cluster, a Jordan chain of length
-        <= 3 when exact (Gohberg, Lancaster and Rodman, *Indefinite Linear
-        Algebra and Applications*, 2005)."""
+        one (its partner), and the complex pair if any.  A complex pair with
+        |Im z| <= sqrt(eps) max(1, |z|) is a double pole that rounding split,
+        and a cluster of its own.  L has one negative square, so LQ has at
+        most one such cluster, a Jordan chain of length <= 3 when exact
+        (Gohberg, Lancaster and Rodman, *Indefinite Linear Algebra and
+        Applications*, 2005)."""
         roots = self.roots
         chain = np.abs(self.eta) / self.vv.real <= _CHAIN_TOL
         if not chain.any():
-            return None
+            pair = roots.imag != 0.0
+            split = np.abs(roots.imag) <= math.sqrt(EPS) * np.maximum(1.0, np.abs(roots))
+            return _block(self, pair) if (pair & split).any() else None
         if chain.sum() == 1:
             chain[np.argsort(np.abs(roots - roots[chain]))[1]] = True
         return _block(self, chain | (roots.imag != 0.0))
@@ -719,6 +743,146 @@ def _polish(alpha: float, nus: list, d2s: list, z):
             f -= w / r
             fp += w / (r * r)
         step = f / fp if fp != 0.0 else math.inf
+        if not abs(step) < min(last, 0.5 * dist):
+            return z
+        z -= step
+        if abs(step) <= _LAST_STEP * abs(z):
+            return z
+        last = abs(step)
+    return z
+
+
+def _bracket_sweeps(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One root of f in each bracket (a, b) = (-nu[i+1], -nu[i]), as
+    ``sigma = -nu[origin] + tau`` with origin the pole nearer to it.
+
+    f runs from -inf at a to +inf at b, so F = (sigma - a)(b - sigma) f,
+    smooth at both poles, runs from -d_a^2 (b - a) to d_b^2 (b - a); with
+    the other pole at tau = E, F = tau (E - tau) f.  The half of the bracket
+    holding a root is read from the sign of f at its middle; the start
+    solves the model of F with every term but the two pole terms frozen
+    there; then Halley steps on F, bisecting whenever a step leaves the
+    current sign-change bracket (or is not finite, as at a start that
+    rounds onto the pole).  A bracket stops after a step at most
+    _LAST_STEP of its iterate, and leaves the sweeps, which run on the
+    brackets still iterating, all at once.  Distances to the poles are
+    (nu_j - nu[origin]) + tau, exact next to the origin.
+    """
+    m = nu.size
+    if m < 2:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    mid = -0.5 * (nu[1:] + nu[:-1])
+    gap = nu[1:] - nu[:-1]
+    f_mid = alpha - mid - (1.0 / (nu + mid[:, None])) @ d2
+    left = f_mid > 0.0
+    origin = np.arange(m - 1) + left
+    far = np.where(left, gap, -gap)  # E, the tau of the other pole
+    lo, hi = np.minimum(0.5 * far, 0.0), np.maximum(0.5 * far, 0.0)
+    # the start solves the model w tau (E - tau) + (d_a^2 + d_b^2) tau -
+    # d_o^2 E = 0 of F, which has one root in the bracket, with w = alpha -
+    # sigma less the terms of the other poles frozen at the middle
+    dl, dr = d2[1:], d2[:-1]
+    w = f_mid + 2.0 * (dl - dr) / gap
+    qb = w * far + dl + dr
+    qc = -far * d2[origin]
+    qq = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb + 4.0 * w * qc, 0.0)), qb))
+    r = qq / -w
+    r = np.where((2.0 * lo < r) & (r < 2.0 * hi), r, np.where(qq != 0.0, qc / qq, 0.5 * far))
+    tau = np.minimum(np.maximum(r, lo), hi)
+    a_ = alpha + nu[origin]
+    base = nu - nu[origin][:, None]
+    out, rows = np.empty(m - 1), np.arange(m - 1)
+    for _ in range(_MAX_STEPS):
+        s1, s2, s3 = _sweep_sums(base, tau, d2)
+        f, fp, u = a_ - tau - s1, s2 - 1.0, far - tau
+        P, Q = tau * u, u - tau
+        F, F1 = P * f, Q * f + P * fp
+        np.copyto(lo, tau, where=F < 0.0)
+        np.copyto(hi, tau, where=F > 0.0)
+        # Halley, with F'' = -2 (f - Q f' + P s3)
+        new = tau - F * F1 / (F1 * F1 + F * (f - Q * fp + P * s3))
+        np.copyto(new, 0.5 * (lo + hi), where=~((lo <= new) & (new <= hi)))
+        # a step below _LAST_STEP relative is the last one needed: the step
+        # after it would be at rounding
+        done = np.abs(new - tau) <= _LAST_STEP * np.abs(tau)
+        tau = new
+        if done.any():
+            out[rows[done]] = tau[done]
+            if done.all():
+                return origin, out
+            keep = ~done
+            rows, tau, lo, hi, far, a_, base = (
+                rows[keep], tau[keep], lo[keep], hi[keep], far[keep], a_[keep], base[keep])
+    out[rows] = tau
+    return origin, out
+
+
+def _sweep_sums(base: np.ndarray, tau: np.ndarray, d2: np.ndarray) -> tuple:
+    """``sum_j d2_j / delta_kj^p`` for p = 1, 2, 3 per bracket k, with
+    ``delta_kj = base_kj + tau_k``: one sweep of ``_bracket_roots``."""
+    inv = base + tau[:, None]
+    np.divide(1.0, inv, out=inv)
+    inv2 = inv * inv
+    s1, s2 = inv @ d2, inv2 @ d2
+    return s1, s2, np.multiply(inv2, inv, out=inv2) @ d2
+
+
+def _deflated_at(alpha: float, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray,
+              s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope at each point of s of the quadratic ``f * prod(nu +
+    s) / prod(s - inner)``, each bracket root paired with the pole at its
+    right; not finite where s is on a pole or a bracket root."""
+    r = nu + s[:, None]
+    inv = 1.0 / r
+    x = s[:, None] - inner
+    f = alpha - s - inv @ d2
+    R = np.prod(r[:, :-1] / x, axis=1) * r[:, -1]
+    return f * R, R * ((inv * inv) @ d2 - 1.0 + f * (inv.sum(axis=1) - (1.0 / x).sum(axis=1)))
+
+
+def _polish_real_rows(alpha: float, nu: np.ndarray, d2: np.ndarray, z: np.ndarray,
+                 others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real roots z of f as (tau, o), ``z = -nu_o + tau`` for the
+    nearest pole -nu_o, polished by Newton on ``tau f``, which is smooth
+    there: a root closer to the pole than rounding of z resolves (as for a
+    small coupling d_o) keeps its distance tau exactly.  Steps stop as in
+    ``_polish``, measured to the other poles.  A root keeps z where its
+    polish ends nearer to one of the roots ``others`` than to z, as it can
+    from a nearly double root, where f' is nearly 0."""
+    o = np.abs(nu + z[:, None]).argmin(axis=1)
+    no, do = nu[o], d2[o]
+    base = nu - no[:, None]
+    base[np.arange(z.size), o] = np.inf  # the pole's own term is -do/tau
+    tau, last, live = z + no, np.full(z.size, np.inf), np.ones(z.size, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        r = base + tau[:, None]
+        inv = 1.0 / r
+        w = (alpha + no - tau) - inv @ d2  # f without the pole term
+        step = (tau * w - do) / (w + tau * ((inv * inv) @ d2 - 1.0))
+        live &= np.abs(step) < np.minimum(last, 0.5 * np.abs(r).min(axis=1))
+        tau = np.where(live, tau - step, tau)
+        live &= np.abs(step) > _LAST_STEP * np.abs(tau)
+        if not live.any():
+            break
+        last = np.abs(step)
+    root = tau - no
+    back = (np.abs(root[:, None] - others) < np.abs(root - z)[:, None]).any(axis=1)
+    return np.where(back, z + no, tau), o
+
+
+def _polish_rows(alpha: float, nu: np.ndarray, d2: np.ndarray, z: complex) -> complex:
+    """Newton on f from the estimate z (real or complex), until a step
+    stops shrinking, is the last one needed (see _LAST_STEP), or would reach
+    half the distance to a pole."""
+    last = math.inf
+    for _ in range(_MAX_STEPS):
+        r = nu + z
+        dist = float(np.abs(r).min())
+        if dist == 0.0:
+            return z
+        inv = 1.0 / r
+        fp = (inv * inv) @ d2 - 1.0
+        step = (alpha - z - inv @ d2) / fp if fp != 0.0 else math.inf
         if not abs(step) < min(last, 0.5 * dist):
             return z
         z -= step

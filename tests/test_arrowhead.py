@@ -53,7 +53,7 @@ def with_tail(alpha: float, d, nu, c, seed: int) -> ProblemInstance:
 
 
 def instances():
-    for n in (2, 3, 5, 20, 100):
+    for n in (2, 3, 5, 20, 100, 200):
         for kind in ("convex", "indefinite", "diagonal", "hardcase"):
             for seed in range(3 if n < 100 else 1):
                 yield as_dense(gen_instance(kind, n, 50_000 + seed))

@@ -532,8 +532,9 @@ class TestSecularRoute:
         assert starts["bound"] < 0.5 * starts["none"]
 
     def test_light_like_poles_take_the_secular_route(self):
-        # the light-like-pole generator: every instance has a secular form,
-        # all but one with an exceptional block.  Exit codes and point
+        # the light-like-pole generator: every instance has a secular form
+        # with an exceptional block (#240's is its split double pole, a
+        # complex pair of f 2.4e-10 from the real axis).  Exit codes and point
         # counts of the first 60; next to the pole, the two roots of g that
         # straddle it at about 3e-3 relative are both listed, each an exact
         # multiplier
@@ -558,7 +559,7 @@ class TestSecularRoute:
                 exact = exact_multipliers(p)
                 assert got == pytest.approx(straddling[k], rel=1e-7), k
                 assert got == pytest.approx([exact[0], exact[-1]], rel=1e-7), k
-        assert blocks == 599
+        assert blocks == 600
 
 
 def test_one_eigensolve_per_enumeration(monkeypatch):
