@@ -30,19 +30,15 @@ Nielsen and Sorensen (Numer. Math. 31, 1978) and the arrowhead solvers of
 O'Leary and Stewart (J. Comput. Phys. 90, 1990).  L has one negative square,
 so beyond one root per such bracket f has exactly two more roots: a real
 pair or a complex pair.  The bracket roots are found on
-``F = (sigma - a)(b - sigma) f``, smooth at the poles a and b, from a start
-that solves the two-pole model of F: from _SWEEP_POLES coupled poles up by
-Halley steps swept over all still-iterating brackets at once, each sweep
-whole-array ufuncs and matrix-vector products over brackets and poles, and
-below it by Newton steps per bracket on Python floats, where the fixed cost
-of an array call outweighs its work.  Both bisect where a step leaves the
-sign-change bracket, and a bracket stops after a step of at most _LAST_STEP
-of its iterate (the array sweeps take at most 23 on the test corpora).  The
-other two roots come from f deflated by the bracket roots, which is a
-quadratic, then Newton-polished.  Every real root is held relative to its
-nearest pole, so that a root closer to a pole than the rounding of sigma
-(a small coupling d_i puts it d_i^2 away) keeps the weight of its null
-vector exact.
+``F = (sigma - a)(b - sigma) f``, smooth at the poles a and b, with a
+bisection safeguard: from _SWEEP_POLES coupled poles up by Euler steps (the
+root of F's quadratic Taylor model) over all brackets at once from the
+middle way's start (R.-C. Li, LAPACK Working Note 89), below it by Newton
+steps per bracket on Python floats.  The other two roots come from f
+deflated by the bracket roots, a quadratic, then Newton-polished.  Every
+real root is held relative to its nearest pole, so that a root closer to a
+pole than the rounding of sigma (a small coupling d_i puts it d_i^2 away)
+keeps the weight of its null vector exact.
 """
 
 from __future__ import annotations
@@ -77,7 +73,7 @@ DEFLATION = 8.0
 # Candidate points, in units of the arrowhead's size around the center of
 # the two roots beyond the brackets, for reading their deflated quadratic.
 _OFFSETS = (0.0, 0.382, -0.382, 0.618, -0.618, 1.618, -1.618)
-# A Newton or Halley step at most this relative to its iterate ends the
+# A Newton or Euler step at most this relative to its iterate ends the
 # iteration after it is taken: convergence is at least quadratic there, so
 # the next step would be below rounding.
 _LAST_STEP = 1e-9
@@ -86,8 +82,8 @@ _EMPTY = np.zeros(0)
 _MAX_STEPS = 100
 # From this many coupled poles up the roots of f come from array sweeps
 # over all brackets and poles; below it, from Python floats per bracket
-# (the two cost the same near 40 poles, 1 BLAS thread, numpy 2.4).
-_SWEEP_POLES = 40
+# (the two cost the same near 31 poles, 1 BLAS thread, numpy 2.4).
+_SWEEP_POLES = 31
 # The floating-point error state of each public evaluation, entered once per
 # call as ``np.errstate(**_QUIET)`` (numpy 2 error states cannot be
 # re-entered, so each ``with`` makes its own): at an exact pole the private
@@ -364,21 +360,20 @@ class Arrowhead:
         pair, near = self._pair(nu, d2, inner, sweep)
         if near is not None:
             origin, tau = np.concatenate((origin, near[1])), np.concatenate((tau, near[0]))
-        delta = (nu - nu[origin][:, None]) + tau[:, None]
-        inv = 1.0 / delta
-        eta = (inv * inv) @ d2 - 1.0
-        vc = self.c0 - inv @ (d * ct)
+        inv = np.reciprocal((nu - nu[origin][:, None]) + tau[:, None])
+        eta = np.square(inv).dot(d2) - 1.0
+        vc = self.c0 - inv.dot(d * ct)
         vv = eta + 2.0
-        # a root rounded onto its pole -nu_j has the limit null vector e_j
-        onto, j = (delta == 0.0).nonzero()
-        eta[onto], vc[onto], vv[onto] = 1.0, ct[j], 1.0
+        # a root rounded onto its pole -nu_j, its origin, has the limit null vector e_j
+        onto = tau == 0.0
+        eta[onto], vc[onto], vv[onto] = 1.0, ct[origin[onto]], 1.0
         if near is None:
             inv = 1.0 / (nu + pair[0])
             t = inv * inv
-            ez, cz = t @ d2 - 1.0, self.c0 - inv @ (d * ct)
+            ez, cz = t.dot(d2) - 1.0, self.c0 - inv.dot(d * ct)
             eta = np.concatenate((eta, [ez, ez.conjugate()]))
             vc = np.concatenate((vc, [cz, cz.conjugate()]))
-            vv = np.concatenate((vv, [np.abs(t) @ d2 + 1.0] * 2))
+            vv = np.concatenate((vv, [np.abs(t).dot(d2) + 1.0] * 2))
         return np.concatenate((inner, pair)), eta, vc, vv
 
     def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray, sweep: bool) -> tuple:
@@ -402,11 +397,13 @@ class Arrowhead:
             q = (alpha - s) * (nus[0] + s) - d2s[0]
             qp = alpha - nus[0] - 2.0 * s
         elif sweep:
-            cands = 0.5 * (alpha - float(nu.sum()) - float(inner.sum())) + self._size * np.array(_OFFSETS)
-            cands = cands[np.argsort(-np.abs(cands[:, None] - inner).min(axis=1), kind="stable")]
+            cands = 0.5 * (alpha - nu.sum() - inner.sum()) + self._size * np.array(_OFFSETS)
             qs, qps = _deflated_at(alpha, nu, d2, inner, cands)
-            k = int((np.isfinite(qs) & np.isfinite(qps)).argmax())
-            s, q, qp = float(cands[k]), float(qs[k]), float(qps[k])
+            dist = np.abs(cands[:, None] - inner).min(axis=1)
+            for k in np.argsort(-dist, kind="stable").tolist():
+                s, q, qp = float(cands[k]), float(qs[k]), float(qps[k])
+                if math.isfinite(q) and math.isfinite(qp):
+                    break
         else:
             center = 0.5 * (alpha - sum(nus) - sum(inn))
             cands = sorted((center + self._size * o for o in _OFFSETS),
@@ -421,19 +418,21 @@ class Arrowhead:
         if not disc >= 0.0:
             z = complex(s + 0.5 * qp, 0.5 * math.sqrt(-disc))
             if len(nus) > 1:
-                z = complex(_polish_rows(alpha, nu, d2, z) if sweep else _polish(alpha, nus, d2s, z))
+                newton = _newton_rows(alpha, nu, d2) if sweep else _newton(alpha, nus, d2s)
+                z = complex(_polish(z, newton))
             return np.array([z, z.conjugate()]), None
         h1 = 0.5 * (qp + math.copysign(math.sqrt(disc), qp))
         pair = np.array([s + h1, s - q / h1 if h1 != 0.0 else s])
-        if not sweep:
-            near = sorted((_polish_real(alpha, nus, d2s, z, inn) for z in pair.tolist()),
-                          key=lambda to: to[0] - nus[to[1]])
-            return (np.array([t - nus[o] for t, o in near]),
-                    (np.array([t for t, _ in near]), np.array([o for _, o in near])))
-        tau, o = _polish_real_rows(alpha, nu, d2, pair, inner)
-        root = tau - nu[o]
-        order = np.argsort(root, kind="stable")
-        return root[order], (tau[order], o[order])
+        if sweep:
+            tau, o = _polish_real_rows(alpha, nu, d2, pair, inner)
+            root = tau - nu[o]
+            if root[1] < root[0]:
+                root, tau, o = root[::-1], tau[::-1], o[::-1]
+            return root, (tau, o)
+        near = sorted((_polish_real(alpha, nus, d2s, z, inn) for z in pair.tolist()),
+                      key=lambda to: to[0] - nus[to[1]])
+        return (np.array([t - nus[o] for t, o in near]),
+                (np.array([t for t, _ in near]), np.array([o for _, o in near])))
 
     def _cluster(self) -> Block | None:
         """The exceptional cluster as a ``Block``, None without one: the
@@ -738,21 +737,14 @@ def _polish_real(alpha: float, nus: list, d2s: list, z: float,
     return tau, o
 
 
-def _polish(alpha: float, nus: list, d2s: list, z):
-    """Newton on f from the estimate z (real or complex), until a step
+def _polish(z, newton):
+    """Newton on f from the estimate z (real or complex), ``newton(z)``
+    giving the step f/f' and the distance to the nearest pole, until a step
     stops shrinking, is the last one needed (see _LAST_STEP), or would reach
     half the distance to a pole."""
     last = math.inf
     for _ in range(_MAX_STEPS):
-        f, fp, dist = alpha - z, -1.0, math.inf
-        for v, w in zip(nus, d2s):
-            r = v + z
-            dist = min(dist, abs(r))
-            if r == 0.0:
-                return z
-            f -= w / r
-            fp += w / (r * r)
-        step = f / fp if fp != 0.0 else math.inf
+        step, dist = newton(z)
         if not abs(step) < min(last, 0.5 * dist):
             return z
         z -= step
@@ -762,79 +754,98 @@ def _polish(alpha: float, nus: list, d2s: list, z):
     return z
 
 
+def _newton(alpha: float, nus: list, d2s: list):
+    """The Newton step on f and the distance to the nearest pole, summed
+    on Python floats (the distance 0 on a pole)."""
+    def newton(z):
+        f, fp, dist = alpha - z, -1.0, math.inf
+        for v, w in zip(nus, d2s):
+            r = v + z
+            if r == 0.0:
+                return math.inf, 0.0
+            dist = min(dist, abs(r))
+            f -= w / r
+            fp += w / (r * r)
+        return (f / fp if fp != 0.0 else math.inf), dist
+    return newton
+
+
 def _bracket_sweeps(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One root of f in each bracket (a, b) = (-nu[i+1], -nu[i]), as
     ``sigma = -nu[origin] + tau`` with origin the pole nearer to it.
 
-    f runs from -inf at a to +inf at b, so F = (sigma - a)(b - sigma) f,
-    smooth at both poles, runs from -d_a^2 (b - a) to d_b^2 (b - a); with
-    the other pole at tau = E, F = tau (E - tau) f.  The half of the bracket
-    holding a root is read from the sign of f at its middle; the start
-    solves the model of F with every term but the two pole terms frozen
-    there; then Halley steps on F, bisecting whenever a step leaves the
-    current sign-change bracket (or is not finite, as at a start that
-    rounds onto the pole).  A bracket stops after a step at most
-    _LAST_STEP of its iterate, and leaves the sweeps, which run on the
-    brackets still iterating, all at once.  Distances to the poles are
-    (nu_j - nu[origin]) + tau, exact next to the origin.
+    On F = tau (E - tau) f, E the tau of the other pole: the sign of f at
+    the middle picks the half that holds the root, the middle way's model
+    of f there gives the start, then Euler steps over all brackets at once,
+    bisecting where a step leaves the sign-change bracket or does not
+    shrink.  A bracket stops after a step of at most _LAST_STEP of its
+    iterate; the stopped ones leave the arrays once they are half of them.
+    Distances to the poles, (nu_j - nu[origin]) + tau, are exact next to it.
     """
     m = nu.size
     if m < 2:
         return np.zeros(0, dtype=int), np.zeros(0)
-    mid = -0.5 * (nu[1:] + nu[:-1])
     gap = nu[1:] - nu[:-1]
-    f_mid = alpha - mid - (1.0 / (nu + mid[:, None])) @ d2
+    mid = -0.5 * (nu[1:] + nu[:-1])
+    inv = np.reciprocal(nu + mid[:, None])
+    f_mid = alpha - mid - inv.dot(d2)
+    # in x = tau / (E/2) the model is |f_mid| + A (1 - 1/x) + B (1/(2 - x) - 1),
+    # A (B) the slope at the middle of the poles on the origin's (other) side
+    # times |E|/2; its root in (0, 1] is the smaller root of w x^2 - 2 b x + 2 A
+    q = 0.25 * gap
+    both = q * np.square(inv).dot(d2)  # (A + B) / 2
+    side = q * np.sign(f_mid) * (np.abs(inv) * inv).dot(d2)  # (A - B) / 2
+    A, w = both + side, np.abs(f_mid) + 2.0 * side
+    b = w + both
+    x = np.minimum((A + A) / (b + np.sqrt(b * b - 2.0 * w * A)), 1.0)
     left = f_mid > 0.0
-    origin = np.arange(m - 1) + left
-    far = np.where(left, gap, -gap)  # E, the tau of the other pole
-    lo, hi = np.minimum(0.5 * far, 0.0), np.maximum(0.5 * far, 0.0)
-    # the start solves the model w tau (E - tau) + (d_a^2 + d_b^2) tau -
-    # d_o^2 E = 0 of F, which has one root in the bracket, with w = alpha -
-    # sigma less the terms of the other poles frozen at the middle
-    dl, dr = d2[1:], d2[:-1]
-    w = f_mid + 2.0 * (dl - dr) / gap
-    qb = w * far + dl + dr
-    qc = -far * d2[origin]
-    qq = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb + 4.0 * w * qc, 0.0)), qb))
-    r = qq / -w
-    r = np.where((2.0 * lo < r) & (r < 2.0 * hi), r, np.where(qq != 0.0, qc / qq, 0.5 * far))
-    tau = np.minimum(np.maximum(r, lo), hi)
-    a_ = alpha + nu[origin]
-    base = nu - nu[origin][:, None]
-    out, rows = np.empty(m - 1), np.arange(m - 1)
+    origin, far = np.arange(m - 1) + left, np.where(left, gap, -gap)  # far = E
+    half = 0.5 * far
+    tau, lo, hi = half * x, np.minimum(half, 0.0), np.maximum(half, 0.0)
+    a_, base = alpha + nu[origin], nu - nu[origin][:, None]
+    out, rows, last = np.empty(m - 1), np.arange(m - 1), np.full(m - 1, np.inf)
+    stopped = np.zeros(m - 1, dtype=bool)
     for _ in range(_MAX_STEPS):
         s1, s2, s3 = _sweep_sums(base, tau, d2)
-        f, fp, u = a_ - tau - s1, s2 - 1.0, far - tau
+        f, fp, u = a_ - s1 - tau, s2 - 1.0, far - tau
         P, Q = tau * u, u - tau
         F, F1 = P * f, Q * f + P * fp
         np.copyto(lo, tau, where=F < 0.0)
         np.copyto(hi, tau, where=F > 0.0)
-        # Halley, with F'' = -2 (f - Q f' + P s3)
-        new = tau - F * F1 / (F1 * F1 + F * (f - Q * fp + P * s3))
-        np.copyto(new, 0.5 * (lo + hi), where=~((lo <= new) & (new <= hi)))
-        # a step below _LAST_STEP relative is the last one needed: the step
-        # after it would be at rounding
-        done = np.abs(new - tau) <= _LAST_STEP * np.abs(tau)
-        tau = new
-        if done.any():
-            out[rows[done]] = tau[done]
-            if done.all():
-                return origin, out
-            keep = ~done
-            rows, tau, lo, hi, far, a_, base = (
-                rows[keep], tau[keep], lo[keep], hi[keep], far[keep], a_[keep], base[keep])
+        # the root of the model F - F' h - G h^2, G = -F''/2, or its vertex
+        G = f - Q * fp + P * s3
+        disc = F1 * F1 + 4.0 * F * G
+        step = (F + F) / (F1 + np.copysign(np.sqrt(disc), F1))
+        if np.count_nonzero(disc > 0.0) < disc.size:
+            np.copyto(step, -F1 / (G + G), where=~(disc > 0.0))
+        new, size = tau - step, np.abs(step)
+        inside = (lo <= new) & (new <= hi) & (size < last)
+        if np.count_nonzero(inside) < inside.size:
+            np.copyto(new, 0.5 * (lo + hi), where=~inside)
+            size = np.abs(new - tau)
+        np.copyto(new, tau, where=stopped)
+        stopped |= size <= _LAST_STEP * np.abs(tau)
+        tau, last = new, size
+        count = np.count_nonzero(stopped)
+        if count == stopped.size:
+            break
+        if count + count >= stopped.size:  # a pass that drops rows costs about a sweep of them
+            out[rows[stopped]] = tau[stopped]
+            keep = ~stopped
+            rows, tau, lo, hi, far, a_, base, stopped, last = (
+                rows[keep], tau[keep], lo[keep], hi[keep], far[keep], a_[keep], base[keep],
+                stopped[keep], last[keep])
     out[rows] = tau
     return origin, out
 
 
 def _sweep_sums(base: np.ndarray, tau: np.ndarray, d2: np.ndarray) -> tuple:
     """``sum_j d2_j / delta_kj^p`` for p = 1, 2, 3 per bracket k, with
-    ``delta_kj = base_kj + tau_k``: one sweep of ``_bracket_roots``."""
+    ``delta_kj = base_kj + tau_k``: one sweep of ``_bracket_sweeps``."""
     inv = base + tau[:, None]
-    np.divide(1.0, inv, out=inv)
-    inv2 = inv * inv
-    s1, s2 = inv @ d2, inv2 @ d2
-    return s1, s2, np.multiply(inv2, inv, out=inv2) @ d2
+    np.reciprocal(inv, out=inv)
+    inv2 = np.square(inv)
+    return inv.dot(d2), inv2.dot(d2), np.multiply(inv2, inv, out=inv2).dot(d2)
 
 
 def _deflated_at(alpha: float, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray,
@@ -843,60 +854,49 @@ def _deflated_at(alpha: float, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray
     s) / prod(s - inner)``, each bracket root paired with the pole at its
     right; not finite where s is on a pole or a bracket root."""
     r = nu + s[:, None]
-    inv = 1.0 / r
+    inv = np.reciprocal(r)
     x = s[:, None] - inner
-    f = alpha - s - inv @ d2
+    f = alpha - s - inv.dot(d2)
     R = np.prod(r[:, :-1] / x, axis=1) * r[:, -1]
-    return f * R, R * ((inv * inv) @ d2 - 1.0 + f * (inv.sum(axis=1) - (1.0 / x).sum(axis=1)))
+    return f * R, R * (np.square(inv).dot(d2) - 1.0 + f * (inv.sum(axis=1) - (1.0 / x).sum(axis=1)))
 
 
 def _polish_real_rows(alpha: float, nu: np.ndarray, d2: np.ndarray, z: np.ndarray,
-                 others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The real roots z of f as (tau, o), ``z = -nu_o + tau`` for the
-    nearest pole -nu_o, polished by Newton on ``tau f``, which is smooth
-    there: a root closer to the pole than rounding of z resolves (as for a
-    small coupling d_o) keeps its distance tau exactly.  Steps stop as in
-    ``_polish``, measured to the other poles.  A root keeps z where its
-    polish ends nearer to one of the roots ``others`` than to z, as it can
-    from a nearly double root, where f' is nearly 0."""
+                      others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two real roots z of f as (tau, o), ``z = -nu_o + tau`` for the
+    nearest pole -nu_o, polished as in ``_polish_real``, with the sums over
+    the poles for both roots at once and the Newton logic on floats."""
     o = np.abs(nu + z[:, None]).argmin(axis=1)
-    no, do = nu[o], d2[o]
+    no = nu[o]
     base = nu - no[:, None]
-    base[np.arange(z.size), o] = np.inf  # the pole's own term is -do/tau
-    tau, last, live = z + no, np.full(z.size, np.inf), np.ones(z.size, dtype=bool)
+    base[(0, 1), o] = np.inf  # the pole's own term is -do/tau
+    tau, an, do = (z + no).tolist(), (alpha + no).tolist(), d2[o].tolist()
+    last, live = [math.inf] * 2, [True, True]
     for _ in range(_MAX_STEPS):
-        r = base + tau[:, None]
-        inv = 1.0 / r
-        w = (alpha + no - tau) - inv @ d2  # f without the pole term
-        step = (tau * w - do) / (w + tau * ((inv * inv) @ d2 - 1.0))
-        live &= np.abs(step) < np.minimum(last, 0.5 * np.abs(r).min(axis=1))
-        tau = np.where(live, tau - step, tau)
-        live &= np.abs(step) > _LAST_STEP * np.abs(tau)
-        if not live.any():
+        r = base + np.array(tau)[:, None]
+        inv = np.reciprocal(r)
+        s1s, s2s = inv.dot(d2).tolist(), np.square(inv).dot(d2).tolist()
+        for k, (s1, s2, dist) in enumerate(zip(s1s, s2s, np.abs(r).min(axis=1).tolist())):
+            t, w = tau[k], an[k] - tau[k] - s1  # f without the pole term
+            slope = w + t * (s2 - 1.0)
+            step = (t * w - do[k]) / slope if slope != 0.0 else math.inf
+            live[k] = live[k] and abs(step) < min(last[k], 0.5 * dist)
+            if live[k]:
+                tau[k], last[k] = t - step, abs(step)
+                live[k] = abs(step) > _LAST_STEP * abs(tau[k])
+        if not (live[0] or live[1]):
             break
-        last = np.abs(step)
+    tau = np.array(tau)
     root = tau - no
     back = (np.abs(root[:, None] - others) < np.abs(root - z)[:, None]).any(axis=1)
     return np.where(back, z + no, tau), o
 
 
-def _polish_rows(alpha: float, nu: np.ndarray, d2: np.ndarray, z: complex) -> complex:
-    """Newton on f from the estimate z (real or complex), until a step
-    stops shrinking, is the last one needed (see _LAST_STEP), or would reach
-    half the distance to a pole."""
-    last = math.inf
-    for _ in range(_MAX_STEPS):
+def _newton_rows(alpha: float, nu: np.ndarray, d2: np.ndarray):
+    """``_newton`` with the sums as array calls."""
+    def newton(z):
         r = nu + z
-        dist = float(np.abs(r).min())
-        if dist == 0.0:
-            return z
-        inv = 1.0 / r
-        fp = (inv * inv) @ d2 - 1.0
-        step = (alpha - z - inv @ d2) / fp if fp != 0.0 else math.inf
-        if not abs(step) < min(last, 0.5 * dist):
-            return z
-        z -= step
-        if abs(step) <= _LAST_STEP * abs(z):
-            return z
-        last = abs(step)
-    return z
+        inv = np.reciprocal(r)
+        fp = np.square(inv).dot(d2) - 1.0
+        return ((alpha - z - inv.dot(d2)) / fp if fp != 0.0 else math.inf), float(np.abs(r).min())
+    return newton
