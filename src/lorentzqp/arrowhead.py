@@ -797,7 +797,7 @@ def _bracket_sweeps(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.nd
     side = q * np.sign(f_mid) * (np.abs(inv) * inv).dot(d2)  # (A - B) / 2
     A, w = both + side, np.abs(f_mid) + 2.0 * side
     b = w + both
-    x = np.minimum((A + A) / (b + np.sqrt(b * b - 2.0 * w * A)), 1.0)
+    x = np.minimum((A + A) / (b + np.sqrt(np.maximum(b * b - 2.0 * w * A, 0.0))), 1.0)
     left = f_mid > 0.0
     origin, far = np.arange(m - 1) + left, np.where(left, gap, -gap)  # far = E
     half = 0.5 * far

@@ -10,13 +10,17 @@ import pytest
 
 from lorentzqp import ProblemInstance, arrowhead, solve_problem
 from lorentzqp.arrowhead import Pencil
+from lorentzqp.fileio import as_dense, gen_instance
 from conftest import census_720, integer_census, light_like_family, repeated_entry_instances
 from test_arrowhead import instances
 
 LD = np.longdouble
 EPS = float(np.finfo(float).eps)
 # the largest number of sweeps of the bracket iteration on CORPORA
-SWEEP_BOUND = 23
+SWEEP_BOUND = 18
+# per size n of gen_instance convex/indefinite seeds 0-29 (the sizes of the
+# dense benchmark): the sweeps of all 60 arrowheads and of the slowest one
+DENSE_SWEEPS = {20: (234, 5), 50: (250, 6), 100: (263, 6)}
 # roots of f nearer than this, relative to max(1, |root|), are a nearly
 # multiple cluster: rounding decides which of them a bracket holds and
 # whether the pair beyond the brackets is real or complex
@@ -39,6 +43,9 @@ CORPORA = {
     "repeated": repeated_entry_instances,
     "rng2": lambda: light_like_family("rng2", 400),
     "rng3": lambda: light_like_family("rng3", 600),
+    # 29 and 32 coupled poles, either side of _SWEEP_POLES, and 49
+    "crossover": lambda: (as_dense(gen_instance(kind, n, 60_000 + seed)) for n in (30, 33, 50)
+                          for kind in ("convex", "indefinite") for seed in range(4)),
 }
 
 
@@ -180,6 +187,27 @@ def test_the_bracket_sweeps_are_bounded(monkeypatch):
             counts.append(0)
             arrowhead._bracket_sweeps(a.alpha, a._nuc, a._d2c)
     assert 0 < max(counts) <= SWEEP_BOUND
+
+
+def test_sweeps_per_arrowhead_at_the_dense_sizes(monkeypatch):
+    # the start and the steps take most arrowheads through in about three
+    # or four sweeps: their total and maximum at each size may only fall
+    counts = []
+
+    def counted(*args, _sums=arrowhead._sweep_sums):
+        counts[-1] += 1
+        return _sums(*args)
+
+    monkeypatch.setattr(arrowhead, "_sweep_sums", counted)
+    for n, (total, most) in DENSE_SWEEPS.items():
+        counts.clear()
+        for kind in ("convex", "indefinite"):
+            for seed in range(30):
+                a = Pencil(as_dense(gen_instance(kind, n, seed))).arrow
+                counts.append(0)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    arrowhead._bracket_sweeps(a.alpha, a._nuc, a._d2c)
+        assert sum(counts) <= total and max(counts) <= most, (n, counts)
 
 
 def test_split_double_pole_lists_the_same_poles_at_every_scale():
