@@ -788,20 +788,20 @@ def _bracket_sweeps(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.nd
     gap = nu[1:] - nu[:-1]
     mid = -0.5 * (nu[1:] + nu[:-1])
     inv = np.reciprocal(nu + mid[:, None])
-    f_mid = alpha - mid - inv.dot(d2)
+    f_mid = alpha - mid - inv.dot(d2)  # as in _bracket_roots, which picks the same halves
     # in x = tau / (E/2) the model is |f_mid| + A (1 - 1/x) + B (1/(2 - x) - 1),
     # A (B) the slope at the middle of the poles on the origin's (other) side
     # times |E|/2; its root in (0, 1] is the smaller root of w x^2 - 2 b x + 2 A
-    q = 0.25 * gap
-    both = q * np.square(inv).dot(d2)  # (A + B) / 2
-    side = q * np.sign(f_mid) * (np.abs(inv) * inv).dot(d2)  # (A - B) / 2
-    A, w = both + side, np.abs(f_mid) + 2.0 * side
+    left = f_mid > 0.0
+    far = np.where(left, gap, -gap)  # E
+    both = 0.25 * gap * np.square(inv).dot(d2)  # (A + B) / 2
+    side = 0.25 * far * (np.abs(inv) * inv).dot(d2)  # (A - B) / 2
+    A, w = both + side, np.abs(f_mid) + side + side
     b = w + both
     x = np.minimum((A + A) / (b + np.sqrt(np.maximum(b * b - 2.0 * w * A, 0.0))), 1.0)
-    left = f_mid > 0.0
-    origin, far = np.arange(m - 1) + left, np.where(left, gap, -gap)  # far = E
     half = 0.5 * far
     tau, lo, hi = half * x, np.minimum(half, 0.0), np.maximum(half, 0.0)
+    origin = np.arange(m - 1) + left
     a_, base = alpha + nu[origin], nu - nu[origin][:, None]
     out, rows, last = np.empty(m - 1), np.arange(m - 1), np.full(m - 1, np.inf)
     stopped = np.zeros(m - 1, dtype=bool)
