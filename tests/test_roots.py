@@ -44,8 +44,9 @@ CORPORA = {
     "rng2": lambda: light_like_family("rng2", 400),
     "rng3": lambda: light_like_family("rng3", 600),
     # 29 and 32 coupled poles, either side of _SWEEP_POLES, and 49
-    "crossover": lambda: (as_dense(gen_instance(kind, n, 60_000 + seed)) for n in (30, 33, 50)
-                          for kind in ("convex", "indefinite") for seed in range(4)),
+    "crossover": lambda: (as_dense(gen_instance(kind, n, 60_000 + seed))
+                          for n in (30, 33, 50) for kind in ("convex", "indefinite")
+                          for seed in range(4)),
 }
 
 
