@@ -30,20 +30,24 @@ Nielsen and Sorensen (Numer. Math. 31, 1978) and the arrowhead solvers of
 O'Leary and Stewart (J. Comput. Phys. 90, 1990).  L has one negative square,
 so beyond one root per such bracket f has exactly two more roots: a real
 pair or a complex pair.  The bracket roots are found on
-``F = (sigma - a)(b - sigma) f``, smooth at the poles a and b, with a
-bisection safeguard: from _SWEEP_POLES coupled poles up by Euler steps (the
-root of F's quadratic Taylor model) over all brackets at once from the
-middle way's start (R.-C. Li, LAPACK Working Note 89), below it by Newton
-steps per bracket on Python floats.  The other two roots come from f
-deflated by the bracket roots, a quadratic, then Newton-polished.  Every
-real root is held relative to its nearest pole, so that a root closer to a
-pole than the rounding of sigma (a small coupling d_i puts it d_i^2 away)
-keeps the weight of its null vector exact.
+``F = (sigma - a)(b - sigma) f``, smooth at the poles a and b, from the
+middle way's start (R.-C. Li, LAPACK Working Note 89) by Euler steps (the
+root of F's quadratic Taylor model) with a bisection safeguard.  The other
+two roots come from f deflated by the bracket roots, a quadratic, then
+Newton-polished.  One iteration serves every size in two executions: from
+_SWEEP_POLES coupled poles up the sums over the poles are array calls and
+the steps sweep all brackets at once; below it the steps and the pair's
+sums run on Python floats, which cost less than the fixed cost of array
+calls there.  Every real root is held relative to its nearest pole, so
+that a root closer to a pole than the rounding of sigma (a small coupling
+d_i puts it d_i^2 away) keeps the weight of its null vector exact.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,9 +82,10 @@ _OFFSETS = (0.0, 0.382, -0.382, 0.618, -0.618, 1.618, -1.618)
 # the next step would be below rounding.
 _LAST_STEP = 1e-9
 _EMPTY = np.zeros(0)
-# Newton steps on the bracket roots and in each polish of the other two.
+# Euler steps on the bracket roots, and Newton steps in each polish of the
+# other two.
 _MAX_STEPS = 100
-# From this many coupled poles up the roots of f come from array sweeps
+# From this many coupled poles up the roots of f come from array calls
 # over all brackets and poles; below it, from Python floats per bracket
 # (the two cost the same near 31 poles, 1 BLAS thread, numpy 2.4).
 _SWEEP_POLES = 31
@@ -353,11 +358,11 @@ class Arrowhead:
         # one root per bracket (-nu[i+1], -nu[i]), relative to its nearer
         # pole; the other two from the deflated quadratic.  Below
         # _SWEEP_POLES coupled poles Python floats cost less than the fixed
-        # cost of the array calls of a sweep.
-        sweep = nu.size >= _SWEEP_POLES
-        origin, tau = (_bracket_sweeps if sweep else _bracket_roots)(self.alpha, nu, d2)
+        # cost of array calls.
+        rows = nu.size >= _SWEEP_POLES
+        origin, tau = _bracket_roots(self.alpha, nu, d2, rows)
         inner = tau - nu[origin]
-        pair, near = self._pair(nu, d2, inner, sweep)
+        pair, near = self._pair(nu, d2, inner, rows)
         if near is not None:
             origin, tau = np.concatenate((origin, near[1])), np.concatenate((tau, near[0]))
         inv = np.reciprocal((nu - nu[origin][:, None]) + tau[:, None])
@@ -376,11 +381,12 @@ class Arrowhead:
             vv = np.concatenate((vv, [np.abs(t).dot(d2) + 1.0] * 2))
         return np.concatenate((inner, pair)), eta, vc, vv
 
-    def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray, sweep: bool) -> tuple:
+    def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray, rows: bool) -> tuple:
         """The two roots of f beyond the bracket roots ``inner``, as a real
         or complex array of length 2, and for a real pair the arrays
         (tau, origin) of each root relative to its nearest pole (else None);
-        with ``sweep`` each step runs over all poles and candidates at once.
+        with ``rows`` the sums over the poles are array calls, else Python
+        floats (``_secular``).
 
         f * prod(nu + s) / prod(s - inner) is the quadratic -(s - u)(s - v).
         For m = 1 it is (alpha - s)(nu + s) - d^2.  Otherwise its center is
@@ -388,48 +394,36 @@ class Arrowhead:
         and its value and slope are read at the candidate point farthest
         from the bracket roots, next to which they lose accuracy (the next
         farthest where they are not finite).  A real root is then polished
-        relative to its nearest pole (``_polish_real``), a complex one on f.
+        relative to its nearest pole (``_polish_real``), a complex one on f
+        (``_polish``).
         """
         alpha = self.alpha
         nus, d2s, inn = nu.tolist(), d2.tolist(), inner.tolist()
+        sums = (nu, d2, inner) if rows else (nus, d2s, inn)
+        up = inn[::-1]  # the bracket roots ascending
         if len(nus) == 1:
             s = 0.5 * (alpha - nus[0])
             q = (alpha - s) * (nus[0] + s) - d2s[0]
             qp = alpha - nus[0] - 2.0 * s
-        elif sweep:
-            cands = 0.5 * (alpha - nu.sum() - inner.sum()) + self._size * np.array(_OFFSETS)
-            qs, qps = _deflated_at(alpha, nu, d2, inner, cands)
-            dist = np.abs(cands[:, None] - inner).min(axis=1)
-            for k in np.argsort(-dist, kind="stable").tolist():
-                s, q, qp = float(cands[k]), float(qs[k]), float(qps[k])
-                if math.isfinite(q) and math.isfinite(qp):
-                    break
         else:
             center = 0.5 * (alpha - sum(nus) - sum(inn))
-            cands = sorted((center + self._size * o for o in _OFFSETS),
-                           key=lambda x: -min(abs(x - r) for r in inn))
-            for s in cands:
-                q = _deflated(alpha, nus, d2s, inn, s)
-                if q is not None:
-                    q, qp = q
+            cands = [center + self._size * o for o in _OFFSETS]
+            far = [-abs(s - up[_nearest(up, s)]) for s in cands]
+            for k in sorted(range(len(cands)), key=far.__getitem__):
+                s = cands[k]
+                read = _deflated(alpha, *sums, s)
+                if read is not None:
                     break
+            q, qp = read
         # q(s + h) = q + qp h - h^2
         disc = qp * qp + 4.0 * q
         if not disc >= 0.0:
             z = complex(s + 0.5 * qp, 0.5 * math.sqrt(-disc))
             if len(nus) > 1:
-                newton = _newton_rows(alpha, nu, d2) if sweep else _newton(alpha, nus, d2s)
-                z = complex(_polish(z, newton))
+                z = _polish(alpha, *sums[:2], z)
             return np.array([z, z.conjugate()]), None
         h1 = 0.5 * (qp + math.copysign(math.sqrt(disc), qp))
-        pair = np.array([s + h1, s - q / h1 if h1 != 0.0 else s])
-        if sweep:
-            tau, o = _polish_real_rows(alpha, nu, d2, pair, inner)
-            root = tau - nu[o]
-            if root[1] < root[0]:
-                root, tau, o = root[::-1], tau[::-1], o[::-1]
-            return root, (tau, o)
-        near = sorted((_polish_real(alpha, nus, d2s, z, inn) for z in pair.tolist()),
+        near = sorted((_polish_real(alpha, nus, d2s, up, sums, z) for z in (s + h1, s - q / h1 if h1 != 0.0 else s)),
                       key=lambda to: to[0] - nus[to[1]])
         return (np.array([t - nus[o] for t, o in near]),
                 (np.array([t for t, _ in near]), np.array([o for _, o in near])))
@@ -604,183 +598,22 @@ def _deflate_repeated(nu, d, ct, U, tol):
         start = i
 
 
-def _bracket_roots(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+
+def _bracket_roots(alpha: float, nu: np.ndarray, d2: np.ndarray,
+                   rows: bool) -> tuple[np.ndarray, np.ndarray]:
     """One root of f in each bracket (a, b) = (-nu[i+1], -nu[i]), as
     ``sigma = -nu[origin] + tau`` with origin the pole nearer to it.
 
-    f runs from -inf at a to +inf at b, so F = (sigma - a)(b - sigma) f,
-    smooth at both poles, runs from -d_a^2 (b - a) to d_b^2 (b - a).  The
-    half of the bracket holding a root is read from the sign of f at its
-    middle; the start solves the model of F with every term but the two
-    pole terms frozen there; then Newton on F, bisecting whenever a step
-    leaves the current sign-change bracket (or is not finite, as at a start
-    that rounds onto the pole).  Distances to the poles are
-    (nu_j - nu[origin]) + tau, exact next to the origin.  The sums over the
-    poles, O(m) per bracket, run over all brackets at once; the scalar
-    Newton logic runs per bracket on floats.
-    """
-    m = nu.size
-    if m < 2:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    mid = -0.5 * (nu[1:] + nu[:-1])
-    f_mid = (alpha - mid - (1.0 / (nu + mid[:, None])) @ d2).tolist()
-    nus, d2s = nu.tolist(), d2.tolist()
-    origin, A, B, tau = [], [], [], []
-    for i, fm in enumerate(f_mid):
-        gap = nus[i + 1] - nus[i]
-        left = fm > 0.0
-        origin.append(i + 1 if left else i)
-        a, b = (0.0, gap) if left else (-gap, 0.0)  # tau of the poles
-        A.append(a)
-        B.append(b)
-        # the start solves the model w (tau - a)(b - tau) - dl (b - tau) +
-        # dr (tau - a) = 0, which has one root in (a, b), with w = alpha -
-        # sigma less the terms of the other poles frozen at the middle
-        dl, dr = d2s[i + 1], d2s[i]
-        w = fm + 2.0 * (dl - dr) / gap
-        qb = w * (a + b) + dl + dr
-        qc = -w * a * b - dl * b - dr * a
-        qq = -0.5 * (qb + math.copysign(math.sqrt(max(qb * qb + 4.0 * w * qc, 0.0)), qb))
-        r = qq / -w if w != 0.0 else math.nan
-        if not a < r < b:
-            r = qc / qq if qq != 0.0 else 0.5 * (a + b)
-        tau.append(min(max(r, 0.5 * a), 0.5 * b))
-    lo = [0.5 * a for a in A]
-    hi = [0.5 * b for b in B]
-    a_ = (alpha + nu[origin]).tolist()
-    base = nu - nu[origin][:, None]
-    for _ in range(_MAX_STEPS):
-        s1, s2 = _pole_sums(base, d2, tau)
-        done = True
-        for k, t in enumerate(tau):
-            f = a_[k] - t - s1[k]
-            ta, tb = t - A[k], B[k] - t
-            F = ta * tb * f
-            slope = (tb - ta) * f + ta * tb * (s2[k] - 1.0)
-            if F < 0.0:
-                lo[k] = t
-            elif F > 0.0:
-                hi[k] = t
-            new = t - F / slope if slope != 0.0 else math.nan
-            if not lo[k] <= new <= hi[k]:
-                new = 0.5 * (lo[k] + hi[k])
-            # a Newton step below _LAST_STEP relative is the last one
-            # needed: the step after it would be at rounding
-            done = done and abs(new - t) <= _LAST_STEP * abs(t)
-            tau[k] = new
-        if done:
-            break
-    return np.array(origin, dtype=int), np.array(tau)
-
-
-def _pole_sums(base: np.ndarray, d2: np.ndarray, tau: list) -> tuple[list, list]:
-    """``sum_j d2_j / delta_kj`` and ``sum_j d2_j / delta_kj^2`` per bracket k,
-    with ``delta_kj = base_kj + tau_k``."""
-    inv = 1.0 / (base + np.array(tau)[:, None])
-    return (inv @ d2).tolist(), ((inv * inv) @ d2).tolist()
-
-
-def _deflated(alpha: float, nus: list, d2s: list, inner: list, s: float) -> tuple | None:
-    """Value and slope at s of the quadratic ``f * prod(nu + s) / prod(s -
-    inner)``, each bracket root paired with the pole at its right; None
-    where they are not finite."""
-    f, fp, R, slope = alpha - s, -1.0, 1.0, 0.0
-    try:
-        for v, w in zip(nus, d2s):
-            r = v + s
-            f -= w / r
-            fp += w / (r * r)
-            slope += 1.0 / r
-        for v, x in zip(nus, inner):
-            R *= (v + s) / (s - x)
-            slope -= 1.0 / (s - x)
-    except ZeroDivisionError:
-        return None
-    R *= nus[-1] + s
-    q, qp = f * R, R * (fp + f * slope)
-    return (q, qp) if math.isfinite(q) and math.isfinite(qp) else None
-
-
-def _polish_real(alpha: float, nus: list, d2s: list, z: float,
-                 others: list) -> tuple[float, int]:
-    """A real root z of f as (tau, o), ``z = -nu_o + tau`` for the nearest
-    pole -nu_o, polished by Newton on ``tau f``, which is smooth there: a
-    root closer to the pole than rounding of z resolves (as for a small
-    coupling d_o) keeps its distance tau exactly.  Steps stop as in
-    ``_polish``, measured to the other poles.  z is kept where the polish
-    ends nearer to one of the roots ``others`` than to z, as it can from a
-    nearly double root, where f' is nearly 0."""
-    o = min(range(len(nus)), key=lambda j: abs(nus[j] + z))
-    no, do = nus[o], d2s[o]
-    tau, last = z + no, math.inf
-    for _ in range(_MAX_STEPS):
-        w, wp, dist = alpha + no - tau, -1.0, math.inf  # f without the pole term
-        for j, (v, w2) in enumerate(zip(nus, d2s)):
-            if j != o:
-                r = (v - no) + tau
-                if r == 0.0:
-                    return tau, o
-                dist = min(dist, abs(r))
-                w -= w2 / r
-                wp += w2 / (r * r)
-        slope = w + tau * wp
-        step = (tau * w - do) / slope if slope != 0.0 else math.inf
-        if not abs(step) < min(last, 0.5 * dist):
-            break
-        tau -= step
-        if abs(step) <= _LAST_STEP * abs(tau):
-            break
-        last = abs(step)
-    root = tau - no
-    if any(abs(root - x) < abs(root - z) for x in others):
-        return z + no, o
-    return tau, o
-
-
-def _polish(z, newton):
-    """Newton on f from the estimate z (real or complex), ``newton(z)``
-    giving the step f/f' and the distance to the nearest pole, until a step
-    stops shrinking, is the last one needed (see _LAST_STEP), or would reach
-    half the distance to a pole."""
-    last = math.inf
-    for _ in range(_MAX_STEPS):
-        step, dist = newton(z)
-        if not abs(step) < min(last, 0.5 * dist):
-            return z
-        z -= step
-        if abs(step) <= _LAST_STEP * abs(z):
-            return z
-        last = abs(step)
-    return z
-
-
-def _newton(alpha: float, nus: list, d2s: list):
-    """The Newton step on f and the distance to the nearest pole, summed
-    on Python floats (the distance 0 on a pole)."""
-    def newton(z):
-        f, fp, dist = alpha - z, -1.0, math.inf
-        for v, w in zip(nus, d2s):
-            r = v + z
-            if r == 0.0:
-                return math.inf, 0.0
-            dist = min(dist, abs(r))
-            f -= w / r
-            fp += w / (r * r)
-        return (f / fp if fp != 0.0 else math.inf), dist
-    return newton
-
-
-def _bracket_sweeps(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One root of f in each bracket (a, b) = (-nu[i+1], -nu[i]), as
-    ``sigma = -nu[origin] + tau`` with origin the pole nearer to it.
-
-    On F = tau (E - tau) f, E the tau of the other pole: the sign of f at
-    the middle picks the half that holds the root, the middle way's model
-    of f there gives the start, then Euler steps over all brackets at once,
-    bisecting where a step leaves the sign-change bracket or does not
-    shrink.  A bracket stops after a step of at most _LAST_STEP of its
-    iterate; the stopped ones leave the arrays once they are half of them.
-    Distances to the poles, (nu_j - nu[origin]) + tau, are exact next to it.
+    On F = tau (E - tau) f, E the tau of the other pole, smooth at both:
+    the sign of f at the middle picks the half that holds the root, the
+    middle way's model of f there gives the start (``_start``), then Euler
+    steps, bisecting where a step leaves the sign-change bracket or does not
+    shrink, until a step of at most _LAST_STEP of its iterate.  The steps
+    take their sums over the poles from ``_sweep_sums``; with ``rows`` they
+    run over all brackets at once (``_euler_rows``), else per bracket on
+    Python floats (``_euler_floats``).  Distances to the poles, (nu_j -
+    nu[origin]) + tau, are exact next to it.
     """
     m = nu.size
     if m < 2:
@@ -788,23 +621,96 @@ def _bracket_sweeps(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.nd
     gap = nu[1:] - nu[:-1]
     mid = -0.5 * (nu[1:] + nu[:-1])
     inv = np.reciprocal(nu + mid[:, None])
-    f_mid = alpha - mid - inv.dot(d2)  # as in _bracket_roots, which picks the same halves
-    # in x = tau / (E/2) the model is |f_mid| + A (1 - 1/x) + B (1/(2 - x) - 1),
-    # A (B) the slope at the middle of the poles on the origin's (other) side
-    # times |E|/2; its root in (0, 1] is the smaller root of w x^2 - 2 b x + 2 A
-    left = f_mid > 0.0
-    far = np.where(left, gap, -gap)  # E
-    both = 0.25 * gap * np.square(inv).dot(d2)  # (A + B) / 2
-    side = 0.25 * far * (np.abs(inv) * inv).dot(d2)  # (A - B) / 2
-    A, w = both + side, np.abs(f_mid) + side + side
+    inv2 = np.square(inv)
+    # f at the middle and the slope sums there of all poles and of the
+    # right side's less the left side's
+    f_mid, s2, sa = alpha - mid - inv.dot(d2), inv2.dot(d2), np.copysign(inv2, inv, out=inv2).dot(d2)
+    if rows:
+        far, tau, lo, hi = _start(f_mid, gap, s2, sa, _ARRAYS)
+    else:
+        far, tau, lo, hi = (list(v) for v in zip(*map(
+            _start, f_mid.tolist(), gap.tolist(), s2.tolist(), sa.tolist(),
+            itertools.repeat(_FLOATS))))
+    origin = np.arange(1, m) - np.signbit(f_mid)  # the pole of f's sign at the middle
+    no = nu[origin]
+    step = _euler_rows if rows else _euler_floats
+    return origin, step(alpha + no, nu - no[:, None], d2, far, tau, lo, hi)
+
+
+def _start(f_mid, gap, s2, sa, ops):
+    """The middle way's start (R.-C. Li, LAPACK Working Note 89) in one
+    bracket, on floats, or in all, on arrays, with ``ops`` the copysign,
+    sqrt, minimum and maximum of either: (E, tau, lo, hi), the tau of the
+    other pole, the start and the half of the bracket that holds the root.
+
+    The half is that of the pole where f has the sign of ``f_mid``.  In
+    x = tau / (E/2) the model of f is |f_mid| + A (1 - 1/x) + B (1/(2 - x)
+    - 1), the poles on each side lumped into one at the bracket's end: A
+    (B) is the slope at the middle of those on the origin's (other) side
+    times |E|/2.  Its root in (0, 1] is the smaller root of w x^2 - 2 b x +
+    2 A; a denominator 0 (A = 0 by cancellation) starts on the pole, from
+    which the first step bisects.
+    """
+    copysign, sqrt, minimum, maximum = ops
+    far = copysign(gap, f_mid)
+    both = 0.25 * gap * s2  # (A + B) / 2
+    side = 0.25 * far * sa  # (A - B) / 2
+    A, w = both + side, abs(f_mid) + side + side
     b = w + both
-    x = np.minimum((A + A) / (b + np.sqrt(np.maximum(b * b - 2.0 * w * A, 0.0))), 1.0)
+    den = b + sqrt(maximum(b * b - 2.0 * w * A, 0.0))
+    x = minimum((A + A) / (den + (den == 0.0)), 1.0)
     half = 0.5 * far
-    tau, lo, hi = half * x, np.minimum(half, 0.0), np.maximum(half, 0.0)
-    origin = np.arange(m - 1) + left
-    a_, base = alpha + nu[origin], nu - nu[origin][:, None]
-    out, rows, last = np.empty(m - 1), np.arange(m - 1), np.full(m - 1, np.inf)
-    stopped = np.zeros(m - 1, dtype=bool)
+    return far, half * x, minimum(half, 0.0), maximum(half, 0.0)
+
+
+_FLOATS = (math.copysign, math.sqrt, min, max)
+_ARRAYS = (np.copysign, np.sqrt, np.minimum, np.maximum)
+
+
+def _euler_floats(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
+    """The steps of ``_bracket_roots`` per bracket on Python floats, as
+    ``_euler_rows`` takes them over arrays."""
+    a_ = a_.tolist()
+    last = [math.inf] * len(tau)
+    live = range(len(tau))
+    for _ in range(_MAX_STEPS):
+        s1, s2, s3 = _sweep_sums(base, np.array(tau), d2)
+        s1, s2, s3, going = s1.tolist(), s2.tolist(), s3.tolist(), []
+        for k in live:
+            t = tau[k]
+            f, fp, u = a_[k] - s1[k] - t, s2[k] - 1.0, far[k] - t
+            P, Q = t * u, u - t
+            F, F1 = P * f, Q * f + P * fp
+            if F < 0.0:
+                lo[k] = t
+            elif F > 0.0:
+                hi[k] = t
+            # the root of the model F - F' h - G h^2, G = -F''/2, or its vertex
+            G = f - Q * fp + P * s3[k]
+            disc = F1 * F1 + 4.0 * F * G
+            if disc > 0.0:
+                step = (F + F) / (F1 + math.copysign(math.sqrt(disc), F1))
+            else:
+                step = -F1 / (G + G) if G != 0.0 else math.nan
+            new, size = t - step, abs(step)
+            if not (lo[k] <= new <= hi[k] and size < last[k]):
+                new = 0.5 * (lo[k] + hi[k])
+                size = abs(new - t)
+            tau[k], last[k] = new, size
+            if size > _LAST_STEP * abs(t):
+                going.append(k)
+        live = going
+        if not live:
+            break
+    return np.array(tau)
+
+
+def _euler_rows(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
+    """The steps of ``_bracket_roots`` over all brackets at once: stopped
+    brackets are frozen, and leave the arrays once they are half of them."""
+    k = tau.size
+    out, rows, last = np.empty(k), np.arange(k), np.full(k, np.inf)
+    stopped = np.zeros(k, dtype=bool)
     for _ in range(_MAX_STEPS):
         s1, s2, s3 = _sweep_sums(base, tau, d2)
         f, fp, u = a_ - s1 - tau, s2 - 1.0, far - tau
@@ -836,67 +742,127 @@ def _bracket_sweeps(alpha: float, nu: np.ndarray, d2: np.ndarray) -> tuple[np.nd
                 rows[keep], tau[keep], lo[keep], hi[keep], far[keep], a_[keep], base[keep],
                 stopped[keep], last[keep])
     out[rows] = tau
-    return origin, out
+    return out
 
 
 def _sweep_sums(base: np.ndarray, tau: np.ndarray, d2: np.ndarray) -> tuple:
     """``sum_j d2_j / delta_kj^p`` for p = 1, 2, 3 per bracket k, with
-    ``delta_kj = base_kj + tau_k``: one sweep of ``_bracket_sweeps``."""
+    ``delta_kj = base_kj + tau_k``: one step of ``_bracket_roots``."""
     inv = base + tau[:, None]
     np.reciprocal(inv, out=inv)
     inv2 = np.square(inv)
     return inv.dot(d2), inv2.dot(d2), np.multiply(inv2, inv, out=inv2).dot(d2)
 
 
-def _deflated_at(alpha: float, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray,
-              s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and slope at each point of s of the quadratic ``f * prod(nu +
-    s) / prod(s - inner)``, each bracket root paired with the pole at its
-    right; not finite where s is on a pole or a bracket root."""
-    r = nu + s[:, None]
-    inv = np.reciprocal(r)
-    x = s[:, None] - inner
-    f = alpha - s - inv.dot(d2)
-    R = np.prod(r[:, :-1] / x, axis=1) * r[:, -1]
-    return f * R, R * (np.square(inv).dot(d2) - 1.0 + f * (inv.sum(axis=1) - (1.0 / x).sum(axis=1)))
+def _deflated(alpha: float, nu, d2, inner, s: float) -> tuple | None:
+    """Value and slope at s of the quadratic ``f * prod(nu + s) / prod(s -
+    inner)``, None where they are not finite."""
+    f, fp, _ = _secular(nu, d2, s, alpha - s)
+    R, slope = _pole_ratio(nu, inner, s)
+    q, qp = f * R, R * (fp + f * slope)
+    return (q, qp) if math.isfinite(q) and math.isfinite(qp) else None
 
 
-def _polish_real_rows(alpha: float, nu: np.ndarray, d2: np.ndarray, z: np.ndarray,
-                      others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two real roots z of f as (tau, o), ``z = -nu_o + tau`` for the
-    nearest pole -nu_o, polished as in ``_polish_real``, with the sums over
-    the poles for both roots at once and the Newton logic on floats."""
-    o = np.abs(nu + z[:, None]).argmin(axis=1)
-    no = nu[o]
-    base = nu - no[:, None]
-    base[(0, 1), o] = np.inf  # the pole's own term is -do/tau
-    tau, an, do = (z + no).tolist(), (alpha + no).tolist(), d2[o].tolist()
-    last, live = [math.inf] * 2, [True, True]
-    for _ in range(_MAX_STEPS):
-        r = base + np.array(tau)[:, None]
-        inv = np.reciprocal(r)
-        s1s, s2s = inv.dot(d2).tolist(), np.square(inv).dot(d2).tolist()
-        for k, (s1, s2, dist) in enumerate(zip(s1s, s2s, np.abs(r).min(axis=1).tolist())):
-            t, w = tau[k], an[k] - tau[k] - s1  # f without the pole term
-            slope = w + t * (s2 - 1.0)
-            step = (t * w - do[k]) / slope if slope != 0.0 else math.inf
-            live[k] = live[k] and abs(step) < min(last[k], 0.5 * dist)
-            if live[k]:
-                tau[k], last[k] = t - step, abs(step)
-                live[k] = abs(step) > _LAST_STEP * abs(tau[k])
-        if not (live[0] or live[1]):
-            break
-    tau = np.array(tau)
-    root = tau - no
-    back = (np.abs(root[:, None] - others) < np.abs(root - z)[:, None]).any(axis=1)
-    return np.where(back, z + no, tau), o
-
-
-def _newton_rows(alpha: float, nu: np.ndarray, d2: np.ndarray):
-    """``_newton`` with the sums as array calls."""
+def _polish(alpha: float, nu, d2, z: complex) -> complex:
+    """The complex root estimate z of f polished by Newton on f."""
     def newton(z):
-        r = nu + z
-        inv = np.reciprocal(r)
-        fp = np.square(inv).dot(d2) - 1.0
-        return ((alpha - z - inv.dot(d2)) / fp if fp != 0.0 else math.inf), float(np.abs(r).min())
-    return newton
+        f, fp, dist = _secular(nu, d2, z, alpha - z)
+        return (f / fp if fp != 0.0 else math.inf), dist
+    return complex(_newton(z, newton))
+
+
+def _polish_real(alpha: float, nus: list, d2s: list, up: list, sums: tuple,
+                 z: float) -> tuple[float, int]:
+    """A real root z of f as (tau, o), ``z = -nu_o + tau`` for the nearest
+    pole -nu_o, polished by Newton on ``tau f``, which is smooth there: a
+    root closer to the pole than rounding of z resolves (as for a small
+    coupling d_o) keeps its distance tau exactly; ``sums`` are nu and d2 as
+    ``_secular`` is to sum them.  z is kept where the polish ends nearer to
+    one of the bracket roots ``up`` (ascending) than to z, as it can from a
+    nearly double root, where f' is nearly 0."""
+    o = _nearest(nus, -z)
+    no, do = nus[o], d2s[o]
+
+    def newton(tau):
+        w, wp, dist = _secular(sums[0], sums[1], tau, alpha + no - tau, o)  # f without the pole term
+        slope = w + tau * wp
+        return ((tau * w - do) / slope if slope != 0.0 else math.inf), dist
+
+    tau = float(_newton(z + no, newton))
+    root = tau - no
+    near = up and abs(root - up[_nearest(up, root)]) < abs(root - z)
+    return (z + no if near else tau), o
+
+
+def _newton(x, newton):
+    """Newton from x, ``newton(x)`` giving the step and the distance to the
+    nearest pole, until a step stops shrinking, is the last one needed (see
+    _LAST_STEP), or would reach half the distance to a pole."""
+    last = math.inf
+    for _ in range(_MAX_STEPS):
+        step, dist = newton(x)
+        if not abs(step) < min(last, 0.5 * dist):
+            return x
+        x -= step
+        if abs(step) <= _LAST_STEP * abs(x):
+            return x
+        last = abs(step)
+    return x
+
+
+def _nearest(xs, x: float) -> int:
+    """The index of the entry of the ascending ``xs`` nearest to x, the
+    lower one on a tie (-1 for an empty xs)."""
+    j = bisect.bisect_left(xs, x)
+    return j - 1 if j == len(xs) or (j > 0 and x - xs[j - 1] <= xs[j] - x) else j
+
+
+def _secular(nu, d2, t, a, o: int | None = None) -> tuple:
+    """``a - sum_j d2_j / r_j``, ``sum_j d2_j / r_j^2 - 1`` and ``min_j |r_j|``
+    (f, f' and the distance to the nearest pole for ``a = alpha - t``) over
+    the poles j other than o, with ``r_j = (nu_j - nu_o) + t``, exact next
+    to the pole o (``nu_j + t`` without o); the distance is 0 on a pole.
+    Lists nu and d2 sum on Python floats, arrays in one pass of array calls,
+    which cost less from _SWEEP_POLES poles up."""
+    if isinstance(nu, list):
+        no, fp, dist, err = (0.0 if o is None else nu[o]), -1.0, math.inf, 0.0
+        try:
+            for j, (v, w) in enumerate(zip(nu, d2)):
+                if j != o:
+                    r = (v - no) + t
+                    x = w / r
+                    s = a - x  # and err gains its rounding error (2Sum)
+                    z = s - a
+                    err += (a - (s - z)) - (x + z)
+                    a = s
+                    fp += w / (r * r)
+                    dist = min(dist, abs(r))
+        except ZeroDivisionError:
+            return math.nan, math.nan, 0.0
+        return a + err, fp, dist
+    if o is None:
+        r = nu + t
+    else:
+        r = (nu - nu[o]) + t
+        r[o] = math.inf
+    inv = np.reciprocal(r)
+    return a - inv.dot(d2), np.square(inv).dot(d2) - 1.0, float(np.abs(r).min())
+
+
+def _pole_ratio(nu, inner, s: float) -> tuple:
+    """``R = prod(nu + s) / prod(s - inner)``, each bracket root over the
+    pole at its right, and its logarithmic derivative R'/R, executed as
+    ``_secular``; not finite where s is on a pole or a bracket root."""
+    if isinstance(nu, list):
+        R, slope = 1.0, 0.0
+        try:
+            for v in nu:
+                slope += 1.0 / (v + s)
+            for v, x in zip(nu, inner):
+                R *= (v + s) / (s - x)
+                slope -= 1.0 / (s - x)
+        except ZeroDivisionError:
+            return math.nan, math.nan
+        return R * (nu[-1] + s), slope
+    r, x = nu + s, s - inner
+    return np.prod(r[:-1] / x) * r[-1], np.reciprocal(r).sum() - np.reciprocal(x).sum()

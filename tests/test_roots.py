@@ -1,7 +1,8 @@
-"""The roots of the secular function f: the array sweeps (``_bracket_sweeps``
-and the sweep branch of ``Arrowhead._pair``) against the per-bracket scalar
-loops that serve fewer than ``_SWEEP_POLES`` coupled poles, with a
-numpy.longdouble Newton polish as the referee of accuracy."""
+"""The roots of the secular function f: the two executions of one iteration
+(``_bracket_roots`` and ``Arrowhead._pair``), the array sweeps that serve
+from ``_SWEEP_POLES`` coupled poles up and the per-bracket scalar loops on
+Python floats below, against each other, with a numpy.longdouble Newton
+polish as the referee of accuracy."""
 
 import itertools
 
@@ -56,10 +57,9 @@ def both_paths(a):
     nu, d2 = a._nuc, a._d2c
     out = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for sweep, brackets in ((True, arrowhead._bracket_sweeps),
-                                (False, arrowhead._bracket_roots)):
-            origin, tau = brackets(a.alpha, nu, d2)
-            pair, near = a._pair(nu, d2, tau - nu[origin], sweep)
+        for rows in (True, False):
+            origin, tau = arrowhead._bracket_roots(a.alpha, nu, d2, rows)
+            pair, near = a._pair(nu, d2, tau - nu[origin], rows)
             if near is None:
                 out.append((origin, tau, pair[0]))
             else:
@@ -124,10 +124,10 @@ def _band(e, slopes):
 
 @pytest.mark.parametrize("corpus", list(CORPORA))
 def test_sweeps_against_the_scalar_loops(corpus, monkeypatch):
-    # the same origins; each root no farther from its longdouble polish
-    # than the scalar root, or than the band that rounding of f leaves,
-    # plus 4 ulps; the same roots in the exceptional cluster, and the same
-    # poles to the rounding of their roots
+    # the same origins and pairs, and each root to the band that rounding of
+    # f leaves, from both executions (``compare_roots``); the same roots in
+    # the exceptional cluster, and the same poles to the rounding of their
+    # roots
     compared = 0
     for p in CORPORA[corpus]():
         a = Pencil(p).arrow
@@ -149,27 +149,34 @@ def test_sweeps_against_the_scalar_loops(corpus, monkeypatch):
 
 
 def compare_roots(a):
-    """The roots of both paths to NEAR of each other; outside a nearly
-    multiple cluster, where rounding decides which root a bracket holds and
-    whether a pair is real, the same origins and each root to the
-    referee."""
-    (o_new, t_new, z_new), (o_old, t_old, z_old) = both_paths(a)
+    """The roots of both executions to NEAR of each other; every root outside
+    a nearly multiple cluster with the same origin, and the pair outside it
+    real or complex alike, within the band that rounding of f leaves there
+    (``referee``) plus 4 ulps of the other execution's root.  In a cluster
+    rounding decides which of its roots a bracket holds and whether the pair
+    is real."""
+    (o_rows, t_rows, z_rows), (o_loops, t_loops, z_loops) = both_paths(a)
     roots = [np.sort_complex(np.concatenate((t - a._nuc[o], [] if z is None else [z, np.conj(z)])))
-             for o, t, z in ((o_new, t_new, z_new), (o_old, t_old, z_old))]
+             for o, t, z in ((o_rows, t_rows, z_rows), (o_loops, t_loops, z_loops))]
     scale = NEAR * max(1.0, float(np.abs(roots[0]).max()))
     assert np.abs(roots[0] - roots[1]).max() <= scale, (a._nuc, roots)
-    if np.abs(np.diff(roots[0])).min() <= scale:
+    own = np.concatenate((t_rows - a._nuc[o_rows], [] if z_rows is None else [z_rows]))
+    lone = np.array([np.count_nonzero(np.abs(roots[0] - x) <= scale) == 1 for x in own], dtype=bool)
+    k = a._nuc.size - 1  # the bracket roots lead both lists
+    _, band = referee(a, o_rows, t_rows)
+    near = np.abs(t_rows[:k] - t_loops[:k]) <= band[:k] + 4 * np.spacing(np.abs(t_rows[:k]))
+    np.testing.assert_array_equal(o_rows[:k][lone[:k]], o_loops[:k][lone[:k]])
+    assert np.all(near[lone[:k]]), (a.alpha, a._nuc, a._d2c, t_rows - t_loops[:k], band)
+    if not lone[k:].all():
         return
-    np.testing.assert_array_equal(o_new, o_old)
-    ref, band = referee(a, o_new, t_new)
-    ulp = 4 * np.spacing(np.abs(t_new))
-    new, old = np.abs(t_new - ref).astype(float), np.abs(t_old - ref).astype(float)
-    assert np.all(new <= np.maximum(old, band) + ulp), (a.alpha, a._nuc, a._d2c, new, old, band)
-    assert (z_new is None) == (z_old is None)
-    if z_new is not None:
-        w, band = complex_referee(a, z_new)
-        new, old = float(abs(z_new - w)), float(abs(z_old - w))
-        assert new <= max(old, band) + 4 * np.spacing(abs(z_new)), (a._nuc, z_new, z_old, band)
+    assert (z_rows is None) == (z_loops is None), (a._nuc, z_rows, z_loops)
+    if z_rows is None:
+        np.testing.assert_array_equal(o_rows[k:], o_loops[k:])
+        gap = np.abs(t_rows[k:] - t_loops[k:])
+        assert np.all(gap <= band[k:] + 4 * np.spacing(np.abs(t_rows[k:]))), (a._nuc, gap, band)
+    else:
+        _, band = complex_referee(a, z_rows)
+        assert abs(z_rows - z_loops) <= band + 4 * np.spacing(abs(z_rows)), (a._nuc, z_rows, z_loops, band)
 
 
 def test_the_bracket_sweeps_are_bounded(monkeypatch):
@@ -185,9 +192,10 @@ def test_the_bracket_sweeps_are_bounded(monkeypatch):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for p in itertools.chain(*(corpus() for corpus in CORPORA.values())):
             a = Pencil(p).arrow
-            counts.append(0)
-            arrowhead._bracket_sweeps(a.alpha, a._nuc, a._d2c)
-    assert 0 < max(counts) <= SWEEP_BOUND
+            for rows in (True, False):
+                counts.append(0)
+                arrowhead._bracket_roots(a.alpha, a._nuc, a._d2c, rows)
+    assert 0 < max(counts[0::2]) <= SWEEP_BOUND and 0 < max(counts[1::2]) <= SWEEP_BOUND
 
 
 def test_sweeps_per_arrowhead_at_the_dense_sizes(monkeypatch):
@@ -201,14 +209,15 @@ def test_sweeps_per_arrowhead_at_the_dense_sizes(monkeypatch):
 
     monkeypatch.setattr(arrowhead, "_sweep_sums", counted)
     for n, (total, most) in DENSE_SWEEPS.items():
-        counts.clear()
-        for kind in ("convex", "indefinite"):
-            for seed in range(30):
-                a = Pencil(as_dense(gen_instance(kind, n, seed))).arrow
-                counts.append(0)
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    arrowhead._bracket_sweeps(a.alpha, a._nuc, a._d2c)
-        assert sum(counts) <= total and max(counts) <= most, (n, counts)
+        for rows in (True, False):
+            counts.clear()
+            for kind in ("convex", "indefinite"):
+                for seed in range(30):
+                    a = Pencil(as_dense(gen_instance(kind, n, seed))).arrow
+                    counts.append(0)
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        arrowhead._bracket_roots(a.alpha, a._nuc, a._d2c, rows)
+            assert sum(counts) <= total and max(counts) <= most, (n, rows, counts)
 
 
 def test_split_double_pole_lists_the_same_poles_at_every_scale():
