@@ -85,9 +85,12 @@ _EMPTY = np.zeros(0)
 # Euler steps on the bracket roots, and Newton steps in each polish of the
 # other two.
 _MAX_STEPS = 100
-# From this many coupled poles up the roots of f come from array calls
-# over all brackets and poles; below it, from Python floats per bracket
-# (the two cost the same near 31 poles, 1 BLAS thread, numpy 2.4).
+# From this many coupled poles up the sums over the poles of the roots of f
+# are array calls and the steps sweep all brackets at once; below it they
+# run on Python floats.  ``Arrowhead._roots`` costs the same both ways at
+# 30-33 poles (floats / arrays 0.95-1.02; 0.90 at 26, 1.11 at 36; 1 BLAS
+# thread, numpy 2.4): the work on floats grows with the poles, the fixed
+# cost of an array call does not.
 _SWEEP_POLES = 31
 # The floating-point error state of each public evaluation, entered once per
 # call as ``np.errstate(**_QUIET)`` (numpy 2 error states cannot be
@@ -408,8 +411,8 @@ class Arrowhead:
         else:
             center = 0.5 * (alpha - sum(nus) - sum(inn))
             cands = [center + self._size * o for o in _OFFSETS]
-            far = [-abs(s - up[_nearest(up, s)]) for s in cands]
-            for k in sorted(range(len(cands)), key=far.__getitem__):
+            dist = [abs(s - up[_nearest(up, s)]) for s in cands]
+            for k in sorted(range(len(cands)), key=dist.__getitem__, reverse=True):
                 s = cands[k]
                 read = _deflated(alpha, *sums, s)
                 if read is not None:
@@ -423,7 +426,8 @@ class Arrowhead:
                 z = _polish(alpha, *sums[:2], z)
             return np.array([z, z.conjugate()]), None
         h1 = 0.5 * (qp + math.copysign(math.sqrt(disc), qp))
-        near = sorted((_polish_real(alpha, nus, d2s, up, sums, z) for z in (s + h1, s - q / h1 if h1 != 0.0 else s)),
+        pair = (s + h1, s - q / h1 if h1 != 0.0 else s)
+        near = sorted((_polish_real(alpha, nus, d2s, up, sums, z) for z in pair),
                       key=lambda to: to[0] - nus[to[1]])
         return (np.array([t - nus[o] for t, o in near]),
                 (np.array([t for t, _ in near]), np.array([o for _, o in near])))
@@ -618,20 +622,22 @@ def _bracket_roots(alpha: float, nu: np.ndarray, d2: np.ndarray,
     m = nu.size
     if m < 2:
         return np.zeros(0, dtype=int), np.zeros(0)
-    gap = nu[1:] - nu[:-1]
-    mid = -0.5 * (nu[1:] + nu[:-1])
+    right, left = nu[:-1], nu[1:]  # the poles -nu at each bracket's ends
+    gap = left - right
+    mid = -0.5 * (left + right)
     inv = np.reciprocal(nu + mid[:, None])
     inv2 = np.square(inv)
     # f at the middle and the slope sums there of all poles and of the
     # right side's less the left side's
-    f_mid, s2, sa = alpha - mid - inv.dot(d2), inv2.dot(d2), np.copysign(inv2, inv, out=inv2).dot(d2)
+    f_mid, s2 = alpha - mid - inv.dot(d2), inv2.dot(d2)
+    sa = np.copysign(inv2, inv, out=inv2).dot(d2)
     if rows:
         far, tau, lo, hi = _start(f_mid, gap, s2, sa, _ARRAYS)
     else:
         far, tau, lo, hi = (list(v) for v in zip(*map(
             _start, f_mid.tolist(), gap.tolist(), s2.tolist(), sa.tolist(),
             itertools.repeat(_FLOATS))))
-    origin = np.arange(1, m) - np.signbit(f_mid)  # the pole of f's sign at the middle
+    origin = np.arange(1, m) - np.signbit(f_mid)  # as _start picks the half
     no = nu[origin]
     step = _euler_rows if rows else _euler_floats
     return origin, step(alpha + no, nu - no[:, None], d2, far, tau, lo, hi)
@@ -643,13 +649,14 @@ def _start(f_mid, gap, s2, sa, ops):
     sqrt, minimum and maximum of either: (E, tau, lo, hi), the tau of the
     other pole, the start and the half of the bracket that holds the root.
 
-    The half is that of the pole where f has the sign of ``f_mid``.  In
-    x = tau / (E/2) the model of f is |f_mid| + A (1 - 1/x) + B (1/(2 - x)
-    - 1), the poles on each side lumped into one at the bracket's end: A
-    (B) is the slope at the middle of those on the origin's (other) side
-    times |E|/2.  Its root in (0, 1] is the smaller root of w x^2 - 2 b x +
-    2 A; a denominator 0 (A = 0 by cancellation) starts on the pole, from
-    which the first step bisects.
+    The half is that at the pole where f has the other sign than
+    ``f_mid`` (the left one, -nu[i+1], for f_mid >= +0).  In x = tau /
+    (E/2) the model of f is |f_mid| + A (1 - 1/x) + B (1/(2 - x) - 1), the
+    poles on each side lumped into one at the bracket's end: A (B) is the
+    slope at the middle of those on the origin's (other) side times |E|/2.
+    Its root in (0, 1] is the smaller root of w x^2 - 2 b x + 2 A; a
+    denominator 0 (A = 0 by cancellation) starts on the pole, from which
+    the first step bisects.
     """
     copysign, sqrt, minimum, maximum = ops
     far = copysign(gap, f_mid)
@@ -663,6 +670,7 @@ def _start(f_mid, gap, s2, sa, ops):
     return far, half * x, minimum(half, 0.0), maximum(half, 0.0)
 
 
+# The ops of ``_start`` on one bracket's floats and on all brackets' arrays.
 _FLOATS = (math.copysign, math.sqrt, min, max)
 _ARRAYS = (np.copysign, np.sqrt, np.minimum, np.maximum)
 
@@ -697,7 +705,7 @@ def _euler_floats(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
                 new = 0.5 * (lo[k] + hi[k])
                 size = abs(new - t)
             tau[k], last[k] = new, size
-            if size > _LAST_STEP * abs(t):
+            if not size <= _LAST_STEP * abs(t):
                 going.append(k)
         live = going
         if not live:
@@ -755,10 +763,25 @@ def _sweep_sums(base: np.ndarray, tau: np.ndarray, d2: np.ndarray) -> tuple:
 
 
 def _deflated(alpha: float, nu, d2, inner, s: float) -> tuple | None:
-    """Value and slope at s of the quadratic ``f * prod(nu + s) / prod(s -
-    inner)``, None where they are not finite."""
+    """Value and slope at s of the quadratic ``f * R``, ``R = prod(nu + s) /
+    prod(s - inner)`` with each bracket root over the pole at its right,
+    executed as ``_secular``; None where they are not finite."""
     f, fp, _ = _secular(nu, d2, s, alpha - s)
-    R, slope = _pole_ratio(nu, inner, s)
+    if isinstance(nu, list):
+        R, slope = 1.0, 0.0  # and R'/R
+        try:
+            for v in nu:
+                slope += 1.0 / (v + s)
+            for v, x in zip(nu, inner):
+                R *= (v + s) / (s - x)
+                slope -= 1.0 / (s - x)
+        except ZeroDivisionError:
+            return None
+        R *= nu[-1] + s
+    else:
+        r, x = nu + s, s - inner
+        R = np.prod(r[:-1] / x) * r[-1]
+        slope = np.reciprocal(r).sum() - np.reciprocal(x).sum()
     q, qp = f * R, R * (fp + f * slope)
     return (q, qp) if math.isfinite(q) and math.isfinite(qp) else None
 
@@ -784,7 +807,8 @@ def _polish_real(alpha: float, nus: list, d2s: list, up: list, sums: tuple,
     no, do = nus[o], d2s[o]
 
     def newton(tau):
-        w, wp, dist = _secular(sums[0], sums[1], tau, alpha + no - tau, o)  # f without the pole term
+        # f without the pole term, and its slope
+        w, wp, dist = _secular(sums[0], sums[1], tau, alpha + no - tau, o)
         slope = w + tau * wp
         return ((tau * w - do) / slope if slope != 0.0 else math.inf), dist
 
@@ -823,7 +847,9 @@ def _secular(nu, d2, t, a, o: int | None = None) -> tuple:
     the poles j other than o, with ``r_j = (nu_j - nu_o) + t``, exact next
     to the pole o (``nu_j + t`` without o); the distance is 0 on a pole.
     Lists nu and d2 sum on Python floats, arrays in one pass of array calls,
-    which cost less from _SWEEP_POLES poles up."""
+    which cost less from _SWEEP_POLES poles up.  On floats the first sum
+    carries its rounding errors (Knuth's 2Sum): next to a root it cancels to
+    far below its terms, and a nearly double root's polish reads its sign."""
     if isinstance(nu, list):
         no, fp, dist, err = (0.0 if o is None else nu[o]), -1.0, math.inf, 0.0
         try:
@@ -831,7 +857,7 @@ def _secular(nu, d2, t, a, o: int | None = None) -> tuple:
                 if j != o:
                     r = (v - no) + t
                     x = w / r
-                    s = a - x  # and err gains its rounding error (2Sum)
+                    s = a - x  # a - x = s + e exactly, and e goes to err
                     z = s - a
                     err += (a - (s - z)) - (x + z)
                     a = s
@@ -847,22 +873,3 @@ def _secular(nu, d2, t, a, o: int | None = None) -> tuple:
         r[o] = math.inf
     inv = np.reciprocal(r)
     return a - inv.dot(d2), np.square(inv).dot(d2) - 1.0, float(np.abs(r).min())
-
-
-def _pole_ratio(nu, inner, s: float) -> tuple:
-    """``R = prod(nu + s) / prod(s - inner)``, each bracket root over the
-    pole at its right, and its logarithmic derivative R'/R, executed as
-    ``_secular``; not finite where s is on a pole or a bracket root."""
-    if isinstance(nu, list):
-        R, slope = 1.0, 0.0
-        try:
-            for v in nu:
-                slope += 1.0 / (v + s)
-            for v, x in zip(nu, inner):
-                R *= (v + s) / (s - x)
-                slope -= 1.0 / (s - x)
-        except ZeroDivisionError:
-            return math.nan, math.nan
-        return R * (nu[-1] + s), slope
-    r, x = nu + s, s - inner
-    return np.prod(r[:-1] / x) * r[-1], np.reciprocal(r).sum() - np.reciprocal(x).sum()

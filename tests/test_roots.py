@@ -149,12 +149,13 @@ def test_sweeps_against_the_scalar_loops(corpus, monkeypatch):
 
 
 def compare_roots(a):
-    """The roots of both executions to NEAR of each other; every root outside
-    a nearly multiple cluster with the same origin, and the pair outside it
-    real or complex alike, within the band that rounding of f leaves there
-    (``referee``) plus 4 ulps of the other execution's root.  In a cluster
-    rounding decides which of its roots a bracket holds and whether the pair
-    is real."""
+    """The roots of both executions to NEAR of each other.  Outside a nearly
+    multiple cluster, where rounding decides which of its roots a bracket
+    holds and whether the pair is real, the same origins and the pair real
+    or complex alike, and each root within the band that rounding of f
+    leaves there (``referee``) plus 4 ulps of the other execution's root
+    and of its longdouble polish (but on its pole, where that polish does
+    not start)."""
     (o_rows, t_rows, z_rows), (o_loops, t_loops, z_loops) = both_paths(a)
     roots = [np.sort_complex(np.concatenate((t - a._nuc[o], [] if z is None else [z, np.conj(z)])))
              for o, t, z in ((o_rows, t_rows, z_rows), (o_loops, t_loops, z_loops))]
@@ -162,21 +163,22 @@ def compare_roots(a):
     assert np.abs(roots[0] - roots[1]).max() <= scale, (a._nuc, roots)
     own = np.concatenate((t_rows - a._nuc[o_rows], [] if z_rows is None else [z_rows]))
     lone = np.array([np.count_nonzero(np.abs(roots[0] - x) <= scale) == 1 for x in own], dtype=bool)
-    k = a._nuc.size - 1  # the bracket roots lead both lists
-    _, band = referee(a, o_rows, t_rows)
-    near = np.abs(t_rows[:k] - t_loops[:k]) <= band[:k] + 4 * np.spacing(np.abs(t_rows[:k]))
-    np.testing.assert_array_equal(o_rows[:k][lone[:k]], o_loops[:k][lone[:k]])
-    assert np.all(near[lone[:k]]), (a.alpha, a._nuc, a._d2c, t_rows - t_loops[:k], band)
-    if not lone[k:].all():
-        return
-    assert (z_rows is None) == (z_loops is None), (a._nuc, z_rows, z_loops)
-    if z_rows is None:
-        np.testing.assert_array_equal(o_rows[k:], o_loops[k:])
-        gap = np.abs(t_rows[k:] - t_loops[k:])
-        assert np.all(gap <= band[k:] + 4 * np.spacing(np.abs(t_rows[k:]))), (a._nuc, gap, band)
-    else:
-        _, band = complex_referee(a, z_rows)
-        assert abs(z_rows - z_loops) <= band + 4 * np.spacing(abs(z_rows)), (a._nuc, z_rows, z_loops, band)
+    free = lone[a._nuc.size - 1:].all()  # the pair, after the bracket roots, outside any cluster
+    if free:
+        assert (z_rows is None) == (z_loops is None), (a._nuc, z_rows, z_loops)
+    k = len(t_rows) if free else a._nuc.size - 1
+    lone = lone[:k]
+    np.testing.assert_array_equal(o_rows[:k][lone], o_loops[:k][lone])
+    ref, band = referee(a, o_rows, t_rows)
+    ulp = 4 * np.spacing(np.abs(t_rows))
+    gap, err = np.abs(t_rows[:k] - t_loops[:k]), np.abs(t_rows - ref).astype(float)[:k]
+    assert np.all((gap <= band[:k] + ulp[:k])[lone]), (a.alpha, a._nuc, a._d2c, gap, band)
+    assert np.all((err <= band[:k] + ulp[:k])[lone & (t_rows[:k] != 0.0)]), (a.alpha, a._nuc, err, band)
+    if free and z_rows is not None:
+        w, band = complex_referee(a, z_rows)
+        ulp = 4 * np.spacing(abs(z_rows))
+        assert abs(z_rows - z_loops) <= band + ulp, (a._nuc, z_rows, z_loops, band)
+        assert float(abs(z_rows - w)) <= band + ulp, (a._nuc, z_rows, w, band)
 
 
 def test_the_bracket_sweeps_are_bounded(monkeypatch):
