@@ -602,8 +602,6 @@ def _deflate_repeated(nu, d, ct, U, tol):
         start = i
 
 
-
-
 def _bracket_roots(alpha: float, nu: np.ndarray, d2: np.ndarray,
                    rows: bool) -> tuple[np.ndarray, np.ndarray]:
     """One root of f in each bracket (a, b) = (-nu[i+1], -nu[i]), as
@@ -714,11 +712,9 @@ def _euler_floats(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
 
 
 def _euler_rows(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
-    """The steps of ``_bracket_roots`` over all brackets at once: stopped
-    brackets are frozen, and leave the arrays once they are half of them."""
-    k = tau.size
-    out, rows, last = np.empty(k), np.arange(k), np.full(k, np.inf)
-    stopped = np.zeros(k, dtype=bool)
+    """The steps of ``_bracket_roots`` over all brackets at once, stopped
+    brackets frozen."""
+    last, stopped = np.full(tau.size, np.inf), np.zeros(tau.size, dtype=bool)
     for _ in range(_MAX_STEPS):
         s1, s2, s3 = _sweep_sums(base, tau, d2)
         f, fp, u = a_ - s1 - tau, s2 - 1.0, far - tau
@@ -735,22 +731,15 @@ def _euler_rows(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
         new, size = tau - step, np.abs(step)
         inside = (lo <= new) & (new <= hi) & (size < last)
         if np.count_nonzero(inside) < inside.size:
-            np.copyto(new, 0.5 * (lo + hi), where=~inside)
-            size = np.abs(new - tau)
+            out = ~inside
+            np.copyto(new, 0.5 * (lo + hi), where=out)
+            np.copyto(size, np.abs(new - tau), where=out)
         np.copyto(new, tau, where=stopped)
         stopped |= size <= _LAST_STEP * np.abs(tau)
         tau, last = new, size
-        count = np.count_nonzero(stopped)
-        if count == stopped.size:
+        if np.count_nonzero(stopped) == stopped.size:
             break
-        if count + count >= stopped.size:  # a pass that drops rows costs about a sweep of them
-            out[rows[stopped]] = tau[stopped]
-            keep = ~stopped
-            rows, tau, lo, hi, far, a_, base, stopped, last = (
-                rows[keep], tau[keep], lo[keep], hi[keep], far[keep], a_[keep], base[keep],
-                stopped[keep], last[keep])
-    out[rows] = tau
-    return out
+    return tau
 
 
 def _sweep_sums(base: np.ndarray, tau: np.ndarray, d2: np.ndarray) -> tuple:
@@ -767,22 +756,21 @@ def _deflated(alpha: float, nu, d2, inner, s: float) -> tuple | None:
     prod(s - inner)`` with each bracket root over the pole at its right,
     executed as ``_secular``; None where they are not finite."""
     f, fp, _ = _secular(nu, d2, s, alpha - s)
-    if isinstance(nu, list):
-        R, slope = 1.0, 0.0  # and R'/R
-        try:
-            for v in nu:
-                slope += 1.0 / (v + s)
+    try:
+        if isinstance(nu, list):
+            R, inv_r, inv_x = 1.0, [1.0 / (nu[-1] + s)], []
             for v, x in zip(nu, inner):
                 R *= (v + s) / (s - x)
-                slope -= 1.0 / (s - x)
-        except ZeroDivisionError:
-            return None
-        R *= nu[-1] + s
-    else:
-        r, x = nu + s, s - inner
-        R = np.prod(r[:-1] / x) * r[-1]
-        slope = np.reciprocal(r).sum() - np.reciprocal(x).sum()
-    q, qp = f * R, R * (fp + f * slope)
+                inv_r.append(1.0 / (v + s))
+                inv_x.append(1.0 / (s - x))
+        else:
+            r, x = nu + s, s - inner
+            R = math.prod((r[:-1] / x).tolist())
+            inv_r, inv_x = np.reciprocal(r).tolist(), np.reciprocal(x).tolist()
+        R *= float(nu[-1] + s)
+        q, qp = f * R, R * (fp + f * (math.fsum(inv_r) - math.fsum(inv_x)))  # R'/R in the sums
+    except (ZeroDivisionError, ValueError):
+        return None
     return (q, qp) if math.isfinite(q) and math.isfinite(qp) else None
 
 
@@ -845,31 +833,32 @@ def _secular(nu, d2, t, a, o: int | None = None) -> tuple:
     """``a - sum_j d2_j / r_j``, ``sum_j d2_j / r_j^2 - 1`` and ``min_j |r_j|``
     (f, f' and the distance to the nearest pole for ``a = alpha - t``) over
     the poles j other than o, with ``r_j = (nu_j - nu_o) + t``, exact next
-    to the pole o (``nu_j + t`` without o); the distance is 0 on a pole.
-    Lists nu and d2 sum on Python floats, arrays in one pass of array calls,
-    which cost less from _SWEEP_POLES poles up.  On floats the first sum
-    carries its rounding errors (Knuth's 2Sum): next to a root it cancels to
-    far below its terms, and a nearly double root's polish reads its sign."""
+    to the pole o (``nu_j + t`` without o); NaN and distance 0 on a pole.
+    Lists nu and d2 give the terms on Python floats, arrays in one pass of
+    array calls, which cost less from _SWEEP_POLES poles up.  Both sum real
+    terms with ``math.fsum``, correctly rounded, so that the two executions
+    give the same bits: next to a root f cancels to far below its terms,
+    and a nearly double root's pair and polish read its sign."""
     if isinstance(nu, list):
-        no, fp, dist, err = (0.0 if o is None else nu[o]), -1.0, math.inf, 0.0
+        no, x, x2, dist = (0.0 if o is None else nu[o]), [-a], [], math.inf
         try:
             for j, (v, w) in enumerate(zip(nu, d2)):
                 if j != o:
                     r = (v - no) + t
-                    x = w / r
-                    s = a - x  # a - x = s + e exactly, and e goes to err
-                    z = s - a
-                    err += (a - (s - z)) - (x + z)
-                    a = s
-                    fp += w / (r * r)
+                    w /= r
+                    x.append(w)
+                    x2.append(w / r)
                     dist = min(dist, abs(r))
         except ZeroDivisionError:
             return math.nan, math.nan, 0.0
-        return a + err, fp, dist
-    if o is None:
-        r = nu + t
     else:
-        r = (nu - nu[o]) + t
-        r[o] = math.inf
-    inv = np.reciprocal(r)
-    return a - inv.dot(d2), np.square(inv).dot(d2) - 1.0, float(np.abs(r).min())
+        r = nu + t if o is None else (nu - nu[o]) + t
+        if o is not None:
+            r[o] = math.inf
+        dist = float(np.abs(r).min())
+        if dist == 0.0:
+            return math.nan, math.nan, 0.0
+        w = d2 / r
+        x, x2 = [-a] + w.tolist(), (w / r).tolist()
+    total = sum if isinstance(t, complex) else math.fsum
+    return -total(x), total(x2) - 1.0, dist

@@ -67,32 +67,49 @@ def both_paths(a):
     return out
 
 
-def referee(a, origin, tau):
-    """A longdouble Newton polish of each real root (tau, origin) on tau f,
-    and the radius of the band in which rounding leaves f in doubles, from
-    the bound (m + 4) eps S of its evaluation error, S the sum of the
-    absolute values of its terms (see ``_band``)."""
+def referee(a, origin, tau, z=None):
+    """For each real root (tau, origin) of the arrowhead a: its longdouble
+    Newton polish on tau f, each step less than half the distance to the
+    nearest other root of f (z and its conjugate among them), so that it
+    does not cross from a nearly multiple root to its neighbour; the radius
+    of the band in which rounding leaves f in doubles there, from the bound
+    e = (m + 4) eps S of its evaluation error, S the sum of the absolute
+    values of its terms (see ``_band``); and the backward error of tau,
+    |f(tau)| over 2 e + 4 ulps of tau times |f'(tau)|, at most 1 for a root
+    of f to rounding (2 e is |f'| times the band of a simple root)."""
     nu, d2 = a._nuc.astype(LD), a._d2c.astype(LD)
     m, rows = nu.size, np.arange(tau.size)
     if not tau.size:
-        return tau, tau
+        return tau, tau, tau
+    roots = np.concatenate((tau - a._nuc[origin], [] if z is None else [z, np.conj(z)]))
+    gaps = np.abs(roots[:tau.size, None] - roots)
+    gaps[rows, rows] = np.inf
+    half = 0.5 * gaps.min(axis=1)
     no, do = nu[origin], d2[origin]
     base = nu - no[:, None]
     base[rows, origin] = np.inf
-    t, last = tau.astype(LD), np.full(tau.size, np.inf)
-    for _ in range(200):  # each root until its step stops shrinking
+
+    def terms(t):
+        """1 / (nu_j - nu_o + t) over the other poles, f without the pole
+        term, and the error bound e of f."""
         inv = 1 / (base + t[:, None])
-        w = (LD(a.alpha) + no - t) - inv @ d2
+        size = abs(a.alpha) + np.abs(no) + np.abs(t) + np.abs(inv) @ d2 + do / np.abs(t)
+        return inv, (LD(a.alpha) + no - t) - inv @ d2, (m + 4) * EPS * size
+
+    t, last = tau.astype(LD), np.full(tau.size, np.inf)
+    inv, w, e = terms(t)
+    slope = (inv * inv) @ d2 + do / (t * t) - 1
+    backward = (np.abs(w - do / t) / (2 * e + np.abs(slope) * 4 * np.spacing(np.abs(tau)))).astype(float)
+    for _ in range(200):  # each root until its step stops shrinking
         step = (t * w - do) / (w + t * ((inv * inv) @ d2 - 1))
-        live = np.abs(step) < last
+        live = np.abs(step) < np.minimum(last, half)
         if not live.any():
             break
         t, last = np.where(live, t - step, t), np.where(live, np.abs(step), 0)
-    inv = 1 / (base + t[:, None])
-    size = abs(a.alpha) + np.abs(no) + np.abs(t) + np.abs(inv) @ d2 + do / np.abs(t)
+        inv, w, e = terms(t)
     slopes = [(inv * inv) @ d2 + do / (t * t) - 1]
     slopes += [(-inv) ** (k + 1) @ d2 + do / (-t) ** (k + 1) for k in (2, 3)]
-    return t, _band((m + 4) * EPS * size, slopes)
+    return t, _band(e, slopes), backward
 
 
 def complex_referee(a, z):
@@ -149,32 +166,25 @@ def test_sweeps_against_the_scalar_loops(corpus, monkeypatch):
 
 
 def compare_roots(a):
-    """The roots of both executions to NEAR of each other.  Outside a nearly
-    multiple cluster, where rounding decides which of its roots a bracket
-    holds and whether the pair is real, the same origins and the pair real
-    or complex alike, and each root within the band that rounding of f
-    leaves there (``referee``) plus 4 ulps of the other execution's root
-    and of its longdouble polish (but on its pole, where that polish does
-    not start)."""
+    """Both executions of the iteration on the arrowhead a: the same
+    origins and the pair real or complex alike; each root within the band
+    that rounding of f leaves there (``referee``) plus 4 ulps of the other
+    execution's root and of its longdouble polish (but on its pole, where
+    that polish does not start); and each real root a root of f to within
+    the error of f's evaluation in doubles (its backward error), which
+    judges a nearly multiple cluster too, where the polish cannot separate
+    the roots."""
     (o_rows, t_rows, z_rows), (o_loops, t_loops, z_loops) = both_paths(a)
-    roots = [np.sort_complex(np.concatenate((t - a._nuc[o], [] if z is None else [z, np.conj(z)])))
-             for o, t, z in ((o_rows, t_rows, z_rows), (o_loops, t_loops, z_loops))]
-    scale = NEAR * max(1.0, float(np.abs(roots[0]).max()))
-    assert np.abs(roots[0] - roots[1]).max() <= scale, (a._nuc, roots)
-    own = np.concatenate((t_rows - a._nuc[o_rows], [] if z_rows is None else [z_rows]))
-    lone = np.array([np.count_nonzero(np.abs(roots[0] - x) <= scale) == 1 for x in own], dtype=bool)
-    free = lone[a._nuc.size - 1:].all()  # the pair, after the bracket roots, outside any cluster
-    if free:
-        assert (z_rows is None) == (z_loops is None), (a._nuc, z_rows, z_loops)
-    k = len(t_rows) if free else a._nuc.size - 1
-    lone = lone[:k]
-    np.testing.assert_array_equal(o_rows[:k][lone], o_loops[:k][lone])
-    ref, band = referee(a, o_rows, t_rows)
+    np.testing.assert_array_equal(o_rows, o_loops)
+    assert (z_rows is None) == (z_loops is None), (a._nuc, z_rows, z_loops)
+    ref, band, backward = referee(a, o_rows, t_rows, z_rows)
     ulp = 4 * np.spacing(np.abs(t_rows))
-    gap, err = np.abs(t_rows[:k] - t_loops[:k]), np.abs(t_rows - ref).astype(float)[:k]
-    assert np.all((gap <= band[:k] + ulp[:k])[lone]), (a.alpha, a._nuc, a._d2c, gap, band)
-    assert np.all((err <= band[:k] + ulp[:k])[lone & (t_rows[:k] != 0.0)]), (a.alpha, a._nuc, err, band)
-    if free and z_rows is not None:
+    off = t_rows != 0.0
+    gap, err = np.abs(t_rows - t_loops), np.abs(t_rows - ref).astype(float)
+    assert np.all(gap <= band + ulp), (a.alpha, a._nuc, a._d2c, gap, band)
+    assert np.all((err <= band + ulp)[off]), (a.alpha, a._nuc, a._d2c, err, band)
+    assert np.all(backward[off] <= 1.0), (a.alpha, a._nuc, a._d2c, backward)
+    if z_rows is not None:
         w, band = complex_referee(a, z_rows)
         ulp = 4 * np.spacing(abs(z_rows))
         assert abs(z_rows - z_loops) <= band + ulp, (a._nuc, z_rows, z_loops, band)
