@@ -38,9 +38,10 @@ Newton-polished.  One iteration serves every size in two executions: from
 _SWEEP_POLES coupled poles up the sums over the poles are array calls and
 the steps sweep all brackets at once; below it the steps and the pair's
 sums run on Python floats, which cost less than the fixed cost of array
-calls there.  Every real root is held relative to its nearest pole, so
-that a root closer to a pole than the rounding of sigma (a small coupling
-d_i puts it d_i^2 away) keeps the weight of its null vector exact.
+calls there.  Both give the same bits for every real root.  Every real
+root is held relative to its nearest pole, so that a root closer to a pole
+than the rounding of sigma (a small coupling d_i puts it d_i^2 away) keeps
+the weight of its null vector exact.
 """
 
 from __future__ import annotations
@@ -88,10 +89,12 @@ _MAX_STEPS = 100
 # From this many coupled poles up the sums over the poles of the roots of f
 # are array calls and the steps sweep all brackets at once; below it they
 # run on Python floats.  ``Arrowhead._roots`` costs the same both ways at
-# 30-33 poles (floats / arrays 0.95-1.02; 0.90 at 26, 1.11 at 36; 1 BLAS
-# thread, numpy 2.4): the work on floats grows with the poles, the fixed
-# cost of an array call does not.
-_SWEEP_POLES = 31
+# 29-30 poles (floats / arrays 0.97-0.99 at 28-29, 1.01-1.03 at 30-31, 0.86
+# at 20, 1.17 at 40; 1 BLAS thread, numpy 2.4): the work on floats grows
+# with the poles, the fixed cost of an array call does not.  The pair alone
+# crosses earlier (1.1 at 20) and the bracket step later (1.0 at 34); this
+# is where their sum crosses.
+_SWEEP_POLES = 30
 # The floating-point error state of each public evaluation, entered once per
 # call as ``np.errstate(**_QUIET)`` (numpy 2 error states cannot be
 # re-entered, so each ``with`` makes its own): at an exact pole the private
@@ -373,8 +376,9 @@ class Arrowhead:
         vc = self.c0 - inv.dot(d * ct)
         vv = eta + 2.0
         # a root rounded onto its pole -nu_j, its origin, has the limit null vector e_j
-        onto = tau == 0.0
-        eta[onto], vc[onto], vv[onto] = 1.0, ct[origin[onto]], 1.0
+        if 0.0 in tau:
+            onto = tau == 0.0
+            eta[onto], vc[onto], vv[onto] = 1.0, ct[origin[onto]], 1.0
         if near is None:
             inv = 1.0 / (nu + pair[0])
             t = inv * inv
@@ -385,9 +389,9 @@ class Arrowhead:
         return np.concatenate((inner, pair)), eta, vc, vv
 
     def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray, rows: bool) -> tuple:
-        """The two roots of f beyond the bracket roots ``inner``, as a real
-        or complex array of length 2, and for a real pair the arrays
-        (tau, origin) of each root relative to its nearest pole (else None);
+        """The two roots of f beyond the bracket roots ``inner``, a real or
+        complex pair, and for a real pair its tau and its origins relative to
+        the nearest pole of each root (else None);
         with ``rows`` the sums over the poles are array calls, else Python
         floats (``_secular``).
 
@@ -424,13 +428,13 @@ class Arrowhead:
             z = complex(s + 0.5 * qp, 0.5 * math.sqrt(-disc))
             if len(nus) > 1:
                 z = _polish(alpha, *sums[:2], z)
-            return np.array([z, z.conjugate()]), None
+            return (z, z.conjugate()), None
         h1 = 0.5 * (qp + math.copysign(math.sqrt(disc), qp))
-        pair = (s + h1, s - q / h1 if h1 != 0.0 else s)
-        near = sorted((_polish_real(alpha, nus, d2s, up, sums, z) for z in pair),
-                      key=lambda to: to[0] - nus[to[1]])
-        return (np.array([t - nus[o] for t, o in near]),
-                (np.array([t for t, _ in near]), np.array([o for _, o in near])))
+        (t, o), (u, p) = (_polish_real(alpha, nus, d2s, up, sums, z)
+                          for z in (s + h1, s - q / h1 if h1 != 0.0 else s))
+        if u - nus[p] < t - nus[o]:
+            t, o, u, p = u, p, t, o
+        return (t - nus[o], u - nus[p]), ((t, u), np.array((o, p)))
 
     def _cluster(self) -> Block | None:
         """The exceptional cluster as a ``Block``, None without one: the
@@ -675,7 +679,7 @@ _ARRAYS = (np.copysign, np.sqrt, np.minimum, np.maximum)
 
 def _euler_floats(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
     """The steps of ``_bracket_roots`` per bracket on Python floats, as
-    ``_euler_rows`` takes them over arrays."""
+    ``_euler_rows`` takes them over arrays, with the sums of every row."""
     a_ = a_.tolist()
     last = [math.inf] * len(tau)
     live = range(len(tau))
@@ -712,8 +716,10 @@ def _euler_floats(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
 
 
 def _euler_rows(a_, base, d2, far, tau, lo, hi) -> np.ndarray:
-    """The steps of ``_bracket_roots`` over all brackets at once, stopped
-    brackets frozen."""
+    """The steps of ``_bracket_roots`` over all brackets at once.  A stopped
+    bracket is frozen but keeps its row: BLAS row sums depend on the number
+    of rows, and ``_euler_floats`` sums over every row too, so that the two
+    executions give the same bits."""
     last, stopped = np.full(tau.size, np.inf), np.zeros(tau.size, dtype=bool)
     for _ in range(_MAX_STEPS):
         s1, s2, s3 = _sweep_sums(base, tau, d2)
