@@ -391,9 +391,8 @@ class Arrowhead:
     def _pair(self, nu: np.ndarray, d2: np.ndarray, inner: np.ndarray, rows: bool) -> tuple:
         """The two roots of f beyond the bracket roots ``inner``, a real or
         complex pair, and for a real pair its tau and its origins relative to
-        the nearest pole of each root (else None);
-        with ``rows`` the sums over the poles are array calls, else Python
-        floats (``_secular``).
+        the nearest pole of each root (else None); with ``rows`` the sums
+        over the poles are array calls, else Python floats (``_secular``).
 
         f * prod(nu + s) / prod(s - inner) is the quadratic -(s - u)(s - v).
         For m = 1 it is (alpha - s)(nu + s) - d^2.  Otherwise its center is
