@@ -256,22 +256,35 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     """Grid the cone slice, polish every point by projected gradient descent
     with momentum, and scan feasible directions for negative curvature.
 
-    Deterministic and bit-reproducible: fixed grid, fixed step
-    1/(||Q||_inf + 1), at most POLISH_STEPS iterations with a global
-    displacement stop, value ties broken lexicographically by coordinates.
-    Each step first extrapolates every column by a constant share of its
-    last displacement, v = x_k + beta (x_k - x_{k-1}) with
-    beta = POLISH_MOMENTUM (no extrapolation before the first step), then
-    takes the projected
-    gradient step from v, x_{k+1} = P_K(v - step (Qv - c)), rescaled into
-    the cap ball.  Inside the cone, along an eigenvector of Q with
-    h = step * lambda in (0, 1], the error obeys
+    Deterministic and bit-reproducible: fixed grid, at most POLISH_STEPS
+    iterations with a stop relative to each column, value ties broken
+    lexicographically by coordinates.  Each step first extrapolates every
+    column by a constant share of its last displacement,
+    v = x_k + beta (x_k - x_{k-1}) with beta = POLISH_MOMENTUM (no
+    extrapolation before the first step), then takes the projected gradient
+    step from v, x_{k+1} = P_K(v - step (Qv - c)), rescaled into the cap
+    ball.
+
+    The step is 1/||Q||_inf, the Lipschitz bound of the gradient (1 for
+    Q = 0).  Along an eigenvector of Q inside the cone, h = step * lambda
+    lies in (0, 1], and the error obeys
     z^2 - (1 + beta)(1 - h) z + beta (1 - h) = 0, whose roots lie inside the
     unit disk for every 0 <= beta < 1: convex columns contract to the fixed
     points of the plain projected gradient step, which do not depend on
     beta, in fewer steps, and columns of negative curvature still escape to
-    the cap.  The stop test and the rescale act on the iterates, and the
-    stop test reads the iterate displacement x_{k+1} - x_k.
+    the cap.  Q scaled by s and the radius by 1/s scale the step by 1/s and
+    every iterate by 1/s, so with s a power of two the polish takes the same
+    decisions and the iterates scale exactly.
+
+    The polish stops after the first step that moves every column by less
+    than POLISH_STOP times the larger of the radius and the column's largest
+    entry, |x_{k+1} - x_k|_inf < POLISH_STOP max(radius, |x_{k+1}|_inf); a
+    column that holds a NaN moves by NaN and never passes.  The test is
+    relative because one ulp of an entry on the cap, 1e6 (1 + radius), is
+    at least 1.1e-10 (1 + radius): an absolute stop of 1e-12 never passed
+    for a column on the cap, and every instance with such a column ran the
+    whole step budget.  The radius, the scale of the grid, floors the
+    tolerance of a column near the apex.
 
     The iterates are held component-major, shape (n, N) with one column per
     grid point, so every per-point step, projection, rescale and
@@ -290,11 +303,12 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     Two tests decide each step from less than the whole array, with the
     reference loop's decisions:
 
-    - Stop test.  The loop watches the column that moved most at the last
-      full reduction.  While that column alone moves by POLISH_STOP or more
-      (or by NaN), so does the whole array, and the polish goes on; only
-      otherwise is the displacement of every column reduced, the loop stops
-      when that says so, and the column that moved most is watched next.
+    - Stop test.  The loop watches one column, column 0 at first.  While
+      that column alone fails the stop test, so does the whole array, and
+      the polish goes on; only otherwise are the move and the tolerance of
+      every column reduced, the loop stops when every column passes, and
+      the column whose move is largest against its tolerance is watched
+      next.
     - Cap test.  After the projection every column lies in the cone.  An
       inside column has |y_i| <= y_0 exactly (sqrt(fl(y_i^2)) = |y_i| and
       the sum of squares rounds monotonically; an entry whose square
@@ -320,7 +334,8 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
         raise ValueError("resolution must be at least 16")
     XT = _slice_grid(p.n, radius, resolution)
     Q = p.Q
-    step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
+    norm = float(np.abs(Q).sum(axis=1).max())
+    step = 1.0 / norm if norm > 0.0 else 1.0
     cap = 1e6 * (1.0 + radius)
     row0_cap = cap * _ROW0_MARGIN
     # V: the extrapolated point, then the next iterate; D: the displacement
@@ -348,11 +363,18 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
         np.subtract(V, XT, out=D)
         XT, V = V, XT
         x_rows, v_rows = v_rows, x_rows
-        if not all(abs(d) < POLISH_STOP for d in D[:, watch].tolist()):
-            continue                            # also when the column holds a NaN
-        if np.maximum.reduce(np.abs(D, out=G), axis=None) < POLISH_STOP:
+        # A column that holds a NaN moves by NaN, which no test passes.
+        tol = POLISH_STOP * max(radius, *map(abs, XT[:, watch].tolist()))
+        if not all(abs(d) < tol for d in D[:, watch].tolist()):
+            continue
+        # work[0] and work[1] hold each column's move and tolerance
+        moved = np.maximum.reduce(np.abs(D, out=G), axis=0, out=work[0])
+        tols = np.maximum.reduce(np.abs(XT, out=G), axis=0, out=work[1])
+        np.maximum(tols, radius, out=tols)
+        tols *= POLISH_STOP
+        if np.logical_and.reduce(np.less(moved, tols, out=work[2])):
             break
-        watch = int(G.argmax()) % G.shape[1]
+        watch = int(np.divide(moved, tols, out=moved).argmax())
 
     # One point per row: x'Qx and c'x are summed in the per-point order.
     X = np.ascontiguousarray(XT.T)

@@ -165,13 +165,15 @@ def _reference_oracle(p, radius, resolution):
     """Row-by-row transcription of the documented oracle: every grid point is
     a row; each step extrapolates a row by POLISH_MOMENTUM times its last
     displacement and takes a projected gradient step from there with step
-    1/(||Q||_inf + 1), rescaled into the cap ball; the polish stops when no
-    coordinate moves by POLISH_STOP; the lowest value wins, ties broken by
-    coordinates; the curvature scan over the axis and four rings of unit
+    1/||Q||_inf (1 for Q = 0), rescaled into the cap ball; the polish stops
+    when every row moves by less than POLISH_STOP times the larger of the
+    radius and the row's largest entry; the lowest value wins, ties broken
+    by coordinates; the curvature scan over the axis and four rings of unit
     directions, against a cutoff relative to max |Q_ij|."""
     X = _reference_grid(p.n, radius, resolution)
     prev = X.copy()
-    step = 1.0 / (np.abs(p.Q).sum(axis=1).max() + 1.0)
+    norm = np.abs(p.Q).sum(axis=1).max()
+    step = 1.0 / norm if norm > 0.0 else 1.0
     cap = 1e6 * (1.0 + radius)
     for _ in range(POLISH_STEPS):
         V = X + POLISH_MOMENTUM * (X - prev)
@@ -186,7 +188,8 @@ def _reference_oracle(p, radius, resolution):
         size = np.abs(Y).max(axis=1)
         big = size > cap
         Y[big] *= (cap / size[big])[:, None]
-        done = np.abs(Y - X).max() < POLISH_STOP
+        tol = POLISH_STOP * np.maximum(radius, np.abs(Y).max(axis=1))
+        done = np.all(np.abs(Y - X).max(axis=1) < tol)
         prev, X = X, Y
         if done:
             break
@@ -331,8 +334,8 @@ def _unbuffered_oracle(p, radius, resolution, momentum=POLISH_MOMENTUM):
     pre-projection iterate lay inside the cone, whether a column entered
     the projection in the polar cone off the axis (tail > 0) or on the
     negative axis (tail == 0, x1 < 0), how often the column that moved
-    most at the last step without a stop (column 0 at first) settled below
-    POLISH_STOP while another column still moved, and how many columns end
+    most against its tolerance at the last step without a stop (column 0 at
+    first) settled while another column still moved, and how many columns end
     with an entry that is not finite.  Among the steps whose projection
     does not find every column inside, it counts those with a polar column
     (x1 <= -tail) and those with an inside column; and it counts the steps
@@ -343,7 +346,8 @@ def _unbuffered_oracle(p, radius, resolution, momentum=POLISH_MOMENTUM):
     XT = _slice_grid(p.n, radius, resolution)
     prev = XT.copy()
     Q, cT = p.Q, p.c[:, None]
-    step = 1.0 / (float(np.abs(Q).sum(axis=1).max()) + 1.0)
+    norm = float(np.abs(Q).sum(axis=1).max())
+    step = 1.0 / norm if norm > 0.0 else 1.0
     cap = 1e6 * (1.0 + radius)
     row0_cap = cap * (1.0 - 4.0 * np.finfo(float).eps)
     paths = {"steps": 0, "capped": 0, "all_inside": 0, "polar": False,
@@ -370,13 +374,13 @@ def _unbuffered_oracle(p, radius, resolution, momentum=POLISH_MOMENTUM):
             paths["capped"] += 1
             Y[:, big] *= cap / size[big]
         moved = np.abs(Y - XT).max(axis=0)
-        disp = float(np.max(np.abs(Y - XT)))
+        tol = POLISH_STOP * np.maximum(radius, np.abs(Y).max(axis=0))
         prev, XT = XT, Y
-        if disp < POLISH_STOP:
+        if np.all(moved < tol):
             break
-        if moved[watch] < POLISH_STOP:
+        if moved[watch] < tol[watch]:
             paths["rewatched"] += 1
-            watch = int(np.argmax(moved))
+            watch = int(np.argmax(moved / tol))
     paths["non_finite"] = int(np.sum(~np.isfinite(XT).all(axis=0)))
     X = np.ascontiguousarray(XT.T)
     vals = 0.5 * np.einsum("ij,ij->i", X @ Q, X) - X @ p.c
@@ -428,11 +432,14 @@ class TestBufferedPolish:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cap_rescale(self, n):
         # Q = diag(-1, 0, ...) and Q = L have d'Qd < 0 inside the cone: the
-        # iterates escape and every later step rescales into the cap ball
+        # iterates escape and every later step rescales into the cap ball.
+        # The stop is relative to the larger of the radius and the column's
+        # largest entry, so the columns on the cap settle: an absolute stop
+        # of 1e-12 lies below one ulp of the cap and ran the whole budget
         for Q in (np.diag([-1.0] + [0.0] * (n - 1)), np.diag(lorentz_signs(n))):
             for c in (np.zeros(n), np.ones(n)):
                 paths = _assert_bit_identical(ProblemInstance(Q=Q, c=c), 3.0, 32)
-                assert paths["capped"] > 0
+                assert paths["capped"] > 0 and paths["steps"] < POLISH_STEPS
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_minus_L_runs_the_step_budget(self, n):
@@ -452,20 +459,24 @@ class TestBufferedPolish:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_apex_and_polar_columns(self, n):
         # c = -e1 pulls every column through the polar cone to the apex;
-        # the axis columns (tail == 0) reach x1 < 0 first
-        axis = _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=-np.eye(n)[0]), 3.0, 32)
+        # the axis columns (tail == 0) reach x1 < 0 first.  Q = diag(1, 2,
+        # ...) takes the step 1/2, so x1 moves halfway to c1 on each plain
+        # step (on Q = I the step of 1 lands every column on c at once)
+        Q = np.diag([1.0] + [2.0] * (n - 1))
+        axis = _assert_bit_identical(ProblemInstance(Q=Q, c=-np.eye(n)[0]), 3.0, 32)
         assert axis["negative_axis"]
         c = np.concatenate(([-1.0], np.full(n - 1, 0.5)))
-        paths = _assert_bit_identical(ProblemInstance(Q=np.eye(n), c=c), 3.0, 32)
+        paths = _assert_bit_identical(ProblemInstance(Q=Q, c=c), 3.0, 32)
         assert paths["polar"]
         # projections with polar and with inside columns write their masks
         assert paths["polar_projections"] > 0 and paths["inside_projections"] > 0
 
     @pytest.mark.parametrize("kind, n, seed", [
-        ("diagonal", 2, 52_000), ("indefinite", 3, 52_000), ("indefinite", 4, 52_003)])
+        ("diagonal", 2, 52_002), ("indefinite", 3, 52_000), ("indefinite", 4, 52_000)])
     def test_watched_column_settles_first(self, kind, n, seed):
         # the column watched by the stop test settles while another still
-        # moves: the full reduction runs, does not stop, and watches anew
+        # moves: the full reduction runs, does not stop, and watches the
+        # column that moved most against its tolerance
         p = as_dense(gen_instance(kind, n, seed))
         assert _assert_bit_identical(p, 3.0, 32 if n < 4 else 16)["rewatched"] >= 2
 
@@ -484,18 +495,22 @@ class TestBufferedPolish:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ulps", [-2, 0, 2])
     def test_iterates_within_ulps_of_the_cap(self, n, ulps):
-        # the minimizer c lies within a few ulps of the cap on the axis: the
-        # first steps overshoot it past the cap, and the last iterates have
-        # x1 above cap (1 - 4 eps), where row 0 alone cannot rule out an
-        # entry above the cap, so the rescale runs; with c above the cap it
-        # scales down on most steps, and otherwise on some steps no entry
-        # is above the cap and every factor is 1.0
+        # the minimizer (c1, c2 / 2, 0, ...) has x1 within a few ulps of the
+        # cap: the first steps overshoot it past the cap, and the last
+        # iterates have x1 above cap (1 - 4 eps), where row 0 alone cannot
+        # rule out an entry above the cap, so the rescale runs; with c1
+        # above the cap it scales down on most steps, and otherwise on some
+        # steps no entry is above the cap and every factor is 1.0.  Q =
+        # diag(1, 2, ...) takes the step 1/2, so x1 approaches c1 by halves
+        # (on Q = I the step of 1 lands on c at once and never overshoots),
+        # and c2 sends the first iterates through the projection
         radius = 3.0
         cap = 1e6 * (1.0 + radius)
         eps = np.finfo(float).eps
         c = np.zeros(n)
         c[0] = cap * (1.0 + ulps * eps)
-        p = ProblemInstance(Q=np.eye(n), c=c)
+        c[1] = 0.5 * cap
+        p = ProblemInstance(Q=np.diag([1.0] + [2.0] * (n - 1)), c=c)
         paths = _assert_bit_identical(p, radius, 32)
         x1 = brute_force_min(p, radius, 32).best_x[0]
         assert cap * (1.0 - 4.0 * eps) < x1 <= cap
@@ -505,13 +520,14 @@ class TestBufferedPolish:
 
     @pytest.mark.parametrize("i, budget, capped", [
         (0, False, False), (1, False, True), (3, False, False), (4, False, False),
-        (9, False, True), (25, False, True), (31, True, True), (36, False, False)])
+        (9, False, True), (25, False, True), (31, False, True), (36, False, False)])
     def test_criterion_5_traffic(self, i, budget, capped):
         # the oracle workload's traffic: criterion 5's instances at resolution
-        # 64 and the default radius, runs that stop early or use the whole
-        # step budget, with and without a cap rescale (4 and 36 use the
-        # whole budget without momentum); no best value lies above the
-        # plain polish's, and the unbounded direction is the same
+        # 64 and the default radius, with and without a cap rescale, all
+        # stopping before the step budget (31, with columns on the cap, ran
+        # the whole budget under an absolute stop; 4 and 36 use the whole
+        # budget without momentum); no best value lies above the plain
+        # polish's, and the unbounded direction is the same
         p, radius = _criterion_5_instance(i)
         paths = _assert_bit_identical(p, radius, 64)
         assert (paths["steps"] == POLISH_STEPS) == budget
@@ -530,6 +546,20 @@ class TestBufferedPolish:
         _, paths = _unbuffered_oracle(p, radius, 64)
         _, plain = _plain_oracle(p, radius, 64)
         assert plain["steps"] == POLISH_STEPS and paths["steps"] < 0.6 * POLISH_STEPS
+
+    @pytest.mark.parametrize("i", [2, 4])
+    @pytest.mark.parametrize("k", [-20, 20])
+    def test_the_polish_does_not_depend_on_the_scale_of_q(self, i, k):
+        # Q x 2^k with the radius x 2^-k scales every iterate by 2^-k
+        # exactly: the step 1/||Q||_inf and the stop relative to the radius
+        # and the column take the same decisions at every scale
+        p, _ = _criterion_5_instance(i)
+        unit = _assert_bit_identical(p, 5.0, 64)
+        scaled = ProblemInstance(Q=np.ldexp(p.Q, k), c=p.c)
+        assert _assert_bit_identical(scaled, np.ldexp(5.0, -k), 64)["steps"] == unit["steps"]
+        res, unit_res = brute_force_min(scaled, np.ldexp(5.0, -k), 64), brute_force_min(p, 5.0, 64)
+        assert res.best_x.tobytes() == np.ldexp(unit_res.best_x, -k).tobytes()
+        assert res.best_value == np.ldexp(unit_res.best_value, -k)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_direction_samples_are_shared_and_the_result_owns_a_copy(self, n):
