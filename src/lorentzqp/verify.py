@@ -272,19 +272,20 @@ def brute_force_min(p: ProblemInstance, radius: float, resolution: int = 128) ->
     unit disk for every 0 <= beta < 1: convex columns contract to the fixed
     points of the plain projected gradient step, which do not depend on
     beta, in fewer steps, and columns of negative curvature still escape to
-    the cap.  Q scaled by s and the radius by 1/s scale the step by 1/s and
-    every iterate by 1/s, so with s a power of two the polish takes the same
-    decisions and the iterates scale exactly.
+    the cap.  Q scaled by s and the radius by 1/s scale the step and every
+    iterate by 1/s: with s a power of two, a polish that stays inside the
+    cap ball (whose radius does not scale) takes the same decisions, and its
+    iterates scale exactly.
 
     The polish stops after the first step that moves every column by less
     than POLISH_STOP times the larger of the radius and the column's largest
     entry, |x_{k+1} - x_k|_inf < POLISH_STOP max(radius, |x_{k+1}|_inf); a
     column that holds a NaN moves by NaN and never passes.  The test is
     relative because one ulp of an entry on the cap, 1e6 (1 + radius), is
-    at least 1.1e-10 (1 + radius): an absolute stop of 1e-12 never passed
-    for a column on the cap, and every instance with such a column ran the
-    whole step budget.  The radius, the scale of the grid, floors the
-    tolerance of a column near the apex.
+    at least 1.1e-10 (1 + radius): an absolute stop of 1e-12 would never
+    pass for a column on the cap, and every instance with such a column
+    would run the whole step budget.  The radius, the scale of the grid,
+    floors the tolerance of a column near the apex.
 
     The iterates are held component-major, shape (n, N) with one column per
     grid point, so every per-point step, projection, rescale and

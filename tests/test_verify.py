@@ -435,7 +435,7 @@ class TestBufferedPolish:
         # iterates escape and every later step rescales into the cap ball.
         # The stop is relative to the larger of the radius and the column's
         # largest entry, so the columns on the cap settle: an absolute stop
-        # of 1e-12 lies below one ulp of the cap and ran the whole budget
+        # of 1e-12 lies below one ulp of the cap and would run the budget
         for Q in (np.diag([-1.0] + [0.0] * (n - 1)), np.diag(lorentz_signs(n))):
             for c in (np.zeros(n), np.ones(n)):
                 paths = _assert_bit_identical(ProblemInstance(Q=Q, c=c), 3.0, 32)
@@ -524,10 +524,9 @@ class TestBufferedPolish:
     def test_criterion_5_traffic(self, i, budget, capped):
         # the oracle workload's traffic: criterion 5's instances at resolution
         # 64 and the default radius, with and without a cap rescale, all
-        # stopping before the step budget (31, with columns on the cap, ran
-        # the whole budget under an absolute stop; 4 and 36 use the whole
-        # budget without momentum); no best value lies above the plain
-        # polish's, and the unbounded direction is the same
+        # stopping before the step budget (31 has columns on the cap; 4 and
+        # 36 use the whole budget without momentum); no best value lies
+        # above the plain polish's, and the unbounded direction is the same
         p, radius = _criterion_5_instance(i)
         paths = _assert_bit_identical(p, radius, 64)
         assert (paths["steps"] == POLISH_STEPS) == budget
